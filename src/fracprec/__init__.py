@@ -34,6 +34,7 @@ from .fem import (
     laplacian_dual,
 )
 from .spectral import (
+    HelmholtzPair,
     PencilError,
     SpectralPair,
     apply_power,
@@ -75,7 +76,7 @@ __all__ = [
     "apply_curl", "apply_grad", "apply_grad_transpose",
     "assemble", "assemble_all", "assemble_prolongation",
     "helmholtz_decompose", "laplacian_dual",
-    "PencilError", "SpectralPair",
+    "HelmholtzPair", "PencilError", "SpectralPair",
     "apply_power", "generalized_eig", "inf_sup_constant", "power_matrix", "solve_power",
     "AdditiveMultigrid", "build_additive_multigrid", "precompute_patches",
     "AuxiliaryPreconditioner", "AuxSpectrumContext", "aux_pencil_eigenvalues",

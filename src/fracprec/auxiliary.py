@@ -11,15 +11,24 @@ multilevel preconditioner (practical).  At s = -1 the exact variant
 reproduces the inverse scalar operator's action identically, because the
 inner solve degenerates to a flux mass solve.
 
-The exact preconditioned spectrum is available without running any Krylov
-iterations: with the flux pencil modes Phi_V (eigenvalues mu) and scalar
-pencil modes Phi_S (eigenvalues alpha), the preconditioned operator is
-similar to
+The exact preconditioned spectrum needs no Krylov iterations and no flux
+eigensolve.  With the scalar pencil eigenvalues alpha of
+(grad.T inv(mass_v) grad, mass_s), the gradient field inv(mass_v) grad phi of
+each scalar mode phi is a flux mode with eigenvalue 1 + alpha, and the
+rotated-gradient modes are invisible to the sandwich, so the preconditioned
+operator has the eigenvalues r^(1+s) with r = alpha / (1 + alpha).  Its
+condition number is (r_max / r_min)^(1+s), and r_min is the squared inf-sup
+constant (``exact_condition_number``).
+
+The brute-force route is kept as the small-mesh oracle for that closed form:
+with the flux pencil modes Phi_V (eigenvalues mu) and scalar pencil modes
+Phi_S, the preconditioned operator is similar to
 
     diag(alpha^(s/2)) @ E.T @ diag(mu^-(1+s)) @ E @ diag(alpha^(s/2)),
 
 with the coupling matrix E = Phi_V.T @ grad @ Phi_S computed once per level
-and shared across exponents.
+and shared across exponents (``make_aux_spectrum_context``,
+``aux_pencil_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -128,6 +137,11 @@ def aux_pencil_eigenvalues(ctx: AuxSpectrumContext, s: float) -> np.ndarray:
     return np.linalg.eigvalsh(core * np.outer(a, a))
 
 
-def exact_condition_number(ctx: AuxSpectrumContext, s: float) -> float:
-    w = aux_pencil_eigenvalues(ctx, s)
-    return float(w[-1] / w[0])
+def exact_condition_number(scalar_eigenvalues: np.ndarray, s: float) -> float:
+    """Condition number of the exactly preconditioned scalar s-power,
+    ``(r_max / r_min)^(1+s)`` with ``r = alpha / (1 + alpha)`` over the
+    scalar pencil eigenvalues ``alpha``."""
+    if not -1.0 <= s <= 0.0:
+        raise ValueError(f"exponent must lie in [-1, 0], got {s}")
+    r = scalar_eigenvalues / (1.0 + scalar_eigenvalues)
+    return float((r.max() / r.min()) ** (1.0 + s))

@@ -4,7 +4,7 @@ Examples:
 
     fracprec table1                      # default sizes, markdown to stdout
     fracprec table3 --sizes 8,16 --format csv --out t3.csv
-    fracprec table1 --sizes 64 --max-dense 13000   # the large optional column
+    fracprec table1 --sizes 64 --max-dense 8192    # the large optional column
     fracprec table1 --levels 1 --s-list 0          # exact coarse solve only
     fracprec props --trials 500
 """
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent cells (default: run serially)")
         p.add_argument("--max-dense", type=int, dest="max_dense",
                        help="dense eigensolve size cap (raise for the largest "
-                       "columns, e.g. 13000 for table1 --sizes 64)")
+                       "columns, e.g. 8192 for table1 --sizes 64)")
         if name == "props":
             p.add_argument("--trials", type=int,
                            help="randomized trials per matrix check (default 200)")
@@ -93,9 +93,7 @@ def main(argv=None) -> int:
         if value is not None:
             overrides[key] = value
     try:
-        cfg = tables.default_config(table, **overrides)
-        if table != "props":
-            cfg = tables.validate(cfg)
+        cfg = tables.validate(tables.default_config(table, **overrides))
     except ValueError as err:
         parser.error(str(err))
 

@@ -16,6 +16,17 @@ They are inverses of each other at the same exponent.  Both accept either a
 plain array or a :class:`~fracprec.vectors.TaggedVector`; tagged input is
 checked against the pair's space/level tags and returned re-tagged with the
 opposite representation.
+
+A :class:`HelmholtzPair` stands for the flux pencil ``(hdiv, mass_v)`` of one
+level without diagonalizing it.  By the discrete Helmholtz split,
+rotated-gradient fields have eigenvalue 1 and each scalar eigenpair
+``(alpha, phi)`` of ``(grad.T inv(mass_v) grad, mass_s)`` gives the flux
+eigenpair ``(1 + alpha, inv(mass_v) grad phi)``, so the forward power is
+
+    mass_v + grad @ Phi @ diag(((1 + alpha)**s - 1) / alpha) @ Phi.T @ grad.T,
+
+which ``apply_power`` evaluates from the scalar pair alone, with no flux
+eigensolve and no ``mass_v`` solve.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from .vectors import TaggedVector
 
 __all__ = [
     "SpectralPair",
+    "HelmholtzPair",
     "PencilError",
     "generalized_eig",
     "solve_power",
@@ -61,8 +73,44 @@ class SpectralPair:
         return self.eigenvalues.shape[0]
 
 
+@dataclass(frozen=True)
+class HelmholtzPair:
+    """The flux pencil ``(hdiv, mass_v)`` of one level, held as its scalar
+    pencil ``(grad.T inv(mass_v) grad, mass_s)`` plus ``grad`` and ``mass_v``.
+
+    Supports the forward power only (``apply_power``).
+    """
+
+    scalar: SpectralPair
+    grad: object  # sparse discrete gradient, dual form (edges x triangles)
+    mass: object  # mass_v
+
+    space = "V"
+
+    @property
+    def level(self):
+        return self.scalar.level
+
+    @property
+    def modes(self) -> np.ndarray:
+        return self.scalar.modes
+
+    @property
+    def dim(self) -> int:
+        return self.grad.shape[0]
+
+
 def _densify(mat) -> np.ndarray:
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
+
+
+def _symmetric(mat, dense: np.ndarray) -> bool:
+    """max |X - X.T| <= 1e-10 * max(1, max |X|); sparse input is checked in
+    sparse form, which is cheap next to a strided pass over the dense copy."""
+    if sp.issparse(mat):
+        mat = sp.csr_matrix(mat)
+        return abs(mat - mat.T).max() <= 1e-10 * max(1.0, abs(mat).max())
+    return np.abs(dense - dense.T).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
 
 def generalized_eig(
@@ -88,8 +136,10 @@ def generalized_eig(
         )
     a_dense = _densify(a_mat)
     m_dense = _densify(m_mat)
-    if not np.allclose(a_dense, a_dense.T, rtol=0, atol=1e-10 * max(1.0, np.abs(a_dense).max())):
+    if not _symmetric(a_mat, a_dense):
         raise PencilError("left matrix is not symmetric")
+    if not _symmetric(m_mat, m_dense):
+        raise PencilError("mass matrix is not symmetric")
     try:
         w, phi = sla.eigh(a_dense, m_dense, driver="gvd")
     except sla.LinAlgError as err:
@@ -125,15 +175,22 @@ def _tag(pair: SpectralPair, x, values: np.ndarray, rep: str):
 
 def solve_power(pair: SpectralPair, s: float, d):
     """Inverse s-power applied to a dual vector; returns coefficients."""
+    if isinstance(pair, HelmholtzPair):
+        raise TypeError("a HelmholtzPair supports the forward power only")
     vals = _coerce(pair, d, "dual")
     out = pair.modes @ (pair.eigenvalues ** (-s) * (pair.modes.T @ vals))
     return _tag(pair, d, out, "coefficient")
 
 
-def apply_power(pair: SpectralPair, s: float, c):
+def apply_power(pair: SpectralPair | HelmholtzPair, s: float, c):
     """Forward s-power applied to a coefficient vector; returns a dual vector."""
     vals = _coerce(pair, c, "coefficient")
-    out = pair.mass @ (pair.modes @ (pair.eigenvalues**s * (pair.modes.T @ (pair.mass @ vals))))
+    if isinstance(pair, HelmholtzPair):
+        alpha, phi = pair.scalar.eigenvalues, pair.modes
+        gain = np.expm1(s * np.log1p(alpha)) / alpha  # ((1 + alpha)**s - 1) / alpha
+        out = pair.mass @ vals + pair.grad @ (phi @ (gain * (phi.T @ (pair.grad.T @ vals))))
+    else:
+        out = pair.mass @ (pair.modes @ (pair.eigenvalues**s * (pair.modes.T @ (pair.mass @ vals))))
     return _tag(pair, c, out, "dual")
 
 

@@ -9,6 +9,14 @@ Three grids are produced, mirroring the package's three headline results:
   3. the multilevel gradient-sandwich preconditioner for negative scalar
      powers (PCG + estimates).
 
+All three rest on the scalar pencil (grad.T inv(mass_v) grad, mass_s) of the
+finest mesh, diagonalized once per size: grid 3 uses it as the operator,
+grid 1 applies the flux operator's powers through it by the discrete
+Helmholtz split (``spectral.HelmholtzPair``), and grid 2 reads its exact
+condition numbers and the inf-sup constant off its eigenvalues in closed
+form (``auxiliary.exact_condition_number``).  The only flux pencil ever
+diagonalized is the coarsest mesh's, for the multilevel coarse solve.
+
 Cells are seeded individually from (seed, table, exponent, size), so a grid
 is reproducible cell by cell no matter which subset or order is run, and
 re-running a configuration writes byte-identical output.  The table column
@@ -25,16 +33,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .auxiliary import (
-    build_multigrid,
-    exact_condition_number,
-    make_aux_spectrum_context,
-)
+from .auxiliary import build_multigrid, exact_condition_number
 from .fem import assemble_all, assemble_prolongation, laplacian_dual
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
 from .multigrid import build_additive_multigrid, precompute_patches
-from .spectral import PencilError, apply_power, generalized_eig, inf_sup_constant, solve_power
+from .spectral import HelmholtzPair, PencilError, apply_power, generalized_eig, solve_power
 from .vectors import TaggedVector
 
 __all__ = [
@@ -105,6 +109,10 @@ def resolve_size(value: int, table: str) -> int:
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     cfg = replace(cfg, sizes=tuple(resolve_size(v, cfg.table) for v in cfg.sizes))
+    if cfg.levels < 1:
+        raise ValueError("levels must be at least 1")
+    if cfg.seed < 0:
+        raise ValueError("seed must be non-negative")
     if cfg.table in ("1", "3"):
         step = 2 ** (cfg.levels - 1)
         for n in cfg.sizes:
@@ -164,7 +172,7 @@ class TableResult:
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "---|" * len(header)]
         for s in self.config.s_values:
-            row = [f"{s:.1f}"] + [self._cell_text(s, N) for N in self.columns]
+            row = [_label(s)] + [self._cell_text(s, N) for N in self.columns]
             if self.reference:
                 row.append(f"{self.reference[s]:.3f}")
             lines.append("| " + " | ".join(row) + " |")
@@ -183,12 +191,12 @@ class TableResult:
             for N in self.columns:
                 cell = self.cells[(s, N)]
                 writer.writerow([
-                    self.table, f"{s:.1f}", N,
+                    self.table, _label(s), N,
                     "" if cell.iters is None else cell.iters,
                     f"{cell.cond:.6g}", self.config.seed, tol,
                 ])
             if self.reference:
-                writer.writerow([self.table, f"{s:.1f}", "ref", "",
+                writer.writerow([self.table, _label(s), "ref", "",
                                  f"{self.reference[s]:.6g}", self.config.seed, tol])
 
     def render(self, fmt: str) -> str:
@@ -201,13 +209,27 @@ class TableResult:
         return self.to_markdown()
 
 
+def _is_tenth(s: float) -> bool:
+    return abs(s) == round(abs(s) * 10) / 10
+
+
+def _label(s: float) -> str:
+    """Grid exponents print with one decimal; any other exponent prints exactly."""
+    return f"{s:.1f}" if _is_tenth(s) else repr(float(s))
+
+
 def _cell_rng(seed: int, table_no: int, s: float, n: int):
-    return np.random.default_rng([seed, table_no, int(round(abs(s) * 10)), n])
+    # Multiples of 0.1 are keyed in tenths (the frozen default grids depend
+    # on those streams); any other exponent on its exact binary value, so
+    # distinct exponents never share a stream.
+    key = [int(round(abs(s) * 10))] if _is_tenth(s) else list(abs(s).as_integer_ratio())
+    return np.random.default_rng([seed, table_no, *key, n])
 
 
 class _HierarchySetup:
     """Per-size shared state: mesh hierarchy, assembled levels, patch
-    eigensolves, embeddings, coarse pencil, and the fine operator pencil."""
+    eigensolves, embeddings, coarse pencil, and the fine operator: the scalar
+    pencil itself (grid 3) or the flux pencil held through it (grid 1)."""
 
     def __init__(self, n: int, cfg: ExperimentConfig, scalar_op: bool):
         n0 = n // 2 ** (cfg.levels - 1)
@@ -225,18 +247,13 @@ class _HierarchySetup:
             dense_limit=cfg.max_dense,
         )
         fine = self.lms[-1]
-        if scalar_op:
-            self.op_pair = generalized_eig(
-                laplacian_dual(fine), fine.mass_s, space="S", level=self.finest,
-                dense_limit=cfg.max_dense,
-            )
-            self.dim = fine.mesh.num_triangles
-        else:
-            self.op_pair = generalized_eig(
-                fine.hdiv, fine.mass_v, space="V", level=self.finest,
-                dense_limit=cfg.max_dense,
-            )
-            self.dim = fine.mesh.num_edges
+        scalar_pair = generalized_eig(
+            laplacian_dual(fine), fine.mass_s, space="S", level=self.finest,
+            dense_limit=cfg.max_dense,
+        )
+        self.op_pair = (scalar_pair if scalar_op
+                        else HelmholtzPair(scalar_pair, fine.grad, fine.mass_v))
+        self.dim = self.op_pair.dim
 
     @property
     def shared(self) -> dict:
@@ -301,17 +318,15 @@ def run_table2(cfg: ExperimentConfig | None = None) -> TableResult:
     beta_sq = None
     for n in cfg.sizes:
         lm = assemble_all(build_hierarchy(n, 1))[-1]
-        flux_pair = generalized_eig(lm.hdiv, lm.mass_v, space="V", level=0,
-                                    dense_limit=cfg.max_dense)
-        scalar_pair = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S",
-                                      level=0, dense_limit=cfg.max_dense)
-        ctx = make_aux_spectrum_context(lm, flux_pair, scalar_pair)
+        alpha = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=0,
+                                dense_limit=cfg.max_dense).eigenvalues
         N = lm.mesh.num_triangles
         columns.append(N)
         for s in cfg.s_values:
-            cond = exact_condition_number(ctx, s)
+            cond = exact_condition_number(alpha, s)
             result.cells[(s, N)] = CellResult(s, N, None, cond, True)
-        beta_sq = inf_sup_constant(lm) ** 2  # keep the finest mesh's value
+        # beta^2 = min alpha / (1 + alpha); keep the finest mesh's value.
+        beta_sq = alpha.min() / (1.0 + alpha.min())
     result.columns = tuple(columns)
     result.reference = {s: beta_sq ** -(1.0 + s) for s in cfg.s_values}
     return result

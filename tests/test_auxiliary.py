@@ -35,6 +35,11 @@ def ctx(single_level):
 
 
 @pytest.fixture(scope="module")
+def alpha(single_level):
+    return single_level[3].eigenvalues
+
+
+@pytest.fixture(scope="module")
 def two_level():
     hierarchy = build_hierarchy(2, 2)
     lms = assemble_all(hierarchy)
@@ -106,10 +111,10 @@ class TestExactVariant:
 
 
 class TestSpectrum:
-    def test_condition_is_one_at_left_endpoint(self, ctx):
-        assert exact_condition_number(ctx, -1.0) == pytest.approx(1.0, abs=1e-9)
+    def test_condition_is_one_at_left_endpoint(self, alpha):
+        assert exact_condition_number(alpha, -1.0) == pytest.approx(1.0, abs=1e-9)
 
-    def test_smallest_eigenvalue_at_zero_is_inf_sup_squared(self, single_level, ctx):
+    def test_smallest_eigenvalue_at_zero_is_inf_sup_squared(self, single_level, ctx, alpha):
         # At s = 0 the bottom of the preconditioned spectrum is exactly the
         # squared inf-sup constant (two very different computations of the
         # same pencil minimum); the top approaches 1 from below under
@@ -119,7 +124,7 @@ class TestSpectrum:
         w = aux_pencil_eigenvalues(ctx, 0.0)
         assert w[0] == pytest.approx(beta_sq, rel=1e-8)
         assert w[-1] <= 1.0 + 1e-12
-        assert exact_condition_number(ctx, 0.0) <= 1.0 / beta_sq + 1e-9
+        assert exact_condition_number(alpha, 0.0) <= 1.0 / beta_sq + 1e-9
 
     def test_eigenvalues_within_theoretical_bounds(self, single_level, ctx):
         _, lms, _, _ = single_level
@@ -129,12 +134,12 @@ class TestSpectrum:
             assert w[0] >= beta_sq ** (1.0 + s) - 1e-9
             assert w[-1] <= 1.0 + 1e-9
 
-    def test_condition_monotone_in_exponent(self, ctx):
+    def test_condition_monotone_in_exponent(self, alpha):
         grid = np.round(np.linspace(-1.0, 0.0, 11), 1)
-        conds = [exact_condition_number(ctx, s) for s in grid]
+        conds = [exact_condition_number(alpha, s) for s in grid]
         assert all(b >= a - 1e-12 for a, b in zip(conds, conds[1:]))
 
-    def test_matches_brute_force_pencil(self, single_level, ctx):
+    def test_matches_brute_force_pencil(self, single_level, alpha):
         # Same number via the generic path: the preconditioner against the
         # inverse of the fractional operator it targets.
         _, lms, flux_pair, scalar_pair = single_level
@@ -144,13 +149,14 @@ class TestSpectrum:
             B = build_exact(s, lm, flux_pair).as_matrix()
             op_inverse = power_matrix(scalar_pair, -s, dual_form=True)
             brute = pencil_condition(B, op_inverse, dim)
-            assert brute == pytest.approx(exact_condition_number(ctx, s), rel=1e-8)
+            assert brute == pytest.approx(exact_condition_number(alpha, s), rel=1e-8)
 
-    def test_exponent_outside_range_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            aux_pencil_eigenvalues(ctx, 0.1)
-        with pytest.raises(ValueError):
-            aux_pencil_eigenvalues(ctx, -1.01)
+    def test_exponent_outside_range_rejected(self, ctx, alpha):
+        for bad in (0.1, -1.01):
+            with pytest.raises(ValueError):
+                aux_pencil_eigenvalues(ctx, bad)
+            with pytest.raises(ValueError):
+                exact_condition_number(alpha, bad)
 
 
 class TestMultigridVariant:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracprec.fem import assemble, laplacian_dual
 from fracprec.mesh import build_level
@@ -47,6 +48,13 @@ class TestGeneralizedEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(PencilError):
             generalized_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
+
+    def test_rejects_asymmetric_mass(self):
+        # Caught up front: LAPACK would read only one triangle of it.
+        M = np.array([[2.0, 0.5], [0.0, 2.0]])
+        for mass in (M, sp.csr_matrix(M)):
+            with pytest.raises(PencilError, match="mass matrix is not symmetric"):
+                generalized_eig(np.eye(2), mass)
 
     def test_rejects_indefinite_mass(self):
         with pytest.raises(PencilError):

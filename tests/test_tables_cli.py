@@ -132,6 +132,26 @@ class TestTableRuns:
         assert "*" in text and "did not converge" in text
 
 
+class TestExponentKeys:
+    def test_off_grid_exponents_get_their_own_row_and_stream(self):
+        cfg = tables.default_config("3", sizes=(4,), levels=2, s_values=(-0.2, -0.25))
+        result = tables.run_table3(cfg)
+        rows = result.to_markdown().splitlines()[2:]
+        assert [r.split(" | ")[0] for r in rows] == ["| -0.2", "| -0.25"]
+        assert [r.split(",")[1] for r in result.render("csv").splitlines()[1:]] == [
+            "-0.2", "-0.25"]
+        draws = [tables._cell_rng(7, 3, s, 4).uniform(size=4) for s in (-0.2, -0.25)]
+        assert not np.array_equal(*draws)
+
+    def test_grid_exponents_keep_their_seeds(self):
+        for table_no, grid in ((1, tables.POSITIVE_S), (3, tables.NEGATIVE_S)):
+            for i, s in enumerate(grid):
+                tenths = i if table_no == 1 else 10 - i
+                want = np.random.default_rng([7, table_no, tenths, 8]).uniform(size=4)
+                got = tables._cell_rng(7, table_no, s, 8).uniform(size=4)
+                np.testing.assert_array_equal(got, want)
+
+
 @pytest.fixture(scope="module")
 def small_table2():
     cfg = tables.default_config("2", sizes=(4, 8), s_values=(-1.0, -0.5, 0.0))
@@ -201,6 +221,16 @@ class TestCli:
         assert err.value.code == 2
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--s-list", "abc"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--levels", "0"],
+        ["table3", "--seed=-3"],
+        ["props", "--seed=-3"],
+    ])
+    def test_bad_levels_or_seed_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
         assert err.value.code == 2
 
     def test_unconverged_run_exits_1(self, capsys):
