@@ -18,12 +18,10 @@ from .mesh import (
     VertexPatch,
     build_hierarchy,
     build_level,
-    triangle_parents,
     vertex_patches,
 )
 from .fem import (
     LevelMatrices,
-    Prolongation,
     apply_curl,
     apply_grad,
     apply_grad_transpose,
@@ -38,12 +36,18 @@ from .spectral import (
     PencilError,
     SpectralPair,
     apply_power,
+    densify,
     generalized_eig,
     inf_sup_constant,
     power_matrix,
     solve_power,
 )
-from .multigrid import AdditiveMultigrid, build_additive_multigrid, precompute_patches
+from .multigrid import (
+    AdditiveMultigrid,
+    PatchSmoother,
+    build_additive_multigrid,
+    precompute_patches,
+)
 from .auxiliary import (
     AuxiliaryPreconditioner,
     AuxSpectrumContext,
@@ -71,14 +75,15 @@ __version__ = "0.1.0"
 __all__ = [
     "SPACES", "REPS", "TagError", "TaggedVector", "pair",
     "MeshHierarchy", "MeshLevel", "VertexPatch",
-    "build_hierarchy", "build_level", "triangle_parents", "vertex_patches",
-    "LevelMatrices", "Prolongation",
+    "build_hierarchy", "build_level", "vertex_patches",
+    "LevelMatrices",
     "apply_curl", "apply_grad", "apply_grad_transpose",
     "assemble", "assemble_all", "assemble_prolongation",
     "helmholtz_decompose", "laplacian_dual",
     "HelmholtzPair", "PencilError", "SpectralPair",
-    "apply_power", "generalized_eig", "inf_sup_constant", "power_matrix", "solve_power",
-    "AdditiveMultigrid", "build_additive_multigrid", "precompute_patches",
+    "apply_power", "densify", "generalized_eig", "inf_sup_constant", "power_matrix",
+    "solve_power",
+    "AdditiveMultigrid", "PatchSmoother", "build_additive_multigrid", "precompute_patches",
     "AuxiliaryPreconditioner", "AuxSpectrumContext", "aux_pencil_eigenvalues",
     "build_exact", "build_multigrid", "exact_condition_number", "make_aux_spectrum_context",
     "IndefinitenessError", "SolveReport", "lanczos_condition", "pcg", "pencil_condition",

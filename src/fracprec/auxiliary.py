@@ -77,10 +77,6 @@ class AuxiliaryPreconditioner:
             return TaggedVector("S", self.lm.index, "dual", out)
         return out
 
-    def as_matrix(self) -> np.ndarray:
-        dim = self.lm.mesh.num_triangles
-        return np.column_stack([self.apply(col) for col in np.eye(dim)])
-
 
 def build_exact(s: float, lm: LevelMatrices, flux_pair: SpectralPair) -> AuxiliaryPreconditioner:
     """Reference variant: exact inverse (1+s)-power on the flux space."""

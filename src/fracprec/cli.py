@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("markdown", "csv"), dest="fmt",
                        help="output format (default markdown; props prints text)")
         p.add_argument("--out", metavar="PATH", help="write output to this file")
-        p.add_argument("--workers", type=int,
-                       help="concurrent cells (default: run serially)")
         p.add_argument("--max-dense", type=int, dest="max_dense",
                        help="dense eigensolve size cap (raise for the largest "
                        "columns, e.g. 8192 for table1 --sizes 64)")
@@ -87,7 +85,7 @@ def main(argv=None) -> int:
     overrides = {}
     for attr, key in [("s_list", "s_values"), ("sizes", "sizes"), ("levels", "levels"),
                       ("tol", "tol"), ("maxit", "maxit"), ("seed", "seed"),
-                      ("fmt", "fmt"), ("out", "out"), ("workers", "workers"),
+                      ("fmt", "fmt"), ("out", "out"),
                       ("max_dense", "max_dense"), ("trials", "trials")]:
         value = getattr(args, attr, None)
         if value is not None:

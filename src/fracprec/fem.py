@@ -31,12 +31,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import MeshHierarchy, MeshLevel, triangle_parents
+from .mesh import MeshHierarchy, MeshLevel
 from .vectors import TaggedVector
 
 __all__ = [
     "LevelMatrices",
-    "Prolongation",
     "assemble",
     "assemble_all",
     "apply_grad",
@@ -45,7 +44,6 @@ __all__ = [
     "laplacian_dual",
     "helmholtz_decompose",
     "assemble_prolongation",
-    "export_coo",
 ]
 
 
@@ -158,10 +156,9 @@ def helmholtz_decompose(lm: LevelMatrices, tau: TaggedVector):
     kills constants).
     """
     tau.require(space="V", level=lm.index, rep="coefficient")
-    lu = spla.splu(lm.mass_v.tocsc())
-    A = lm.grad.T @ lu.solve(lm.grad.toarray())
-    u = np.linalg.solve(0.5 * (A + A.T), lm.grad.T @ tau.values)
+    u = np.linalg.solve(laplacian_dual(lm), lm.grad.T @ tau.values)
 
+    lu = spla.splu(lm.mass_v.tocsc())
     K = lm.curl.toarray()
     C = K.T @ lu.solve(K)
     rhs = K.T @ tau.values
@@ -173,21 +170,11 @@ def helmholtz_decompose(lm: LevelMatrices, tau: TaggedVector):
     )
 
 
-@dataclass(frozen=True)
-class Prolongation:
-    """Coefficient embeddings from level ``coarse_index`` to the next level.
+def assemble_prolongation(hierarchy: MeshHierarchy, coarse_index: int) -> sp.csr_matrix:
+    """Flux coefficient embedding from level ``coarse_index`` to the next one.
 
-    ``flux`` maps edge-flux coefficients (normal traces are reproduced
-    exactly, so the embedding is pointwise); ``cells`` copies each triangle
-    value to its four children.
+    Normal traces are reproduced exactly, so the embedding is pointwise.
     """
-
-    coarse_index: int
-    flux: sp.csr_matrix
-    cells: sp.csr_matrix
-
-
-def assemble_prolongation(hierarchy: MeshHierarchy, coarse_index: int) -> Prolongation:
     coarse = hierarchy.levels[coarse_index]
     fine = hierarchy.levels[coarse_index + 1]
     n_c, n_f = coarse.n, fine.n
@@ -226,18 +213,4 @@ def assemble_prolongation(hierarchy: MeshHierarchy, coarse_index: int) -> Prolon
         shape=(fine.num_edges, coarse.num_edges),
     ).tocsr()
     flux.eliminate_zeros()
-
-    parents = triangle_parents(coarse, fine)
-    cells = sp.coo_matrix(
-        (np.ones(fine.num_triangles), (np.arange(fine.num_triangles), parents)),
-        shape=(fine.num_triangles, coarse.num_triangles),
-    ).tocsr()
-    return Prolongation(coarse_index=coarse_index, flux=flux, cells=cells)
-
-
-def export_coo(matrix, stream) -> None:
-    """Write a sparse matrix as 'row col value' lines (debug helper)."""
-    coo = sp.coo_matrix(matrix)
-    stream.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        stream.write(f"{i} {j} {v:.17g}\n")
+    return flux

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .spectral import generalized_eig
+from .spectral import DENSE_LIMIT, densify, generalized_eig
 from .vectors import TaggedVector, pair
 
 __all__ = ["SolveReport", "IndefinitenessError", "pcg", "lanczos_condition", "pencil_condition"]
@@ -120,20 +120,12 @@ def pcg(op, precond, rhs: TaggedVector, x0: TaggedVector, tol: float, maxit: int
     )
 
 
-def _materialize(apply_or_matrix, dim: int) -> np.ndarray:
-    if callable(apply_or_matrix):
-        cols = [np.asarray(apply_or_matrix(col)) for col in np.eye(dim)]
-        return np.column_stack(cols)
-    mat = apply_or_matrix
-    return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat, dtype=float)
-
-
-def pencil_condition(a_map, b_map, dim: int, dense_limit: int | None = 3500) -> float:
+def pencil_condition(a_map, b_map, dim: int, dense_limit: int | None = DENSE_LIMIT) -> float:
     """Exact condition number of the pencil (a, b): both maps must be
     symmetric with the same orientation; applies-only input is materialized
     column by column (intended for desk-size verification)."""
-    A = _materialize(a_map, dim)
-    B = _materialize(b_map, dim)
+    A = densify(a_map, dim)
+    B = densify(b_map, dim)
     for name, M in (("first", A), ("second", B)):
         if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
             raise IndefinitenessError(f"{name} map is not symmetric")

@@ -22,7 +22,7 @@ encode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class MeshLevel:
     triangle_edges: np.ndarray
     triangle_edge_signs: np.ndarray
     edge_triangles: np.ndarray
-    edge_index: dict = field(repr=False)
 
     @property
     def h(self) -> float:
@@ -94,34 +93,12 @@ class MeshLevel:
     def boundary_edge_mask(self) -> np.ndarray:
         return self.edge_triangles[:, 1] < 0
 
-    def dump(self) -> str:
-        """Plain-text listing of vertices, triangles and edges (debugging)."""
-        out = [f"# level n={self.n}"]
-        out.append(f"# vertices {self.num_vertices}")
-        for i, (x, y) in enumerate(self.vertices):
-            out.append(f"v {i} {x:.6f} {y:.6f}")
-        out.append(f"# triangles {self.num_triangles}")
-        for i, t in enumerate(self.triangles):
-            out.append(f"t {i} {t[0]} {t[1]} {t[2]}")
-        out.append(f"# edges {self.num_edges}")
-        for i, (a, b) in enumerate(self.edges):
-            out.append(f"e {i} {a} {b}")
-        return "\n".join(out) + "\n"
-
 
 @dataclass(frozen=True)
 class MeshHierarchy:
-    """Nested levels produced by uniform refinement.
-
-    ``edge_children[k][e]`` holds the two fine edges covering coarse edge
-    ``e`` of level ``k`` (half at the lower endpoint first);
-    ``triangle_children[k][t]`` the four fine triangles covering coarse
-    triangle ``t``.
-    """
+    """Nested levels produced by uniform refinement."""
 
     levels: list
-    edge_children: list
-    triangle_children: list
 
     @property
     def num_levels(self) -> int:
@@ -178,25 +155,30 @@ def build_level(n: int) -> MeshLevel:
     diag = np.column_stack([np.where(even, a, b), np.where(even, c, d)])
     edges = np.vstack([horiz, vert, diag]).astype(np.int64)
 
-    edge_index = {(int(a), int(b)): k for k, (a, b) in enumerate(edges)}
+    # Edge opposite local vertex a, walked as part of the ccw boundary; the
+    # walk agreeing with the stored low->high direction means the outward
+    # normal is the global one.  Edge ids are closed-form in the block
+    # layout, indexed by the lower vertex (i, j): horizontal j*n + i,
+    # vertical n*m + j*m + i, diagonal 2*n*m + j*n + (leftmost i), the
+    # diagonal's cell index.
+    u = triangles[:, [1, 2, 0]]
+    w = triangles[:, [2, 0, 1]]
+    lo, up = np.minimum(u, w), np.maximum(u, w)
+    i0, j0, i1, j1 = lo % m, lo // m, up % m, up // m
+    triangle_edges = np.where(
+        j0 == j1, j0 * n + i0,
+        np.where(i0 == i1, n * m + j0 * m + i0, 2 * n * m + j0 * n + np.minimum(i0, i1)),
+    )
+    triangle_edge_signs = np.where(u < w, 1, -1)
 
-    triangle_edges = np.empty((triangles.shape[0], 3), dtype=np.int64)
-    triangle_edge_signs = np.empty((triangles.shape[0], 3), dtype=np.int64)
-    edge_triangles = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    for t, tri in enumerate(triangles):
-        for a in range(3):
-            # Edge opposite local vertex a, directed as part of the ccw
-            # boundary walk; the walk direction matching the stored
-            # low->high direction means the outward normal is the global one.
-            u, w = int(tri[(a + 1) % 3]), int(tri[(a + 2) % 3])
-            key = (u, w) if u < w else (w, u)
-            e = edge_index[key]
-            triangle_edges[t, a] = e
-            triangle_edge_signs[t, a] = 1 if u < w else -1
-            if edge_triangles[e, 0] < 0:
-                edge_triangles[e, 0] = t
-            else:
-                edge_triangles[e, 1] = t
+    # An edge's triangles in ascending order: the lower id first, -1 on the
+    # boundary.
+    owner = np.repeat(np.arange(triangles.shape[0]), 3)
+    first = np.full(edges.shape[0], triangles.shape[0])
+    last = np.full(edges.shape[0], -1)
+    np.minimum.at(first, triangle_edges.ravel(), owner)
+    np.maximum.at(last, triangle_edges.ravel(), owner)
+    edge_triangles = np.column_stack([first, np.where(last > first, last, -1)])
 
     return MeshLevel(
         n=n,
@@ -206,49 +188,7 @@ def build_level(n: int) -> MeshLevel:
         triangle_edges=triangle_edges,
         triangle_edge_signs=triangle_edge_signs,
         edge_triangles=edge_triangles,
-        edge_index=edge_index,
     )
-
-
-def _edge_children(coarse: MeshLevel, fine: MeshLevel) -> np.ndarray:
-    """Fine halves of each coarse edge, lower-endpoint half first."""
-    n_c = coarse.n
-    mf = fine.n + 1
-    # Coarse vertex (i, j) sits at fine vertex (2i, 2j).
-    ic = coarse.edges % (n_c + 1)
-    jc = coarse.edges // (n_c + 1)
-    fa = (2 * jc[:, 0]) * mf + 2 * ic[:, 0]
-    fb = (2 * jc[:, 1]) * mf + 2 * ic[:, 1]
-    fm = (jc[:, 0] + jc[:, 1]) * mf + (ic[:, 0] + ic[:, 1])
-    out = np.empty((coarse.num_edges, 2), dtype=np.int64)
-    for e in range(coarse.num_edges):
-        out[e, 0] = fine.edge_index[(min(fa[e], fm[e]), max(fa[e], fm[e]))]
-        out[e, 1] = fine.edge_index[(min(fm[e], fb[e]), max(fm[e], fb[e]))]
-    return out
-
-
-def triangle_parents(coarse: MeshLevel, fine: MeshLevel) -> np.ndarray:
-    """Coarse parent of each fine triangle (integer centroid test, exact)."""
-    n_c = coarse.n
-    mf = fine.n + 1
-    tri = fine.triangles
-    # Centroid in units of 1/(3 n_f): integer, never on a coarse cell border
-    # and never on the coarse diagonal (one cell spans 6 units).
-    cx = (tri % mf).sum(axis=1)
-    cy = (tri // mf).sum(axis=1)
-    ci = cx // 6
-    cj = cy // 6
-    lx = cx - 6 * ci
-    ly = cy - 6 * cj
-    even = (ci + cj) % 2 == 0
-    bottom = np.where(even, ly < lx, lx + ly < 6)
-    return 2 * (cj * n_c + ci) + np.where(bottom, 0, 1)
-
-
-def _triangle_children(coarse: MeshLevel, fine: MeshLevel) -> np.ndarray:
-    parents = triangle_parents(coarse, fine)
-    order = np.argsort(parents, kind="stable")
-    return order.reshape(coarse.num_triangles, 4)
 
 
 def build_hierarchy(n0: int, num_levels: int) -> MeshHierarchy:
@@ -257,13 +197,7 @@ def build_hierarchy(n0: int, num_levels: int) -> MeshHierarchy:
         raise ValueError(f"coarsest cells per side must be >= 1, got {n0}")
     if num_levels < 1:
         raise ValueError(f"need at least one level, got {num_levels}")
-    levels = [build_level(n0 * 2**k) for k in range(num_levels)]
-    edge_children = []
-    triangle_children = []
-    for k in range(num_levels - 1):
-        edge_children.append(_edge_children(levels[k], levels[k + 1]))
-        triangle_children.append(_triangle_children(levels[k], levels[k + 1]))
-    return MeshHierarchy(levels=levels, edge_children=edge_children, triangle_children=triangle_children)
+    return MeshHierarchy(levels=[build_level(n0 * 2**k) for k in range(num_levels)])
 
 
 def vertex_patches(level: MeshLevel) -> list:

@@ -33,7 +33,13 @@ from .fem import assemble_prolongation
 from .spectral import SpectralPair, generalized_eig, solve_power
 from .vectors import TaggedVector
 
-__all__ = ["PatchSolverGroup", "AdditiveMultigrid", "precompute_patches", "build_additive_multigrid"]
+__all__ = [
+    "PatchSolverGroup",
+    "PatchSmoother",
+    "AdditiveMultigrid",
+    "precompute_patches",
+    "build_additive_multigrid",
+]
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,24 @@ def precompute_patches(hierarchy, lms) -> list:
     return out
 
 
+class PatchSmoother:
+    """Patch smoother of one level at one exponent: the sum over vertex
+    patches of the local inverse s-power, dual vector in, coefficients out."""
+
+    def __init__(self, groups, s):
+        self.groups = groups
+        self.scaled = [g.eigenvalues ** (-s) for g in groups]  # fixed at build time
+
+    def apply(self, dual: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(dual)
+        for g, lam in zip(self.groups, self.scaled):
+            x = dual[g.dofs]
+            y = np.einsum("pji,pj->pi", g.modes, x)
+            z = np.einsum("pij,pj->pi", g.modes, lam * y)
+            np.add.at(out, g.dofs.ravel(), z.ravel())
+        return out
+
+
 class AdditiveMultigrid:
     """Sum of an exact coarse fractional solve and per-level patch smoothers."""
 
@@ -87,28 +111,15 @@ class AdditiveMultigrid:
             raise ValueError(f"exponent must lie in [0, 1], got {s}")
         self.s = s
         self.coarse_pair = coarse_pair
-        self.patch_groups = patch_groups
         self.prolongations = prolongations  # flux embeddings, level k -> k+1
         self.finest_index = finest_index
         self.dim = dim
-        # Exponent-scaled patch spectra, fixed at build time.
-        self._scaled = [
-            None if groups is None else [g.eigenvalues ** (-s) for g in groups]
-            for groups in patch_groups
-        ]
+        # Level 0 is solved exactly and has no smoother.
+        self.smoothers = [None] + [PatchSmoother(groups, s) for groups in patch_groups[1:]]
 
     @property
     def num_levels(self) -> int:
-        return len(self.patch_groups)
-
-    def _smooth(self, k, dual: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(dual)
-        for g, lam in zip(self.patch_groups[k], self._scaled[k]):
-            x = dual[g.dofs]
-            y = np.einsum("pji,pj->pi", g.modes, x)
-            z = np.einsum("pij,pj->pi", g.modes, lam * y)
-            np.add.at(out, g.dofs.ravel(), z.ravel())
-        return out
+        return len(self.smoothers)
 
     def apply(self, d):
         """Dual vector in, coefficient vector out."""
@@ -129,15 +140,10 @@ class AdditiveMultigrid:
         acc = solve_power(self.coarse_pair, self.s, duals[0])
         for k in range(1, J):
             acc = self.prolongations[k - 1] @ acc
-            acc += self._smooth(k, duals[k])
+            acc += self.smoothers[k].apply(duals[k])
         if tagged:
             return TaggedVector("V", self.finest_index, "coefficient", acc)
         return acc
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense dual-to-coefficient matrix (small problems; for checks)."""
-        cols = [self.apply(col) for col in np.eye(self.dim)]
-        return np.column_stack(cols)
 
 
 def build_additive_multigrid(hierarchy, lms, s, patch_data=None, prolongations=None, coarse_pair=None):
@@ -152,9 +158,7 @@ def build_additive_multigrid(hierarchy, lms, s, patch_data=None, prolongations=N
     if patch_data is None:
         patch_data = precompute_patches(hierarchy, lms)
     if prolongations is None:
-        prolongations = [
-            assemble_prolongation(hierarchy, k).flux for k in range(hierarchy.num_levels - 1)
-        ]
+        prolongations = [assemble_prolongation(hierarchy, k) for k in range(hierarchy.num_levels - 1)]
     if coarse_pair is None:
         coarse_pair = generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0)
     return AdditiveMultigrid(

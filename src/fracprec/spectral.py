@@ -49,6 +49,7 @@ __all__ = [
     "solve_power",
     "apply_power",
     "inf_sup_constant",
+    "densify",
 ]
 
 DENSE_LIMIT = 3500
@@ -100,8 +101,13 @@ class HelmholtzPair:
         return self.grad.shape[0]
 
 
-def _densify(mat) -> np.ndarray:
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat, dtype=float)
+def densify(op, dim: int | None = None) -> np.ndarray:
+    """Dense array of a sparse or dense matrix, or of a linear map given as a
+    callable, applied column by column to the ``dim`` unit vectors (for
+    desk-size checks)."""
+    if callable(op):
+        return np.column_stack([np.asarray(op(col)) for col in np.eye(dim)])
+    return op.toarray() if sp.issparse(op) else np.asarray(op, dtype=float)
 
 
 def _symmetric(mat, dense: np.ndarray) -> bool:
@@ -134,8 +140,8 @@ def generalized_eig(
             f"pencil of dimension {n} exceeds the dense eigensolve cap {dense_limit}; "
             "raise the cap explicitly for large runs"
         )
-    a_dense = _densify(a_mat)
-    m_dense = _densify(m_mat)
+    a_dense = densify(a_mat)
+    m_dense = densify(m_mat)
     if not _symmetric(a_mat, a_dense):
         raise PencilError("left matrix is not symmetric")
     if not _symmetric(m_mat, m_dense):
@@ -199,7 +205,7 @@ def power_matrix(pair: SpectralPair, s: float, dual_form: bool = False) -> np.nd
     coefficient->dual (forward) form."""
     if dual_form:
         core = (pair.modes * pair.eigenvalues**s) @ pair.modes.T
-        m = _densify(pair.mass)
+        m = densify(pair.mass)
         return m @ core @ m
     return (pair.modes * pair.eigenvalues ** (-s)) @ pair.modes.T
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +37,14 @@ from .fem import assemble_all, assemble_prolongation, laplacian_dual
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
 from .multigrid import build_additive_multigrid, precompute_patches
-from .spectral import HelmholtzPair, PencilError, apply_power, generalized_eig, solve_power
+from .spectral import (
+    DENSE_LIMIT,
+    HelmholtzPair,
+    PencilError,
+    apply_power,
+    generalized_eig,
+    solve_power,
+)
 from .vectors import TaggedVector
 
 __all__ = [
@@ -74,8 +80,7 @@ class ExperimentConfig:
     seed: int = 7
     fmt: str = "markdown"
     out: str | None = None
-    workers: int = 0
-    max_dense: int = 3500
+    max_dense: int = DENSE_LIMIT
     trials: int = 200  # property-suite only
 
 
@@ -108,7 +113,19 @@ def resolve_size(value: int, table: str) -> int:
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    cfg = replace(cfg, sizes=tuple(resolve_size(v, cfg.table) for v in cfg.sizes))
+    sizes = tuple(resolve_size(v, cfg.table) for v in cfg.sizes)
+    for i, n in enumerate(sizes):
+        if n in sizes[:i]:
+            raise ValueError(f"sizes {cfg.sizes[sizes.index(n)]} and {cfg.sizes[i]} "
+                             f"are the same grid (n={n})")
+    # -0 is the exponent 0: one cell, one label, one report grid point.
+    cfg = replace(cfg, sizes=sizes, s_values=tuple(s + 0.0 for s in cfg.s_values))
+    lo, hi = (0.0, 1.0) if cfg.table in ("1", "props") else (-1.0, 0.0)
+    for i, s in enumerate(cfg.s_values):
+        if not lo <= s <= hi:
+            raise ValueError(f"exponent {s} outside [{lo}, {hi}]")
+        if s in cfg.s_values[:i]:
+            raise ValueError(f"exponent {s} given twice")
     if cfg.levels < 1:
         raise ValueError("levels must be at least 1")
     if cfg.seed < 0:
@@ -121,14 +138,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                     f"finest size n={n} does not refine down over {cfg.levels} levels "
                     f"(needs a multiple of {step})"
                 )
-        lo, hi = (0.0, 1.0) if cfg.table == "1" else (-1.0, 0.0)
-        for s in cfg.s_values:
-            if not lo <= s <= hi:
-                raise ValueError(f"exponent {s} outside [{lo}, {hi}]")
-    if cfg.table == "2":
-        for s in cfg.s_values:
-            if not -1.0 <= s <= 0.0:
-                raise ValueError(f"exponent {s} outside [-1.0, 0.0]")
     if cfg.tol is not None and cfg.tol <= 0:
         raise ValueError("tolerance must be positive")
     if cfg.maxit < 1:
@@ -239,8 +248,7 @@ class _HierarchySetup:
         self.finest = cfg.levels - 1
         self.patch_data = precompute_patches(self.hierarchy, self.lms)
         self.prolongations = [
-            assemble_prolongation(self.hierarchy, k).flux
-            for k in range(cfg.levels - 1)
+            assemble_prolongation(self.hierarchy, k) for k in range(cfg.levels - 1)
         ]
         self.coarse_pair = generalized_eig(
             self.lms[0].hdiv, self.lms[0].mass_v, space="V", level=0,
@@ -289,17 +297,8 @@ def _run_krylov_table(cfg: ExperimentConfig) -> TableResult:
     scalar_op = cfg.table == "3"
     setups = [_HierarchySetup(n, cfg, scalar_op) for n in cfg.sizes]
     result = TableResult(cfg.table, cfg, tuple(s.dim for s in setups))
-    jobs = [(s, setup) for setup in setups for s in cfg.s_values]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {
-                (s, setup.dim): pool.submit(_run_krylov_cell, setup, s, cfg)
-                for s, setup in jobs
-            }
-            cells = {key: f.result() for key, f in futures.items()}
-    else:
-        cells = {(s, setup.dim): _run_krylov_cell(setup, s, cfg) for s, setup in jobs}
-    result.cells = dict(sorted(cells.items(), key=lambda kv: (kv[0][1], kv[0][0])))
+    cells = [_run_krylov_cell(setup, s, cfg) for setup in setups for s in cfg.s_values]
+    result.cells = {(c.s, c.size): c for c in sorted(cells, key=lambda c: (c.size, c.s))}
     return result
 
 
@@ -336,7 +335,6 @@ def run_props(cfg: ExperimentConfig | None = None):
     """Dispatch the operator-inequality suite; returns the report list."""
     from . import verify
 
-    cfg = cfg or default_config("props")
-    grid = tuple(abs(s) for s in cfg.s_values)
-    return verify.run_all(trials=cfg.trials, s_grid=grid, seed=cfg.seed,
-                          tol=cfg.tol or 1e-9, workers=cfg.workers)
+    cfg = validate(cfg or default_config("props"))
+    return verify.run_all(trials=cfg.trials, s_grid=cfg.s_values, seed=cfg.seed,
+                          tol=cfg.tol or 1e-9)

@@ -35,8 +35,8 @@ import scipy.linalg as sla
 
 from .fem import assemble_all, assemble_prolongation, laplacian_dual
 from .mesh import build_hierarchy
-from .multigrid import build_additive_multigrid, precompute_patches
-from .spectral import generalized_eig, inf_sup_constant, power_matrix
+from .multigrid import PatchSmoother, precompute_patches
+from .spectral import densify, generalized_eig, inf_sup_constant, power_matrix
 from .auxiliary import aux_pencil_eigenvalues, make_aux_spectrum_context
 
 __all__ = [
@@ -141,7 +141,7 @@ class MeshOperators:
             for k, lm in enumerate(self.lms)
         ]
         self.embeddings = [
-            assemble_prolongation(self.hierarchy, k).flux.toarray()
+            assemble_prolongation(self.hierarchy, k).toarray()
             for k in range(num_levels - 1)
         ]
         self.patch_data = precompute_patches(self.hierarchy, self.lms)
@@ -164,14 +164,8 @@ class MeshOperators:
 
     def smoother_matrix(self, k: int, s: float) -> np.ndarray:
         """Dense dual-to-coefficient matrix of the level-k patch smoother."""
-        mg = build_additive_multigrid(
-            self.hierarchy, self.lms, s,
-            patch_data=self.patch_data,
-            prolongations=[],  # not used by _smooth
-            coarse_pair=self.pairs[0],
-        )
-        dim = self.lms[k].mesh.num_edges
-        R = np.column_stack([mg._smooth(k, col) for col in np.eye(dim)])
+        smoother = PatchSmoother(self.patch_data[k], s)
+        R = densify(smoother.apply, self.lms[k].mesh.num_edges)
         return 0.5 * (R + R.T)  # symmetric up to roundoff by construction
 
 
@@ -346,26 +340,19 @@ def check_stable_decomposition(ops: MeshOperators | None = None, s_grid=DEFAULT_
     )
 
 
-def run_all(trials=200, max_dim=40, s_grid=DEFAULT_GRID, seed=20, tol=1e-9, workers=0):
+def run_all(trials=200, max_dim=40, s_grid=DEFAULT_GRID, seed=20, tol=1e-9):
     """Run every check; returns the list of reports in a fixed order."""
     ops = MeshOperators()
-    jobs = [
-        lambda: check_jensen(trials, max_dim, s_grid, seed, tol),
-        lambda: check_loewner_heinz(trials, max_dim, s_grid, seed + 1, tol),
-        lambda: check_noninheritance(ops, s_grid, tol),
-        lambda: check_projection_identity(MeshOperators(1, 3), s_grid, max(tol, 1e-10)),
-        lambda: check_aux_bounds(None, s_grid, tol),
-        lambda: check_helmholtz_invariance(None, s_grid, tol),
-        lambda: check_smoother_bound(ops, s_grid, max(tol, 1e-8)),
-        lambda: check_stable_decomposition(ops, s_grid, tol),
+    return [
+        check_jensen(trials, max_dim, s_grid, seed, tol),
+        check_loewner_heinz(trials, max_dim, s_grid, seed + 1, tol),
+        check_noninheritance(ops, s_grid, tol),
+        check_projection_identity(MeshOperators(1, 3), s_grid, max(tol, 1e-10)),
+        check_aux_bounds(None, s_grid, tol),
+        check_helmholtz_invariance(None, s_grid, tol),
+        check_smoother_bound(ops, s_grid, max(tol, 1e-8)),
+        check_stable_decomposition(ops, s_grid, tol),
     ]
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job) for job in jobs]
-            return [f.result() for f in futures]
-    return [job() for job in jobs]
 
 
 def report_text(reports) -> str:

@@ -1,8 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracprec.fem import (
@@ -12,7 +11,6 @@ from fracprec.fem import (
     assemble,
     assemble_all,
     assemble_prolongation,
-    export_coo,
     helmholtz_decompose,
     laplacian_dual,
 )
@@ -158,28 +156,31 @@ class TestProlongation:
     def setup_method(self):
         self.hier = build_hierarchy(2, 2)
         self.lms = assemble_all(self.hier)
-        self.pro = assemble_prolongation(self.hier, 0)
+        self.flux = assemble_prolongation(self.hier, 0)
 
     def test_shapes(self):
         c, f = self.hier.levels
-        assert self.pro.flux.shape == (f.num_edges, c.num_edges)
-        assert self.pro.cells.shape == (f.num_triangles, c.num_triangles)
+        assert self.flux.shape == (f.num_edges, c.num_edges)
 
     def test_halves_of_coarse_edges_carry_half_flux(self):
-        kids = self.hier.edge_children[0]
-        P = self.pro.flux
-        for e in range(self.hier.levels[0].num_edges):
-            assert P[kids[e, 0], e] == pytest.approx(0.5)
-            assert P[kids[e, 1], e] == pytest.approx(0.5)
-
-    def test_cells_copy_parent_value(self):
-        assert (self.pro.cells.sum(axis=1) == 1).all()
-        assert (self.pro.cells.data == 1).all()
+        coarse, fine = self.hier.levels
+        for e in range(coarse.num_edges):
+            # The two fine edges lying on coarse edge e, found by geometry.
+            pa, pb = coarse.vertices[coarse.edges[e]]
+            rel = fine.vertices[fine.edges] - pa
+            d = pb - pa
+            t = rel @ d / (d @ d)
+            collinear = np.abs(rel[..., 0] * d[1] - rel[..., 1] * d[0]) < 1e-12
+            on = collinear & (t > -1e-12) & (t < 1 + 1e-12)
+            kids = np.flatnonzero(on.all(axis=1))
+            assert len(kids) == 2
+            for k in kids:
+                assert self.flux[k, e] == pytest.approx(0.5)
 
     def test_flux_mass_nested(self):
         # Exact embedding: the Galerkin products reproduce the coarse matrices.
         c, f = self.lms
-        P = self.pro.flux
+        P = self.flux
         np.testing.assert_allclose(
             (P.T @ f.mass_v @ P).toarray(), c.mass_v.toarray(), atol=1e-13
         )
@@ -192,15 +193,28 @@ class TestProlongation:
 
     def test_divergence_commutes_with_embedding(self):
         c, f = self.lms
-        left = (f.grad.T @ self.pro.flux).toarray()
-        right = (f.mass_s @ self.pro.cells @ np.diag(1 / c.mass_s.diagonal())) @ c.grad.T.toarray()
+        # Cell injection: each fine triangle takes the value of the coarse
+        # triangle containing its centroid.
+        cen = f.mesh.vertices[f.mesh.triangles].mean(axis=1)
+        p = c.mesh.vertices[c.mesh.triangles]
+        T = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+        lam = np.linalg.solve(T[None], (cen[:, None, :] - p[None, :, 0])[..., None])[..., 0]
+        inside = (lam >= -1e-12).all(axis=2) & (lam.sum(axis=2) <= 1 + 1e-12)
+        assert (inside.sum(axis=1) == 1).all()
+        nf = f.mesh.num_triangles
+        cells = sp.csr_matrix(
+            (np.ones(nf), (np.arange(nf), inside.argmax(axis=1))),
+            shape=(nf, c.mesh.num_triangles),
+        )
+        left = (f.grad.T @ self.flux).toarray()
+        right = (f.mass_s @ cells @ np.diag(1 / c.mass_s.diagonal())) @ c.grad.T.toarray()
         np.testing.assert_allclose(left, right, atol=1e-12)
 
     def test_larger_hierarchy_nested(self):
         hier = build_hierarchy(1, 3)
         lms = assemble_all(hier)
         for k in range(2):
-            P = assemble_prolongation(hier, k).flux
+            P = assemble_prolongation(hier, k)
             np.testing.assert_allclose(
                 (P.T @ lms[k + 1].hdiv @ P).toarray(), lms[k].hdiv.toarray(), atol=1e-12
             )
@@ -259,16 +273,3 @@ class TestVectors:
         np.testing.assert_allclose(c.values, np.arange(3.0) + 1)
         with pytest.raises(TagError):
             a + TaggedVector("V", 0, "dual", np.ones(3))
-
-
-class TestExport:
-    def test_coo_roundtrip(self):
-        lm = assemble(build_level(1))
-        buf = io.StringIO()
-        export_coo(lm.grad, buf)
-        lines = buf.getvalue().strip().splitlines()
-        head = lines[0].split()
-        assert head[1:3] == ["5", "2"]
-        assert len(lines) - 1 == int(head[3])
-        total = sum(float(ln.split()[2]) for ln in lines[1:])
-        assert total == pytest.approx(lm.grad.sum())

@@ -1,12 +1,30 @@
 import numpy as np
 import pytest
 
-from fracprec.mesh import (
-    build_hierarchy,
-    build_level,
-    triangle_parents,
-    vertex_patches,
-)
+from fracprec.mesh import build_hierarchy, build_level, vertex_patches
+
+
+def parent_triangles(coarse, fine):
+    """Coarse triangle containing each fine triangle's centroid (barycentric
+    test over all coarse triangles)."""
+    cen = fine.vertices[fine.triangles].mean(axis=1)
+    p = coarse.vertices[coarse.triangles]
+    T = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    lam = np.linalg.solve(T[None], (cen[:, None, :] - p[None, :, 0])[..., None])[..., 0]
+    inside = (lam >= -1e-12).all(axis=2) & (lam.sum(axis=2) <= 1 + 1e-12)
+    assert (inside.sum(axis=1) == 1).all()
+    return inside.argmax(axis=1)
+
+
+def fine_edges_on(coarse, fine, e):
+    """Fine edges lying on coarse edge e (both endpoints on the segment)."""
+    pa, pb = coarse.vertices[coarse.edges[e]]
+    rel = fine.vertices[fine.edges] - pa
+    d = pb - pa
+    cross = rel[..., 0] * d[1] - rel[..., 1] * d[0]
+    t = rel @ d / (d @ d)
+    on = (np.abs(cross) < 1e-12) & (t > -1e-12) & (t < 1 + 1e-12)
+    return np.flatnonzero(on.all(axis=1))
 
 
 class TestLevelCounts:
@@ -70,6 +88,25 @@ class TestEdgesAndIncidence:
         np.testing.assert_array_equal(total[interior], 0)
         np.testing.assert_array_equal(np.abs(total[~interior]), 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_incidence_matches_per_triangle_loop(self, n):
+        # Oracle: look every triangle side up among the rows of ``edges``.
+        lvl = build_level(n)
+        index = {(a, b): e for e, (a, b) in enumerate(lvl.edges.tolist())}
+        tri_edges = np.empty_like(lvl.triangles)
+        signs = np.empty_like(lvl.triangles)
+        edge_tris = np.full((lvl.num_edges, 2), -1)
+        for t, tri in enumerate(lvl.triangles.tolist()):
+            for a in range(3):
+                u, w = tri[(a + 1) % 3], tri[(a + 2) % 3]
+                e = index[(min(u, w), max(u, w))]
+                tri_edges[t, a] = e
+                signs[t, a] = 1 if u < w else -1
+                edge_tris[e, 0 if edge_tris[e, 0] < 0 else 1] = t
+        np.testing.assert_array_equal(lvl.triangle_edges, tri_edges)
+        np.testing.assert_array_equal(lvl.triangle_edge_signs, signs)
+        np.testing.assert_array_equal(lvl.edge_triangles, edge_tris)
+
     def test_triangle_edges_opposite_vertex(self):
         lvl = build_level(2)
         for t, tri in enumerate(lvl.triangles):
@@ -89,7 +126,7 @@ class TestHierarchy:
         hier = build_hierarchy(8, 1)
         assert hier.num_levels == 1
         assert hier.levels[0].num_triangles == 128
-        assert hier.edge_children == []
+        assert hier.finest() is hier.levels[0]
 
     def test_vertices_nested(self):
         hier = build_hierarchy(2, 2)
@@ -104,37 +141,36 @@ class TestHierarchy:
     def test_edge_children_cover_parent(self):
         hier = build_hierarchy(2, 2)
         coarse, fine = hier.levels
-        kids = hier.edge_children[0]
+        kids = np.array([fine_edges_on(coarse, fine, e) for e in range(coarse.num_edges)])
         assert kids.shape == (coarse.num_edges, 2)
         assert len(np.unique(kids)) == 2 * coarse.num_edges
         for e in range(coarse.num_edges):
             a, b = coarse.edges[e]
             pa, pb = coarse.vertices[a], coarse.vertices[b]
             mid = 0.5 * (pa + pb)
-            # First child touches the lower endpoint, second the upper; they
-            # meet at the coarse midpoint.
-            k0 = fine.vertices[fine.edges[kids[e, 0]]]
-            k1 = fine.vertices[fine.edges[kids[e, 1]]]
-            assert any(np.allclose(p, pa) for p in k0)
-            assert any(np.allclose(p, mid) for p in k0)
-            assert any(np.allclose(p, pb) for p in k1)
-            assert any(np.allclose(p, mid) for p in k1)
+            # One half runs from the lower endpoint to the midpoint, the
+            # other from the midpoint to the upper endpoint.
+            halves = [fine.vertices[fine.edges[k]] for k in kids[e]]
+            if not any(np.allclose(p, pa) for p in halves[0]):
+                halves.reverse()
+            assert any(np.allclose(p, pa) for p in halves[0])
+            assert any(np.allclose(p, mid) for p in halves[0])
+            assert any(np.allclose(p, pb) for p in halves[1])
+            assert any(np.allclose(p, mid) for p in halves[1])
 
     def test_triangle_children_partition(self):
         hier = build_hierarchy(2, 2)
         coarse, fine = hier.levels
-        kids = hier.triangle_children[0]
-        assert kids.shape == (coarse.num_triangles, 4)
-        assert sorted(kids.ravel().tolist()) == list(range(fine.num_triangles))
-        parents = triangle_parents(coarse, fine)
+        parents = parent_triangles(coarse, fine)
+        np.testing.assert_array_equal(np.bincount(parents), 4)
         for c in range(coarse.num_triangles):
-            assert (parents[kids[c]] == c).all()
-            # Child centroids lie inside the parent (barycentric test).
+            kids = np.flatnonzero(parents == c)
+            np.testing.assert_allclose(fine.areas()[kids].sum(), coarse.areas()[c], rtol=1e-14)
+            # Every child vertex lies in the parent (barycentric test).
             p = coarse.vertices[coarse.triangles[c]]
             T = np.column_stack([p[1] - p[0], p[2] - p[0]])
-            for f in kids[c]:
-                cen = fine.vertices[fine.triangles[f]].mean(axis=0)
-                lam = np.linalg.solve(T, cen - p[0])
+            for v in fine.triangles[kids].ravel():
+                lam = np.linalg.solve(T, fine.vertices[v] - p[0])
                 assert lam.min() > -1e-12 and lam.sum() < 1 + 1e-12
 
 
@@ -176,12 +212,3 @@ class TestVertexPatches:
         for p in vertex_patches(lvl):
             count[p.edge_ids] += 1
         np.testing.assert_array_equal(count, 2)
-
-
-class TestDump:
-    def test_roundtrip_counts(self):
-        lvl = build_level(1)
-        text = lvl.dump()
-        assert text.count("\nv ") + text.startswith("v ") == 4
-        assert text.count("\nt ") == 2
-        assert text.count("\ne ") == 5

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -63,6 +64,12 @@ class TestConfig:
             tables.validate(tables.default_config("3", s_values=(0.5,)))
         with pytest.raises(ValueError):
             tables.validate(tables.default_config("2", s_values=(0.1,)))
+
+    def test_validate_reads_negative_zero_as_zero(self):
+        cfg = tables.validate(tables.default_config("props", s_values=(-0.0, 0.5)))
+        assert [math.copysign(1.0, s) for s in cfg.s_values] == [1.0, 1.0]
+        with pytest.raises(ValueError, match="twice"):
+            tables.validate(tables.default_config("3", s_values=(0.0, -0.0)))
 
     def test_validate_rejects_bad_solver_settings(self):
         with pytest.raises(ValueError):
@@ -232,6 +239,19 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["props", "--s-list", "2"], "exponent 2.0 outside [0.0, 1.0]"),
+        (["props", "--s-list=-0.5"], "exponent -0.5 outside [0.0, 1.0]"),
+        (["table2", "--sizes", "4", "--s-list=-0.2,-0.2"], "exponent -0.2 given twice"),
+        (["table3", "--sizes", "8,128"], "sizes 8 and 128 are the same grid (n=8)"),
+        (["table1", "--sizes", "8,208"], "sizes 8 and 208 are the same grid (n=8)"),
+    ])
+    def test_bad_exponents_or_repeated_sizes_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(message)
 
     def test_unconverged_run_exits_1(self, capsys):
         code = cli.main(["table1", "--sizes", "4", "--levels", "2",
