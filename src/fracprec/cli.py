@@ -20,18 +20,39 @@ from . import tables
 from .verify import report_csv, report_text
 
 
-def _parse_floats(text: str):
-    try:
-        return tuple(float(tok) for tok in re.split(r"[,\s]+", text) if tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}")
+def _parse_list(cast, what):
+    def parse(text: str):
+        try:
+            return tuple(cast(tok) for tok in re.split(r"[,\s]+", text) if tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a list of {what}: {text!r}")
+    return parse
 
 
-def _parse_ints(text: str):
-    try:
-        return tuple(int(tok) for tok in re.split(r"[,\s]+", text) if tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}")
+# The option of each setting in ``tables.SETTINGS``: flag, type, help.
+_OPTIONS = {
+    "s_values": ("--s-list", _parse_list(float, "numbers"), "comma-separated exponents, "
+                 "the full grid in steps of 0.1 by default; write --s-list=-1,-0.5 for "
+                 "negative values"),
+    "sizes": ("--sizes", _parse_list(int, "integers"), "comma-separated finest sizes: "
+              "mesh subdivisions (under 100) or system dimensions (100 and up)"),
+    "levels": ("--levels", int, "mesh levels"),
+    "tol": ("--tol", float, "tolerance"),
+    "maxit": ("--maxit", int, "iteration cap"),
+    "seed": ("--seed", int, "base seed"),
+    "max_dense": ("--max-dense", int, "dense eigensolve size cap, 8192 for --sizes 64"),
+    "trials": ("--trials", int, "randomized trials per matrix check"),
+}
+
+_COMMANDS = {
+    "table1": ("1", "PCG grid for the positive-power flux operator with the "
+               "additive multilevel preconditioner"),
+    "table2": ("2", "exact condition numbers of the gradient-sandwich "
+               "preconditioner (no Krylov iterations)"),
+    "table3": ("3", "PCG grid for negative scalar powers with the multilevel "
+               "gradient-sandwich preconditioner"),
+    "props": ("props", "operator-inequality property suite with measured constants"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,63 +62,33 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment grids and property checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("table1", "PCG grid for the positive-power flux operator with the "
-         "additive multilevel preconditioner"),
-        ("table2", "exact condition numbers of the gradient-sandwich "
-         "preconditioner (no Krylov iterations)"),
-        ("table3", "PCG grid for negative scalar powers with the multilevel "
-         "gradient-sandwich preconditioner"),
-        ("props", "operator-inequality property suite with measured constants"),
-    ]
-    for name, help_text in specs:
+    for name, (table, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--s-list", type=_parse_floats, metavar="S,S,...",
-                       help="exponents to run (default: the full grid in steps "
-                       "of 0.1); write --s-list=-1,-0.5 for negative values")
-        p.add_argument("--sizes", type=_parse_ints, metavar="N,N,...",
-                       help="finest sizes: mesh subdivisions (values under 100) "
-                       "or system dimensions (values of 100 and up)")
-        p.add_argument("--levels", type=int, metavar="J",
-                       help="number of mesh levels (default 4)")
-        p.add_argument("--tol", type=float,
-                       help="solver tolerance (defaults: 1e-9 for table1, "
-                       "1e-10 for table3; table2 is an exact eigensolve)")
-        p.add_argument("--maxit", type=int, help="iteration cap (default 200)")
-        p.add_argument("--seed", type=int, help="base seed (default 7)")
-        p.add_argument("--format", choices=("markdown", "csv"), dest="fmt",
-                       help="output format (default markdown; props prints text)")
+        for setting, default in tables.SETTINGS[table].items():
+            flag, kind, text = _OPTIONS[setting]
+            if setting != "s_values":  # the exponent grid is too long to print
+                text += " (default %(default)s)"
+            p.add_argument(flag, dest=setting, type=kind, default=default, help=text)
+        p.add_argument("--format", choices=("markdown", "csv"), default="markdown",
+                       dest="fmt", help="output format (default markdown; props "
+                       "prints text)")
         p.add_argument("--out", metavar="PATH", help="write output to this file")
-        p.add_argument("--max-dense", type=int, dest="max_dense",
-                       help="dense eigensolve size cap (raise for the largest "
-                       "columns, e.g. 8192 for table1 --sizes 64)")
-        if name == "props":
-            p.add_argument("--trials", type=int,
-                           help="randomized trials per matrix check (default 200)")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    table = {"table1": "1", "table2": "2", "table3": "3", "props": "props"}[args.command]
-
-    overrides = {}
-    for attr, key in [("s_list", "s_values"), ("sizes", "sizes"), ("levels", "levels"),
-                      ("tol", "tol"), ("maxit", "maxit"), ("seed", "seed"),
-                      ("fmt", "fmt"), ("out", "out"),
-                      ("max_dense", "max_dense"), ("trials", "trials")]:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
+    settings = vars(parser.parse_args(argv))
+    table = _COMMANDS[settings.pop("command")][0]
+    fmt, out = settings.pop("fmt"), settings.pop("out")
     try:
-        cfg = tables.validate(tables.default_config(table, **overrides))
+        cfg = tables.validate(tables.default_config(table, **settings))
     except ValueError as err:
         parser.error(str(err))
 
     if table == "props":
         reports = tables.run_props(cfg)
-        if cfg.fmt == "csv":
+        if fmt == "csv":
             buf = io.StringIO()
             report_csv(reports, buf)
             text = buf.getvalue()
@@ -107,13 +98,13 @@ def main(argv=None) -> int:
     else:
         runner = {"1": tables.run_table1, "2": tables.run_table2, "3": tables.run_table3}
         result = runner[table](cfg)
-        text = result.render(cfg.fmt)
+        text = result.render(fmt)
         failed = result.failed
 
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as handle:
+    if out:
+        with open(out, "w", newline="") as handle:
             handle.write(text)
-        print(f"wrote {cfg.out}")
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
     return 1 if failed else 0

@@ -60,13 +60,14 @@ def _group_patches(lm, patches) -> list:
     by_size = {}
     for p in patches:
         by_size.setdefault(len(p.edge_ids), []).append(p.edge_ids)
-    hdiv = lm.hdiv.toarray()
-    mass = lm.mass_v.toarray()
     groups = []
     for size in sorted(by_size):
         dofs = np.vstack(by_size[size])
-        A = hdiv[dofs[:, :, None], dofs[:, None, :]]
-        M = mass[dofs[:, :, None], dofs[:, None, :]]
+        # Gather the blocks [p, i, j] = (dofs[p, i], dofs[p, j]) from the
+        # sparse matrices: a dense copy of a level is NV^2 floats.
+        rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        A, M = (np.asarray(m[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+                for m in (lm.hdiv, lm.mass_v))
         L = np.linalg.cholesky(M)
         Linv = np.linalg.inv(L)
         w, Q = np.linalg.eigh(Linv @ A @ np.transpose(Linv, (0, 2, 1)))

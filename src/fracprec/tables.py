@@ -27,11 +27,13 @@ for grids 2 and 3.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import verify
 from .auxiliary import build_multigrid, exact_condition_number
 from .fem import assemble_all, assemble_prolongation, laplacian_dual
 from .krylov import IndefinitenessError, pcg
@@ -61,39 +63,41 @@ __all__ = [
 POSITIVE_S = tuple(round(0.1 * i, 1) for i in range(11))
 NEGATIVE_S = tuple(round(-1.0 + 0.1 * i, 1) for i in range(11))
 
-_DEFAULTS = {
-    "1": dict(s_values=POSITIVE_S, sizes=(8, 16, 32), tol=1e-9),
-    "2": dict(s_values=NEGATIVE_S, sizes=(16, 32), tol=None),
-    "3": dict(s_values=NEGATIVE_S, sizes=(8, 16, 32), tol=1e-10),
-    "props": dict(s_values=POSITIVE_S, sizes=(8,), tol=1e-9),
+# Every setting each command reads, with its default; the CLI offers exactly
+# these options and ``validate`` checks exactly these settings.
+SETTINGS = {
+    "1": dict(s_values=POSITIVE_S, sizes=(8, 16, 32), levels=4, tol=1e-9, maxit=200,
+              seed=7, max_dense=DENSE_LIMIT),
+    "2": dict(s_values=NEGATIVE_S, sizes=(16, 32), seed=7, max_dense=DENSE_LIMIT),
+    "3": dict(s_values=NEGATIVE_S, sizes=(8, 16, 32), levels=4, tol=1e-10, maxit=200,
+              seed=7, max_dense=DENSE_LIMIT),
+    "props": dict(s_values=POSITIVE_S, tol=1e-9, seed=7, trials=200),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One command's settings; None for a setting the command does not read."""
+
     table: str
-    s_values: tuple
-    sizes: tuple  # finest mesh subdivisions n per column
-    levels: int = 4
-    tol: float | None = None  # None: table default (exact eigensolve for "2")
-    maxit: int = 200
-    seed: int = 7
-    fmt: str = "markdown"
-    out: str | None = None
-    max_dense: int = DENSE_LIMIT
-    trials: int = 200  # property-suite only
+    s_values: tuple | None = None
+    sizes: tuple | None = None  # finest mesh subdivisions n per column
+    levels: int | None = None
+    tol: float | None = None
+    maxit: int | None = None
+    seed: int | None = None
+    max_dense: int | None = None
+    trials: int | None = None  # randomized trials per property check
 
 
 def default_config(table: str, **overrides) -> ExperimentConfig:
     table = str(table)
-    if table not in _DEFAULTS:
+    if table not in SETTINGS:
         raise ValueError(f"unknown table {table!r}; expected 1, 2, 3 or props")
-    base = dict(_DEFAULTS[table], table=table)
-    tol = overrides.pop("tol", None)
-    if tol is not None:
-        base["tol"] = tol
-    cfg = ExperimentConfig(**base)
-    return replace(cfg, **overrides) if overrides else cfg
+    unread = sorted(set(overrides) - set(SETTINGS[table]))
+    if unread:
+        raise ValueError(f"table {table} does not read {', '.join(unread)}")
+    return ExperimentConfig(table, **{**SETTINGS[table], **overrides})
 
 
 def resolve_size(value: int, table: str) -> int:
@@ -113,24 +117,31 @@ def resolve_size(value: int, table: str) -> int:
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    sizes = tuple(resolve_size(v, cfg.table) for v in cfg.sizes)
-    for i, n in enumerate(sizes):
-        if n in sizes[:i]:
-            raise ValueError(f"sizes {cfg.sizes[sizes.index(n)]} and {cfg.sizes[i]} "
-                             f"are the same grid (n={n})")
+    """Check the settings the command reads; sizes come back as subdivisions n."""
+    reads = SETTINGS[cfg.table]
+    if "sizes" in reads:
+        sizes = tuple(resolve_size(v, cfg.table) for v in cfg.sizes)
+        for i, n in enumerate(sizes):
+            if n in sizes[:i]:
+                raise ValueError(f"sizes {cfg.sizes[sizes.index(n)]} and {cfg.sizes[i]} "
+                                 f"are the same grid (n={n})")
+        cfg = replace(cfg, sizes=sizes)
     # -0 is the exponent 0: one cell, one label, one report grid point.
-    cfg = replace(cfg, sizes=sizes, s_values=tuple(s + 0.0 for s in cfg.s_values))
+    cfg = replace(cfg, s_values=tuple(s + 0.0 for s in cfg.s_values))
+    if not cfg.s_values or "sizes" in reads and not cfg.sizes:
+        raise ValueError(f"no {'sizes' if cfg.s_values else 'exponents'} given")
     lo, hi = (0.0, 1.0) if cfg.table in ("1", "props") else (-1.0, 0.0)
     for i, s in enumerate(cfg.s_values):
         if not lo <= s <= hi:
             raise ValueError(f"exponent {s} outside [{lo}, {hi}]")
         if s in cfg.s_values[:i]:
             raise ValueError(f"exponent {s} given twice")
-    if cfg.levels < 1:
-        raise ValueError("levels must be at least 1")
     if cfg.seed < 0:
         raise ValueError("seed must be non-negative")
-    if cfg.table in ("1", "3"):
+    for name in ("levels", "maxit", "trials"):
+        if name in reads and getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if "levels" in reads:
         step = 2 ** (cfg.levels - 1)
         for n in cfg.sizes:
             if n % step or n < step:
@@ -138,10 +149,16 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                     f"finest size n={n} does not refine down over {cfg.levels} levels "
                     f"(needs a multiple of {step})"
                 )
-    if cfg.tol is not None and cfg.tol <= 0:
+    if "tol" in reads and cfg.tol <= 0:
         raise ValueError("tolerance must be positive")
-    if cfg.maxit < 1:
-        raise ValueError("maxit must be at least 1")
+    if "max_dense" in reads:
+        # Dense eigensolves: the finest scalar pencil (2n^2) and, on the
+        # multilevel grids, the coarse flux pencil (3n0^2 + 2n0).
+        n0s = [n // 2 ** (cfg.levels - 1) for n in cfg.sizes] if "levels" in reads else []
+        need = max([2 * n * n for n in cfg.sizes] + [3 * m * m + 2 * m for m in n0s])
+        if cfg.max_dense < need:
+            raise ValueError(f"max_dense {cfg.max_dense} is below the {need}-dimensional "
+                             f"dense eigensolve of this run; raise it to at least {need}")
     return cfg
 
 
@@ -186,7 +203,7 @@ class TableResult:
                 row.append(f"{self.reference[s]:.3f}")
             lines.append("| " + " | ".join(row) + " |")
         notes = [c.note for c in self.cells.values() if c.note]
-        if any(not c.converged for c in self.cells.values()):
+        if self.failed:
             lines.append("")
             lines.append("`*` did not converge within the iteration cap"
                          + ("; " + "; ".join(sorted(set(notes))) if notes else ""))
@@ -210,8 +227,6 @@ class TableResult:
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
-            import io
-
             buf = io.StringIO()
             self.to_csv(buf)
             return buf.getvalue()
@@ -240,7 +255,7 @@ class _HierarchySetup:
     eigensolves, embeddings, coarse pencil, and the fine operator: the scalar
     pencil itself (grid 3) or the flux pencil held through it (grid 1)."""
 
-    def __init__(self, n: int, cfg: ExperimentConfig, scalar_op: bool):
+    def __init__(self, n: int, cfg: ExperimentConfig):
         n0 = n // 2 ** (cfg.levels - 1)
         self.n = n
         self.hierarchy = build_hierarchy(n0, cfg.levels)
@@ -259,7 +274,7 @@ class _HierarchySetup:
             laplacian_dual(fine), fine.mass_s, space="S", level=self.finest,
             dense_limit=cfg.max_dense,
         )
-        self.op_pair = (scalar_pair if scalar_op
+        self.op_pair = (scalar_pair if cfg.table == "3"
                         else HelmholtzPair(scalar_pair, fine.grad, fine.mass_v))
         self.dim = self.op_pair.dim
 
@@ -270,19 +285,18 @@ class _HierarchySetup:
 
 
 def _run_krylov_cell(setup: _HierarchySetup, s: float, cfg: ExperimentConfig) -> CellResult:
+    rng = _cell_rng(cfg.seed, int(cfg.table), s, setup.n)
     try:
         if cfg.table == "1":
             precond = build_additive_multigrid(
                 setup.hierarchy, setup.lms, s, **setup.shared
             ).apply
             op = lambda v: apply_power(setup.op_pair, s, v)
-            rng = _cell_rng(cfg.seed, 1, s, setup.n)
             rhs = TaggedVector("V", setup.finest, "dual", rng.uniform(-1, 1, setup.dim))
             x0 = TaggedVector("V", setup.finest, "coefficient", rng.uniform(-1, 1, setup.dim))
         else:
             precond = build_multigrid(s, setup.hierarchy, setup.lms, **setup.shared).apply
             op = lambda v: solve_power(setup.op_pair, -s, v)
-            rng = _cell_rng(cfg.seed, 3, s, setup.n)
             rhs = TaggedVector("S", setup.finest, "coefficient", rng.uniform(-1, 1, setup.dim))
             x0 = TaggedVector("S", setup.finest, "dual", rng.uniform(-1, 1, setup.dim))
         _, report = pcg(op, precond, rhs, x0, tol=cfg.tol, maxit=cfg.maxit)
@@ -294,8 +308,7 @@ def _run_krylov_cell(setup: _HierarchySetup, s: float, cfg: ExperimentConfig) ->
 
 def _run_krylov_table(cfg: ExperimentConfig) -> TableResult:
     cfg = validate(cfg)
-    scalar_op = cfg.table == "3"
-    setups = [_HierarchySetup(n, cfg, scalar_op) for n in cfg.sizes]
+    setups = [_HierarchySetup(n, cfg) for n in cfg.sizes]
     result = TableResult(cfg.table, cfg, tuple(s.dim for s in setups))
     cells = [_run_krylov_cell(setup, s, cfg) for setup in setups for s in cfg.s_values]
     result.cells = {(c.s, c.size): c for c in sorted(cells, key=lambda c: (c.size, c.s))}
@@ -313,28 +326,23 @@ def run_table3(cfg: ExperimentConfig | None = None) -> TableResult:
 def run_table2(cfg: ExperimentConfig | None = None) -> TableResult:
     cfg = validate(cfg or default_config("2"))
     result = TableResult("2", cfg, ())
-    columns = []
-    beta_sq = None
     for n in cfg.sizes:
         lm = assemble_all(build_hierarchy(n, 1))[-1]
         alpha = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=0,
                                 dense_limit=cfg.max_dense).eigenvalues
         N = lm.mesh.num_triangles
-        columns.append(N)
+        result.columns += (N,)
         for s in cfg.s_values:
             cond = exact_condition_number(alpha, s)
             result.cells[(s, N)] = CellResult(s, N, None, cond, True)
         # beta^2 = min alpha / (1 + alpha); keep the finest mesh's value.
         beta_sq = alpha.min() / (1.0 + alpha.min())
-    result.columns = tuple(columns)
     result.reference = {s: beta_sq ** -(1.0 + s) for s in cfg.s_values}
     return result
 
 
 def run_props(cfg: ExperimentConfig | None = None):
     """Dispatch the operator-inequality suite; returns the report list."""
-    from . import verify
-
     cfg = validate(cfg or default_config("props"))
     return verify.run_all(trials=cfg.trials, s_grid=cfg.s_values, seed=cfg.seed,
-                          tol=cfg.tol or 1e-9)
+                          tol=cfg.tol)

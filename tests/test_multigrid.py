@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -73,6 +75,19 @@ class TestSmoother:
         rng = np.random.default_rng(3)
         d = rng.uniform(-1, 1, dim)
         np.testing.assert_allclose(smoother.apply(d), oracle @ d, atol=1e-10)
+
+    def test_patch_setup_never_densifies_the_level(self):
+        # At n = 32 one dense copy of the 3136 x 3136 flux matrix is 75 MiB;
+        # gathering the patch blocks from the sparse matrices needs far less.
+        hier = build_hierarchy(4, 4)
+        lms = assemble_all(hier)
+        tracemalloc.start()
+        try:
+            precompute_patches(hier, lms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_patch_pencil_floor(self, two_level):
         # Local pencils inherit the unit floor of the global one.

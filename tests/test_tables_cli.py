@@ -65,6 +65,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             tables.validate(tables.default_config("2", s_values=(0.1,)))
 
+    @pytest.mark.parametrize("table, setting", [
+        ("2", dict(levels=3)), ("props", dict(sizes=(8,))), ("1", dict(trials=5)),
+    ])
+    def test_unread_setting_rejected(self, table, setting):
+        with pytest.raises(ValueError, match="does not read"):
+            tables.default_config(table, **setting)
+
     def test_validate_reads_negative_zero_as_zero(self):
         cfg = tables.validate(tables.default_config("props", s_values=(-0.0, 0.5)))
         assert [math.copysign(1.0, s) for s in cfg.s_values] == [1.0, 1.0]
@@ -246,12 +253,48 @@ class TestCli:
         (["table2", "--sizes", "4", "--s-list=-0.2,-0.2"], "exponent -0.2 given twice"),
         (["table3", "--sizes", "8,128"], "sizes 8 and 128 are the same grid (n=8)"),
         (["table1", "--sizes", "8,208"], "sizes 8 and 208 are the same grid (n=8)"),
+        (["table2", "--sizes="], "no sizes given"),
+        (["props", "--s-list="], "no exponents given"),
     ])
     def test_bad_exponents_or_repeated_sizes_are_usage_errors(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
         assert capsys.readouterr().err.rstrip().endswith(message)
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--levels", "3"], ["table2", "--tol", "1e-3"], ["table2", "--maxit", "5"],
+        ["props", "--sizes", "64"], ["props", "--levels", "7"], ["props", "--maxit", "1"],
+        ["props", "--max-dense", "5"],
+    ])
+    def test_option_the_command_does_not_read_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["props", "--trials", "0"], "trials must be at least 1"),
+        (["props", "--trials=-3"], "trials must be at least 1"),
+        (["table1", "--sizes", "8", "--levels", "1", "--s-list", "0.5", "--max-dense", "150"],
+         "max_dense 150 is below the 208-dimensional dense eigensolve of this run; "
+         "raise it to at least 208"),
+        (["table2", "--sizes", "4", "--max-dense", "5"], "raise it to at least 32"),
+        (["table2", "--sizes", "4", "--max-dense=-1"], "raise it to at least 32"),
+    ])
+    def test_no_trials_or_too_small_dense_cap_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(message)
+
+    def test_table2_csv_is_labelled_exact(self, capsys):
+        code = cli.main(["table2", "--sizes", "4", "--s-list=-0.5", "--format", "csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        cfg = tables.default_config("2", sizes=(4,), s_values=(-0.5,))
+        assert out == tables.run_table2(cfg).render("csv")
+        assert out.splitlines()[1].endswith(",exact")
 
     def test_unconverged_run_exits_1(self, capsys):
         code = cli.main(["table1", "--sizes", "4", "--levels", "2",
