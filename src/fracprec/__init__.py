@@ -44,8 +44,9 @@ from .spectral import (
 )
 from .multigrid import (
     AdditiveMultigrid,
+    MultilevelSetup,
     PatchSmoother,
-    build_additive_multigrid,
+    multilevel_setup,
     precompute_patches,
 )
 from .auxiliary import (
@@ -83,7 +84,8 @@ __all__ = [
     "HelmholtzPair", "PencilError", "SpectralPair",
     "apply_power", "densify", "generalized_eig", "inf_sup_constant", "power_matrix",
     "solve_power",
-    "AdditiveMultigrid", "PatchSmoother", "build_additive_multigrid", "precompute_patches",
+    "AdditiveMultigrid", "MultilevelSetup", "PatchSmoother", "multilevel_setup",
+    "precompute_patches",
     "AuxiliaryPreconditioner", "AuxSpectrumContext", "aux_pencil_eigenvalues",
     "build_exact", "build_multigrid", "exact_condition_number", "make_aux_spectrum_context",
     "IndefinitenessError", "SolveReport", "lanczos_condition", "pcg", "pencil_condition",

@@ -7,9 +7,10 @@ between the discrete gradient and its transpose,
 
 mapping scalar coefficient vectors to scalar dual vectors.  The inner solve
 is either the exact spectral inverse power (reference) or the additive
-multilevel preconditioner (practical).  At s = -1 the exact variant
-reproduces the inverse scalar operator's action identically, because the
-inner solve degenerates to a flux mass solve.
+multilevel preconditioner at exponent 1+s (practical), taken from the
+hierarchy's one exponent-independent ``multigrid.MultilevelSetup``.  At
+s = -1 the exact variant reproduces the inverse scalar operator's action
+identically, because the inner solve degenerates to a flux mass solve.
 
 The exact preconditioned spectrum needs no Krylov iterations and no flux
 eigensolve.  With the scalar pencil eigenvalues alpha of
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import LevelMatrices
+from .multigrid import AdditiveMultigrid, MultilevelSetup
 from .spectral import SpectralPair, solve_power
-from .vectors import TaggedVector
+from .vectors import retag, untag
 
 __all__ = [
     "AuxiliaryPreconditioner",
@@ -52,51 +54,37 @@ __all__ = [
 ]
 
 
+def _check_exponent(s: float) -> None:
+    if not -1.0 <= s <= 0.0:
+        raise ValueError(f"exponent must lie in [-1, 0], got {s}")
+
+
 class AuxiliaryPreconditioner:
     """grad.T composed with an inner flux solve composed with grad."""
 
-    def __init__(self, s: float, lm: LevelMatrices, inner, kind: str):
-        if not -1.0 <= s <= 0.0:
-            raise ValueError(f"exponent must lie in [-1, 0], got {s}")
+    def __init__(self, s: float, lm: LevelMatrices, inner):
+        _check_exponent(s)
         self.s = s
         self.lm = lm
         self.inner = inner
-        self.kind = kind
 
     def apply(self, u):
-        tagged = isinstance(u, TaggedVector)
-        if tagged:
-            u.require(space="S", level=self.lm.index, rep="coefficient")
-            vals = u.values
-        else:
-            vals = np.asarray(u, dtype=float)
+        vals = untag(u, "S", self.lm.index, "coefficient")
         flux_dual = self.lm.grad @ vals
         flux_coeff = self.inner(flux_dual)
-        out = self.lm.grad.T @ flux_coeff
-        if tagged:
-            return TaggedVector("S", self.lm.index, "dual", out)
-        return out
+        return retag(u, "dual", self.lm.grad.T @ flux_coeff)
 
 
 def build_exact(s: float, lm: LevelMatrices, flux_pair: SpectralPair) -> AuxiliaryPreconditioner:
     """Reference variant: exact inverse (1+s)-power on the flux space."""
-    return AuxiliaryPreconditioner(
-        s, lm, lambda d: solve_power(flux_pair, 1.0 + s, d), kind="exact"
-    )
+    return AuxiliaryPreconditioner(s, lm, lambda d: solve_power(flux_pair, 1.0 + s, d))
 
 
-def build_multigrid(s: float, hierarchy, lms, **shared) -> AuxiliaryPreconditioner:
-    """Practical variant: the additive multilevel solver at exponent 1+s.
-
-    ``shared`` forwards ``patch_data``/``prolongations``/``coarse_pair`` so a
-    sweep over exponents pays the setup once.
-    """
-    from .multigrid import build_additive_multigrid
-
-    if not -1.0 <= s <= 0.0:
-        raise ValueError(f"exponent must lie in [-1, 0], got {s}")
-    mg = build_additive_multigrid(hierarchy, lms, 1.0 + s, **shared)
-    return AuxiliaryPreconditioner(s, lms[-1], mg.apply, kind="multigrid")
+def build_multigrid(s: float, setup: MultilevelSetup) -> AuxiliaryPreconditioner:
+    """Practical variant: the additive multilevel solver of ``setup`` at
+    exponent 1+s; one setup serves every exponent."""
+    _check_exponent(s)
+    return AuxiliaryPreconditioner(s, setup.finest, AdditiveMultigrid(setup, 1.0 + s).apply)
 
 
 @dataclass(frozen=True)
@@ -125,8 +113,7 @@ def make_aux_spectrum_context(
 
 def aux_pencil_eigenvalues(ctx: AuxSpectrumContext, s: float) -> np.ndarray:
     """All eigenvalues of the exactly preconditioned scalar s-power."""
-    if not -1.0 <= s <= 0.0:
-        raise ValueError(f"exponent must lie in [-1, 0], got {s}")
+    _check_exponent(s)
     w = ctx.flux_eigenvalues ** -(1.0 + s)
     core = (ctx.coupling * w[:, None]).T @ ctx.coupling
     a = ctx.scalar_eigenvalues ** (s / 2.0)
@@ -137,7 +124,6 @@ def exact_condition_number(scalar_eigenvalues: np.ndarray, s: float) -> float:
     """Condition number of the exactly preconditioned scalar s-power,
     ``(r_max / r_min)^(1+s)`` with ``r = alpha / (1 + alpha)`` over the
     scalar pencil eigenvalues ``alpha``."""
-    if not -1.0 <= s <= 0.0:
-        raise ValueError(f"exponent must lie in [-1, 0], got {s}")
+    _check_exponent(s)
     r = scalar_eigenvalues / (1.0 + scalar_eigenvalues)
     return float((r.max() / r.min()) ** (1.0 + s))

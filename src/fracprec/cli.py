@@ -73,14 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="fmt", help="output format (default markdown; props "
                        "prints text)")
         p.add_argument("--out", metavar="PATH", help="write output to this file")
+        p.set_defaults(parser=p)  # settings errors print this command's usage
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    settings = vars(parser.parse_args(argv))
+    settings = vars(build_parser().parse_args(argv))
     table = _COMMANDS[settings.pop("command")][0]
-    fmt, out = settings.pop("fmt"), settings.pop("out")
+    parser, fmt, out = settings.pop("parser"), settings.pop("fmt"), settings.pop("out")
     try:
         cfg = tables.validate(tables.default_config(table, **settings))
     except ValueError as err:

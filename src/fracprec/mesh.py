@@ -42,7 +42,7 @@ class MeshLevel:
 
     Attributes
     ----------
-    n : cells per side; ``h = 1/n``.
+    n : cells per side.
     vertices : (nv, 2) float array of coordinates.
     triangles : (nt, 3) int array, counterclockwise.
     edges : (ne, 2) int array, lower vertex id first.
@@ -60,10 +60,6 @@ class MeshLevel:
     triangle_edges: np.ndarray
     triangle_edge_signs: np.ndarray
     edge_triangles: np.ndarray
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
 
     @property
     def num_vertices(self) -> int:

@@ -14,9 +14,10 @@ eigendecompositions:
   pencil restricted to the edges meeting that vertex, scattered back;
 - coefficient contributions are carried up through the embeddings and added.
 
-Patch eigendecompositions do not depend on the exponent, so they can be
-computed once (``precompute_patches``) and shared between preconditioners
-for different exponents.
+Nothing but the smoother scaling depends on the exponent: the coarse
+pencil, the patch eigendecompositions and the embeddings are built once per
+hierarchy (``multilevel_setup``), and ``AdditiveMultigrid(setup, s)`` takes
+the preconditioner of any exponent from that one setup.
 
 All sums run in a fixed order (levels ascending; within a level the patch
 batches by ascending patch size, each batch in ascending vertex order), so
@@ -30,15 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import assemble_prolongation
-from .spectral import SpectralPair, generalized_eig, solve_power
-from .vectors import TaggedVector
+from .fem import LevelMatrices
+from .spectral import DENSE_LIMIT, SpectralPair, generalized_eig, solve_power
+from .vectors import retag, untag
 
 __all__ = [
     "PatchSolverGroup",
     "PatchSmoother",
+    "MultilevelSetup",
     "AdditiveMultigrid",
     "precompute_patches",
-    "build_additive_multigrid",
+    "multilevel_setup",
 ]
 
 
@@ -104,19 +107,44 @@ class PatchSmoother:
         return out
 
 
+@dataclass(frozen=True)
+class MultilevelSetup:
+    """The exponent-independent part of the additive multilevel solver on one
+    hierarchy; ``multilevel_setup`` builds it."""
+
+    patch_groups: tuple        # per level; entry 0 is None (exact there)
+    prolongations: tuple       # flux embeddings, level k -> k+1
+    coarse_pair: SpectralPair  # flux pencil of level 0
+    finest: LevelMatrices
+
+
+def multilevel_setup(hierarchy, lms, dense_limit: int | None = DENSE_LIMIT) -> MultilevelSetup:
+    """Diagonalize the coarse pencil, eigendecompose every vertex patch and
+    assemble the embeddings, once for all exponents."""
+    if len(lms) != hierarchy.num_levels:
+        raise ValueError("one assembled level per mesh level is required")
+    return MultilevelSetup(
+        patch_groups=tuple(precompute_patches(hierarchy, lms)),
+        prolongations=tuple(assemble_prolongation(hierarchy, k)
+                            for k in range(hierarchy.num_levels - 1)),
+        coarse_pair=generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0,
+                                    dense_limit=dense_limit),
+        finest=lms[-1],
+    )
+
+
 class AdditiveMultigrid:
     """Sum of an exact coarse fractional solve and per-level patch smoothers."""
 
-    def __init__(self, s, coarse_pair: SpectralPair, patch_groups, prolongations, finest_index, dim):
+    def __init__(self, setup: MultilevelSetup, s: float):
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"exponent must lie in [0, 1], got {s}")
+        self.setup = setup
         self.s = s
-        self.coarse_pair = coarse_pair
-        self.prolongations = prolongations  # flux embeddings, level k -> k+1
-        self.finest_index = finest_index
-        self.dim = dim
+        self.finest_index = setup.finest.index
+        self.dim = setup.finest.mesh.num_edges
         # Level 0 is solved exactly and has no smoother.
-        self.smoothers = [None] + [PatchSmoother(groups, s) for groups in patch_groups[1:]]
+        self.smoothers = [None] + [PatchSmoother(g, s) for g in setup.patch_groups[1:]]
 
     @property
     def num_levels(self) -> int:
@@ -124,49 +152,18 @@ class AdditiveMultigrid:
 
     def apply(self, d):
         """Dual vector in, coefficient vector out."""
-        tagged = isinstance(d, TaggedVector)
-        if tagged:
-            d.require(space="V", level=self.finest_index, rep="dual")
-            vals = d.values
-        else:
-            vals = np.asarray(d, dtype=float)
+        vals = untag(d, "V", self.finest_index, "dual")
         if vals.shape != (self.dim,):
             raise ValueError(f"expected dual vector of length {self.dim}, got {vals.shape}")
 
+        pros = self.setup.prolongations
         J = self.num_levels
         duals = [None] * J
         duals[J - 1] = vals
         for k in range(J - 2, -1, -1):
-            duals[k] = self.prolongations[k].T @ duals[k + 1]
-        acc = solve_power(self.coarse_pair, self.s, duals[0])
+            duals[k] = pros[k].T @ duals[k + 1]
+        acc = solve_power(self.setup.coarse_pair, self.s, duals[0])
         for k in range(1, J):
-            acc = self.prolongations[k - 1] @ acc
+            acc = pros[k - 1] @ acc
             acc += self.smoothers[k].apply(duals[k])
-        if tagged:
-            return TaggedVector("V", self.finest_index, "coefficient", acc)
-        return acc
-
-
-def build_additive_multigrid(hierarchy, lms, s, patch_data=None, prolongations=None, coarse_pair=None):
-    """Assemble the preconditioner for one exponent.
-
-    ``patch_data``, ``prolongations`` and ``coarse_pair`` may be passed in to
-    share setup work between exponents on the same hierarchy (none of them
-    depends on the exponent).
-    """
-    if len(lms) != hierarchy.num_levels:
-        raise ValueError("one assembled level per mesh level is required")
-    if patch_data is None:
-        patch_data = precompute_patches(hierarchy, lms)
-    if prolongations is None:
-        prolongations = [assemble_prolongation(hierarchy, k) for k in range(hierarchy.num_levels - 1)]
-    if coarse_pair is None:
-        coarse_pair = generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0)
-    return AdditiveMultigrid(
-        s=s,
-        coarse_pair=coarse_pair,
-        patch_groups=patch_data,
-        prolongations=prolongations,
-        finest_index=hierarchy.num_levels - 1,
-        dim=lms[-1].mesh.num_edges,
-    )
+        return retag(d, "coefficient", acc)

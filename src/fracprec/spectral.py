@@ -39,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import LevelMatrices
-from .vectors import TaggedVector
+from .vectors import retag, untag
 
 __all__ = [
     "SpectralPair",
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 3500
+RESIDUAL_TOL = 1e-10  # eigen residual bound, relative to the largest eigenvalue
 
 
 class PencilError(RuntimeError):
@@ -125,12 +126,11 @@ def generalized_eig(
     space: str | None = None,
     level: int | None = None,
     dense_limit: int | None = DENSE_LIMIT,
-    residual_tol: float = 1e-10,
 ) -> SpectralPair:
     """All eigenpairs of (a_mat, m_mat), M-orthonormal, ascending.
 
     The decomposition is validated column by column: the residual
-    ``A phi - lambda M phi`` must stay below ``residual_tol * max |lambda|``;
+    ``A phi - lambda M phi`` must stay below ``RESIDUAL_TOL * max |lambda|``;
     if it does not, the modes are re-orthonormalized in the M inner product
     and checked once more.
     """
@@ -153,7 +153,7 @@ def generalized_eig(
     if w[0] <= 0:
         raise PencilError(f"pencil is not positive definite (min eigenvalue {w[0]:.3e})")
 
-    scale = residual_tol * np.abs(w).max()
+    scale = RESIDUAL_TOL * np.abs(w).max()
     mass_op = sp.csr_matrix(m_mat) if sp.issparse(m_mat) else m_dense
     resid = a_mat @ phi - (mass_op @ phi) * w
     if np.linalg.norm(resid, axis=0).max() > scale:
@@ -166,38 +166,25 @@ def generalized_eig(
     return SpectralPair(eigenvalues=w, modes=phi, mass=mass_op, space=space, level=level)
 
 
-def _coerce(pair: SpectralPair, x, rep: str) -> np.ndarray:
-    if isinstance(x, TaggedVector):
-        x.require(space=pair.space, level=pair.level, rep=rep)
-        return x.values
-    return np.asarray(x, dtype=float)
-
-
-def _tag(pair: SpectralPair, x, values: np.ndarray, rep: str):
-    if isinstance(x, TaggedVector):
-        return TaggedVector(x.space, x.level, rep, values)
-    return values
-
-
 def solve_power(pair: SpectralPair, s: float, d):
     """Inverse s-power applied to a dual vector; returns coefficients."""
     if isinstance(pair, HelmholtzPair):
         raise TypeError("a HelmholtzPair supports the forward power only")
-    vals = _coerce(pair, d, "dual")
+    vals = untag(d, pair.space, pair.level, "dual")
     out = pair.modes @ (pair.eigenvalues ** (-s) * (pair.modes.T @ vals))
-    return _tag(pair, d, out, "coefficient")
+    return retag(d, "coefficient", out)
 
 
 def apply_power(pair: SpectralPair | HelmholtzPair, s: float, c):
     """Forward s-power applied to a coefficient vector; returns a dual vector."""
-    vals = _coerce(pair, c, "coefficient")
+    vals = untag(c, pair.space, pair.level, "coefficient")
     if isinstance(pair, HelmholtzPair):
         alpha, phi = pair.scalar.eigenvalues, pair.modes
         gain = np.expm1(s * np.log1p(alpha)) / alpha  # ((1 + alpha)**s - 1) / alpha
         out = pair.mass @ vals + pair.grad @ (phi @ (gain * (phi.T @ (pair.grad.T @ vals))))
     else:
         out = pair.mass @ (pair.modes @ (pair.eigenvalues**s * (pair.modes.T @ (pair.mass @ vals))))
-    return _tag(pair, c, out, "dual")
+    return retag(c, "dual", out)
 
 
 def power_matrix(pair: SpectralPair, s: float, dual_form: bool = False) -> np.ndarray:

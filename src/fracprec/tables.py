@@ -15,7 +15,10 @@ grid 1 applies the flux operator's powers through it by the discrete
 Helmholtz split (``spectral.HelmholtzPair``), and grid 2 reads its exact
 condition numbers and the inf-sup constant off its eigenvalues in closed
 form (``auxiliary.exact_condition_number``).  The only flux pencil ever
-diagonalized is the coarsest mesh's, for the multilevel coarse solve.
+diagonalized is the coarsest mesh's, for the multilevel coarse solve.  Grids
+1 and 3 build one ``multigrid.MultilevelSetup`` per size, with that coarse
+pencil and the patch eigensolves, and take every exponent's preconditioner
+from it.
 
 Cells are seeded individually from (seed, table, exponent, size), so a grid
 is reproducible cell by cell no matter which subset or order is run, and
@@ -35,10 +38,10 @@ import numpy as np
 
 from . import verify
 from .auxiliary import build_multigrid, exact_condition_number
-from .fem import assemble_all, assemble_prolongation, laplacian_dual
+from .fem import assemble_all, laplacian_dual
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
-from .multigrid import build_additive_multigrid, precompute_patches
+from .multigrid import AdditiveMultigrid, multilevel_setup
 from .spectral import (
     DENSE_LIMIT,
     HelmholtzPair,
@@ -251,25 +254,18 @@ def _cell_rng(seed: int, table_no: int, s: float, n: int):
 
 
 class _HierarchySetup:
-    """Per-size shared state: mesh hierarchy, assembled levels, patch
-    eigensolves, embeddings, coarse pencil, and the fine operator: the scalar
-    pencil itself (grid 3) or the flux pencil held through it (grid 1)."""
+    """Per-size state shared by every exponent: the multilevel setup
+    (``multigrid.multilevel_setup``) and the fine operator: the scalar pencil
+    itself (grid 3) or the flux pencil held through it (grid 1)."""
 
     def __init__(self, n: int, cfg: ExperimentConfig):
         n0 = n // 2 ** (cfg.levels - 1)
         self.n = n
-        self.hierarchy = build_hierarchy(n0, cfg.levels)
-        self.lms = assemble_all(self.hierarchy)
+        hierarchy = build_hierarchy(n0, cfg.levels)
+        lms = assemble_all(hierarchy)
         self.finest = cfg.levels - 1
-        self.patch_data = precompute_patches(self.hierarchy, self.lms)
-        self.prolongations = [
-            assemble_prolongation(self.hierarchy, k) for k in range(cfg.levels - 1)
-        ]
-        self.coarse_pair = generalized_eig(
-            self.lms[0].hdiv, self.lms[0].mass_v, space="V", level=0,
-            dense_limit=cfg.max_dense,
-        )
-        fine = self.lms[-1]
+        self.multilevel = multilevel_setup(hierarchy, lms, dense_limit=cfg.max_dense)
+        fine = lms[-1]
         scalar_pair = generalized_eig(
             laplacian_dual(fine), fine.mass_s, space="S", level=self.finest,
             dense_limit=cfg.max_dense,
@@ -278,24 +274,17 @@ class _HierarchySetup:
                         else HelmholtzPair(scalar_pair, fine.grad, fine.mass_v))
         self.dim = self.op_pair.dim
 
-    @property
-    def shared(self) -> dict:
-        return dict(patch_data=self.patch_data, prolongations=self.prolongations,
-                    coarse_pair=self.coarse_pair)
-
 
 def _run_krylov_cell(setup: _HierarchySetup, s: float, cfg: ExperimentConfig) -> CellResult:
     rng = _cell_rng(cfg.seed, int(cfg.table), s, setup.n)
     try:
         if cfg.table == "1":
-            precond = build_additive_multigrid(
-                setup.hierarchy, setup.lms, s, **setup.shared
-            ).apply
+            precond = AdditiveMultigrid(setup.multilevel, s).apply
             op = lambda v: apply_power(setup.op_pair, s, v)
             rhs = TaggedVector("V", setup.finest, "dual", rng.uniform(-1, 1, setup.dim))
             x0 = TaggedVector("V", setup.finest, "coefficient", rng.uniform(-1, 1, setup.dim))
         else:
-            precond = build_multigrid(s, setup.hierarchy, setup.lms, **setup.shared).apply
+            precond = build_multigrid(s, setup.multilevel).apply
             op = lambda v: solve_power(setup.op_pair, -s, v)
             rhs = TaggedVector("S", setup.finest, "coefficient", rng.uniform(-1, 1, setup.dim))
             x0 = TaggedVector("S", setup.finest, "dual", rng.uniform(-1, 1, setup.dim))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SPACES", "REPS", "TagError", "TaggedVector", "pair"]
+__all__ = ["SPACES", "REPS", "TagError", "TaggedVector", "pair", "untag", "retag"]
 
 SPACES = ("S", "V", "C")
 REPS = ("coefficient", "dual")
@@ -90,3 +90,19 @@ def pair(a: TaggedVector, b: TaggedVector) -> float:
     if {a.rep, b.rep} != {"coefficient", "dual"}:
         raise TagError(f"pairing needs one coefficient and one dual vector, got {a.rep}/{b.rep}")
     return float(a.values @ b.values)
+
+
+def untag(x, space, level, rep) -> np.ndarray:
+    """Values of ``x``: a :class:`TaggedVector` must carry the given tags (a
+    ``None`` tag is not checked); anything else is read as a float array."""
+    if isinstance(x, TaggedVector):
+        return x.require(space=space, level=level, rep=rep).values
+    return np.asarray(x, dtype=float)
+
+
+def retag(like, rep: str, values: np.ndarray):
+    """``values`` tagged with the space and level of ``like`` and the given
+    representation, or left plain when ``like`` is plain."""
+    if isinstance(like, TaggedVector):
+        return TaggedVector(like.space, like.level, rep, values)
+    return values

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .fem import assemble_all, assemble_prolongation, laplacian_dual
+from .fem import assemble_all, laplacian_dual
 from .mesh import build_hierarchy
-from .multigrid import PatchSmoother, precompute_patches
+from .multigrid import PatchSmoother, multilevel_setup
 from .spectral import densify, generalized_eig, inf_sup_constant, power_matrix
 from .auxiliary import aux_pencil_eigenvalues, make_aux_spectrum_context
 
@@ -130,21 +130,20 @@ class MeshOperators:
 
     Holds, per level: the flux pencil eigendecomposition, dual-form and
     inverse-power matrices for any exponent, and the embedding (prolongation)
-    matrices between consecutive levels.
+    matrices between consecutive levels.  The coarse pencil, the embeddings
+    and the patch groups of the smoothers come from the hierarchy's
+    ``multigrid.MultilevelSetup``.
     """
 
     def __init__(self, n0=1, num_levels=4):
         self.hierarchy = build_hierarchy(n0, num_levels)
         self.lms = assemble_all(self.hierarchy)
-        self.pairs = [
+        self.setup = multilevel_setup(self.hierarchy, self.lms)
+        self.pairs = [self.setup.coarse_pair] + [
             generalized_eig(lm.hdiv, lm.mass_v, space="V", level=k)
-            for k, lm in enumerate(self.lms)
+            for k, lm in enumerate(self.lms[1:], start=1)
         ]
-        self.embeddings = [
-            assemble_prolongation(self.hierarchy, k).toarray()
-            for k in range(num_levels - 1)
-        ]
-        self.patch_data = precompute_patches(self.hierarchy, self.lms)
+        self.embeddings = [P.toarray() for P in self.setup.prolongations]
 
     @property
     def num_levels(self) -> int:
@@ -164,7 +163,7 @@ class MeshOperators:
 
     def smoother_matrix(self, k: int, s: float) -> np.ndarray:
         """Dense dual-to-coefficient matrix of the level-k patch smoother."""
-        smoother = PatchSmoother(self.patch_data[k], s)
+        smoother = PatchSmoother(self.setup.patch_groups[k], s)
         R = densify(smoother.apply, self.lms[k].mesh.num_edges)
         return 0.5 * (R + R.T)  # symmetric up to roundoff by construction
 
@@ -300,19 +299,20 @@ def check_smoother_bound(ops: MeshOperators | None = None, s_grid=DEFAULT_GRID, 
 
 
 def check_stable_decomposition(ops: MeshOperators | None = None, s_grid=DEFAULT_GRID,
-                               tol=1e-9, decay_floor=0.5):
+                               tol=1e-9):
     """Multilevel splitting on the complement of the fractional coarse
     projection: pencil of the inverse smoother form against the s-power form.
 
     Its smallest eigenvalue is what the preconditioner's lower spectral bound
     rests on; we require it not to collapse between consecutive levels
-    (finer/coarser ratio above ``decay_floor``).  The largest eigenvalue is
+    (finer/coarser ratio above 1/2).  The largest eigenvalue is
     the splitting constant C2, which is only conjectured to be
     level-independent: away from the endpoint exponents the complement map is
     not a projection and its range fills the whole level, so C2 is reported
     as a measurement, not asserted.
     """
     ops = ops or MeshOperators()
+    decay_floor = 0.5
     C2 = 0.0
     growth = 1.0
     lam_min = np.inf

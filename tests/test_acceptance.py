@@ -16,7 +16,7 @@ from fracprec.auxiliary import build_exact
 from fracprec.fem import assemble_all, laplacian_dual
 from fracprec.krylov import pcg
 from fracprec.mesh import build_hierarchy
-from fracprec.multigrid import build_additive_multigrid
+from fracprec.multigrid import AdditiveMultigrid, multilevel_setup
 from fracprec.spectral import apply_power, generalized_eig, power_matrix, solve_power
 from fracprec.vectors import TaggedVector
 
@@ -199,7 +199,7 @@ def test_criterion_7_exactness_endpoints():
                            rhs, x0, tol=1e-10)
 
     # Exponent zero on one level: the multilevel solver is an exact mass solve.
-    mg = build_additive_multigrid(hierarchy, [lm], 0.0)
+    mg = AdditiveMultigrid(multilevel_setup(hierarchy, [lm]), 0.0)
     rhs = TaggedVector("V", 0, "dual", rng.uniform(-1, 1, lm.mesh.num_edges))
     x0 = TaggedVector("V", 0, "coefficient", rng.uniform(-1, 1, lm.mesh.num_edges))
     _, flux_report = pcg(lambda v: apply_power(flux_pair, 0.0, v), mg.apply,

@@ -11,7 +11,7 @@ from fracprec.auxiliary import (
 from fracprec.fem import assemble_all, laplacian_dual
 from fracprec.krylov import pencil_condition
 from fracprec.mesh import build_hierarchy
-from fracprec.multigrid import build_additive_multigrid
+from fracprec.multigrid import AdditiveMultigrid, multilevel_setup
 from fracprec.spectral import densify, generalized_eig, inf_sup_constant, power_matrix
 from fracprec.vectors import TaggedVector, TagError
 
@@ -108,12 +108,6 @@ class TestExactVariant:
             with pytest.raises(ValueError):
                 build_exact(bad, lm, flux_pair)
 
-    def test_kind_labels(self, single_level, two_level):
-        _, lms, flux_pair, _ = single_level
-        assert build_exact(-0.5, lms[-1], flux_pair).kind == "exact"
-        hierarchy, lms2 = two_level
-        assert build_multigrid(-0.5, hierarchy, lms2).kind == "multigrid"
-
 
 class TestSpectrum:
     def test_condition_is_one_at_left_endpoint(self, alpha):
@@ -169,8 +163,9 @@ class TestMultigridVariant:
         hierarchy, lms = two_level
         lm = lms[-1]
         s = -0.6
-        aux = build_multigrid(s, hierarchy, lms)
-        mg = build_additive_multigrid(hierarchy, lms, 1.0 + s)
+        setup = multilevel_setup(hierarchy, lms)
+        aux = build_multigrid(s, setup)
+        mg = AdditiveMultigrid(setup, 1.0 + s)
         rng = np.random.default_rng(32)
         u = rng.uniform(-1, 1, lm.mesh.num_triangles)
         got = aux.apply(TaggedVector("S", 1, "coefficient", u))
@@ -182,8 +177,9 @@ class TestMultigridVariant:
         # With one mesh level the multilevel inner solve is just the exact
         # coarse solve, so both variants produce the same matrix.
         hierarchy, lms, flux_pair, _ = single_level
+        setup = multilevel_setup(hierarchy, lms)
         for s in (-1.0, -0.5, 0.0):
-            dense_mg = dense(build_multigrid(s, hierarchy, lms))
+            dense_mg = dense(build_multigrid(s, setup))
             dense_exact = dense(build_exact(s, lms[-1], flux_pair))
             np.testing.assert_allclose(
                 dense_mg, dense_exact, atol=1e-10 * np.abs(dense_exact).max()
@@ -191,13 +187,14 @@ class TestMultigridVariant:
 
     def test_symmetric_positive_definite(self, two_level):
         hierarchy, lms = two_level
-        B = dense(build_multigrid(-0.5, hierarchy, lms))
+        B = dense(build_multigrid(-0.5, multilevel_setup(hierarchy, lms)))
         np.testing.assert_allclose(B, B.T, atol=1e-10 * np.abs(B).max())
         assert np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 0
 
     def test_exponent_outside_range_rejected(self, two_level):
         hierarchy, lms = two_level
+        setup = multilevel_setup(hierarchy, lms)
         with pytest.raises(ValueError):
-            build_multigrid(0.3, hierarchy, lms)
+            build_multigrid(0.3, setup)
         with pytest.raises(ValueError):
-            build_multigrid(-1.3, hierarchy, lms)
+            build_multigrid(-1.3, setup)

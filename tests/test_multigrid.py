@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fracprec.fem import assemble_all, assemble_prolongation
+from fracprec.fem import assemble_all
 from fracprec.mesh import build_hierarchy, vertex_patches
-from fracprec.multigrid import PatchSmoother, build_additive_multigrid, precompute_patches
+from fracprec.multigrid import (
+    AdditiveMultigrid,
+    PatchSmoother,
+    multilevel_setup,
+    precompute_patches,
+)
 from fracprec.spectral import densify, generalized_eig, power_matrix, solve_power
 from fracprec.vectors import TaggedVector, TagError
 
@@ -32,14 +37,15 @@ class TestSingleLevel:
         pair = generalized_eig(lms[0].hdiv, lms[0].mass_v)
         rng = np.random.default_rng(0)
         d = rng.uniform(-1, 1, lms[0].mesh.num_edges)
+        setup = multilevel_setup(hier, lms)
         for s in (0.0, 0.3, 1.0):
-            mg = build_additive_multigrid(hier, lms, s)
+            mg = AdditiveMultigrid(setup, s)
             np.testing.assert_allclose(mg.apply(d), solve_power(pair, s, d), atol=1e-12)
 
     def test_zero_power_single_level_is_mass_solve(self):
         hier = build_hierarchy(2, 1)
         lms = assemble_all(hier)
-        mg = build_additive_multigrid(hier, lms, 0.0)
+        mg = AdditiveMultigrid(multilevel_setup(hier, lms), 0.0)
         rng = np.random.default_rng(1)
         c = rng.uniform(-1, 1, lms[0].mesh.num_edges)
         np.testing.assert_allclose(mg.apply(lms[0].mass_v @ c), c, atol=1e-11)
@@ -101,7 +107,7 @@ class TestPreconditioner:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_symmetric_positive(self, three_level, s):
         hier, lms = three_level
-        mg = build_additive_multigrid(hier, lms, s)
+        mg = AdditiveMultigrid(multilevel_setup(hier, lms), s)
         B = densify(mg.apply, mg.dim)
         np.testing.assert_allclose(B, B.T, atol=1e-11)
         assert np.linalg.eigvalsh(0.5 * (B + B.T)).min() > 0
@@ -111,7 +117,7 @@ class TestPreconditioner:
         # The whole point: eigenvalues of B applied to the fractional
         # operator stay in a narrow band.  Desk-size bound, generous.
         hier, lms = three_level
-        mg = build_additive_multigrid(hier, lms, s)
+        mg = AdditiveMultigrid(multilevel_setup(hier, lms), s)
         pair = generalized_eig(lms[-1].hdiv, lms[-1].mass_v)
         F = power_matrix(pair, s, dual_form=True)
         B = densify(mg.apply, mg.dim)
@@ -119,29 +125,26 @@ class TestPreconditioner:
         assert w.min() > 0
         assert w.max() / w.min() < 25.0
 
-    def test_setup_sharing_is_transparent(self, three_level):
+    def test_one_setup_serves_many_exponents(self, three_level):
         hier, lms = three_level
-        patch_data = precompute_patches(hier, lms)
-        pros = [assemble_prolongation(hier, k) for k in range(2)]
-        pair = generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0)
-        a = build_additive_multigrid(hier, lms, 0.5)
-        b = build_additive_multigrid(
-            hier, lms, 0.5, patch_data=patch_data, prolongations=pros, coarse_pair=pair
-        )
         rng = np.random.default_rng(4)
         d = rng.uniform(-1, 1, lms[-1].mesh.num_edges)
-        np.testing.assert_allclose(a.apply(d), b.apply(d), atol=0)
+        fresh = AdditiveMultigrid(multilevel_setup(hier, lms), 0.5).apply(d)
+        setup = multilevel_setup(hier, lms)
+        for s in (0.3, 1.0):
+            AdditiveMultigrid(setup, s).apply(d)
+        np.testing.assert_allclose(AdditiveMultigrid(setup, 0.5).apply(d), fresh, atol=0)
 
     def test_deterministic_apply(self, three_level):
         hier, lms = three_level
-        mg = build_additive_multigrid(hier, lms, 0.3)
+        mg = AdditiveMultigrid(multilevel_setup(hier, lms), 0.3)
         rng = np.random.default_rng(5)
         d = rng.uniform(-1, 1, lms[-1].mesh.num_edges)
         assert (mg.apply(d) == mg.apply(d)).all()
 
     def test_tag_discipline(self, two_level):
         hier, lms = two_level
-        mg = build_additive_multigrid(hier, lms, 0.5)
+        mg = AdditiveMultigrid(multilevel_setup(hier, lms), 0.5)
         dim = lms[-1].mesh.num_edges
         out = mg.apply(TaggedVector("V", 1, "dual", np.ones(dim)))
         assert (out.space, out.level, out.rep) == ("V", 1, "coefficient")
@@ -154,7 +157,8 @@ class TestPreconditioner:
 
     def test_exponent_range_enforced(self, two_level):
         hier, lms = two_level
+        setup = multilevel_setup(hier, lms)
         with pytest.raises(ValueError):
-            build_additive_multigrid(hier, lms, -0.1)
+            AdditiveMultigrid(setup, -0.1)
         with pytest.raises(ValueError):
-            build_additive_multigrid(hier, lms, 1.1)
+            AdditiveMultigrid(setup, 1.1)

@@ -1,4 +1,5 @@
-"""Property tests (derandomized hypothesis): size resolution and tag algebra."""
+"""Property tests (derandomized hypothesis): size resolution, tag algebra
+and PCG on random SPD pencils."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fracprec.krylov import pcg, pencil_condition
 from fracprec.tables import resolve_size
-from fracprec.vectors import REPS, SPACES, TagError, TaggedVector
+from fracprec.vectors import REPS, SPACES, TagError, TaggedVector, pair
 
 derandomized = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -67,3 +69,30 @@ def test_mismatched_tags_raise(tag_a, tag_b, values):
         a + b
     with pytest.raises(TagError):
         a - b
+
+
+def random_spd(rng, dim):
+    C = rng.standard_normal((dim, dim))
+    return C @ C.T + 0.1 * dim * np.eye(dim)
+
+
+@derandomized
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+def test_pcg_on_random_spd_pencils(dim, seed):
+    rng = np.random.default_rng(seed)
+    A = random_spd(rng, dim)  # operator: coefficient -> dual
+    B = random_spd(rng, dim)  # preconditioner: dual -> coefficient
+    tol = 1e-8
+    rhs = TaggedVector("V", 0, "dual", rng.standard_normal(dim))
+    x0 = TaggedVector("V", 0, "coefficient", rng.standard_normal(dim))
+    op = lambda v: TaggedVector("V", 0, "dual", A @ v.values)
+    precond = lambda r: TaggedVector("V", 0, "coefficient", B @ r.values)
+    x, report = pcg(op, precond, rhs, x0, tol=tol)
+    assert report.converged and report.residual_history[-1] <= tol
+    # The returned iterate, not only the recurrence, meets the tolerance.
+    r0, r = rhs - op(x0), rhs - op(x)
+    assert np.sqrt(pair(precond(r), r) / pair(precond(r0), r0)) <= 10 * tol
+    # Ritz values lie inside the spectrum of B A, the pencil (A, inv(B)).
+    Binv = np.linalg.inv(B)
+    exact = pencil_condition(A, 0.5 * (Binv + Binv.T), dim)
+    assert report.cond_estimate <= exact * (1 + 1e-8)

@@ -288,6 +288,21 @@ class TestCli:
         assert err.value.code == 2
         assert capsys.readouterr().err.rstrip().endswith(message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table1", "--levels", "0"], "levels must be at least 1"),
+        (["table2", "--sizes", "4", "--max-dense", "5"], "raise it to at least 32"),
+        (["table3", "--s-list", "0.5"], "exponent 0.5 outside [-1.0, 0.0]"),
+        (["props", "--tol", "0"], "tolerance must be positive"),
+    ])
+    def test_settings_error_prints_the_command_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: fracprec {argv[0]} ")
+        assert lines[-1].startswith(f"fracprec {argv[0]}: error: ")
+        assert lines[-1].endswith(message)
+
     def test_table2_csv_is_labelled_exact(self, capsys):
         code = cli.main(["table2", "--sizes", "4", "--s-list=-0.5", "--format", "csv"])
         out = capsys.readouterr().out
