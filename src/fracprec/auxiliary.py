@@ -95,10 +95,6 @@ class AuxSpectrumContext:
     flux_eigenvalues: np.ndarray
     coupling: np.ndarray  # flux modes.T @ grad @ scalar modes
 
-    @property
-    def dim(self) -> int:
-        return self.scalar_eigenvalues.shape[0]
-
 
 def make_aux_spectrum_context(
     lm: LevelMatrices, flux_pair: SpectralPair, scalar_pair: SpectralPair

@@ -73,14 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="fmt", help="output format (default markdown; props "
                        "prints text)")
         p.add_argument("--out", metavar="PATH", help="write output to this file")
-        p.set_defaults(parser=p)  # settings errors print this command's usage
+        p.set_defaults(parser=p)  # option and settings errors print this command's usage
     return parser
 
 
 def main(argv=None) -> int:
-    settings = vars(build_parser().parse_args(argv))
+    namespace, unknown = build_parser().parse_known_args(argv)
+    settings = vars(namespace)
     table = _COMMANDS[settings.pop("command")][0]
     parser, fmt, out = settings.pop("parser"), settings.pop("fmt"), settings.pop("out")
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = tables.validate(tables.default_config(table, **settings))
     except ValueError as err:

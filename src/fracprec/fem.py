@@ -21,6 +21,10 @@ Assembled objects (sparse CSR unless noted):
 
 ``divdiv == grad @ inv(mass_s) @ grad.T`` holds exactly, which ties the two
 independently assembled sign conventions together (tested).
+
+Beyond the level matrices the module builds the dense dual scalar operator
+(``laplacian_dual``) and the flux embedding between consecutive levels
+(``assemble_prolongation``).
 """
 
 from __future__ import annotations
@@ -32,17 +36,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import MeshHierarchy, MeshLevel
-from .vectors import TaggedVector
 
 __all__ = [
     "LevelMatrices",
     "assemble",
     "assemble_all",
-    "apply_grad",
-    "apply_grad_transpose",
-    "apply_curl",
     "laplacian_dual",
-    "helmholtz_decompose",
     "assemble_prolongation",
 ]
 
@@ -59,10 +58,6 @@ class LevelMatrices:
     hdiv: sp.csr_matrix
     grad: sp.csr_matrix
     curl: sp.csr_matrix
-
-    @property
-    def dims(self) -> dict:
-        return self.mesh.dims
 
 
 def assemble(level: MeshLevel, index: int = 0) -> LevelMatrices:
@@ -120,24 +115,6 @@ def assemble_all(hierarchy: MeshHierarchy) -> list:
     return [assemble(lvl, k) for k, lvl in enumerate(hierarchy.levels)]
 
 
-def apply_grad(lm: LevelMatrices, u: TaggedVector) -> TaggedVector:
-    """Discrete gradient of a piecewise constant, as a dual flux vector."""
-    u.require(space="S", level=lm.index, rep="coefficient")
-    return TaggedVector("V", lm.index, "dual", lm.grad @ u.values)
-
-
-def apply_grad_transpose(lm: LevelMatrices, tau: TaggedVector) -> TaggedVector:
-    """Adjoint of the discrete gradient: flux coefficients to a dual S vector."""
-    tau.require(space="V", level=lm.index, rep="coefficient")
-    return TaggedVector("S", lm.index, "dual", lm.grad.T @ tau.values)
-
-
-def apply_curl(lm: LevelMatrices, q: TaggedVector) -> TaggedVector:
-    """Rotated gradient of a vertex function, as a dual flux vector."""
-    q.require(space="C", level=lm.index, rep="coefficient")
-    return TaggedVector("V", lm.index, "dual", lm.curl @ q.values)
-
-
 def laplacian_dual(lm: LevelMatrices) -> np.ndarray:
     """Dense dual form of the S-space operator grad* grad (symmetric PSD...
     in fact positive definite: the discrete gradient has full column rank)."""
@@ -145,29 +122,6 @@ def laplacian_dual(lm: LevelMatrices) -> np.ndarray:
     X = lu.solve(lm.grad.toarray())
     A = lm.grad.T @ X
     return 0.5 * (A + A.T)
-
-
-def helmholtz_decompose(lm: LevelMatrices, tau: TaggedVector):
-    """Split flux coefficients into a gradient part and a rotated-gradient part.
-
-    Returns ``(u, q)`` with ``grad @ u + curl @ q == mass_v @ tau`` (dual
-    form of ``tau = grad_h u + rot q``).  The vertex function q is pinned to
-    zero at vertex 0; without the pin the vertex system is singular (rot
-    kills constants).
-    """
-    tau.require(space="V", level=lm.index, rep="coefficient")
-    u = np.linalg.solve(laplacian_dual(lm), lm.grad.T @ tau.values)
-
-    lu = spla.splu(lm.mass_v.tocsc())
-    K = lm.curl.toarray()
-    C = K.T @ lu.solve(K)
-    rhs = K.T @ tau.values
-    q = np.zeros(lm.mesh.num_vertices)
-    q[1:] = np.linalg.solve(0.5 * (C + C.T)[1:, 1:], rhs[1:])
-    return (
-        TaggedVector("S", lm.index, "coefficient", u),
-        TaggedVector("C", lm.index, "coefficient", q),
-    )
 
 
 def assemble_prolongation(hierarchy: MeshHierarchy, coarse_index: int) -> sp.csr_matrix:

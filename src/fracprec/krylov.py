@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .spectral import DENSE_LIMIT, densify, generalized_eig
 from .vectors import TaggedVector, pair
 
-__all__ = ["SolveReport", "IndefinitenessError", "pcg", "lanczos_condition", "pencil_condition"]
+__all__ = ["SolveReport", "IndefinitenessError", "pcg", "lanczos_condition"]
 
 
 class IndefinitenessError(RuntimeError):
@@ -118,16 +117,3 @@ def pcg(op, precond, rhs: TaggedVector, x0: TaggedVector, tol: float, maxit: int
         cond_estimate=lanczos_condition(alphas, betas),
         residual_history=np.asarray(history),
     )
-
-
-def pencil_condition(a_map, b_map, dim: int, dense_limit: int | None = DENSE_LIMIT) -> float:
-    """Exact condition number of the pencil (a, b): both maps must be
-    symmetric with the same orientation; applies-only input is materialized
-    column by column (intended for desk-size verification)."""
-    A = densify(a_map, dim)
-    B = densify(b_map, dim)
-    for name, M in (("first", A), ("second", B)):
-        if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
-            raise IndefinitenessError(f"{name} map is not symmetric")
-    w = generalized_eig(0.5 * (A + A.T), 0.5 * (B + B.T), dense_limit=dense_limit).eigenvalues
-    return float(w[-1] / w[0])

@@ -9,8 +9,9 @@ over: the pattern reproduces itself under midpoint refinement (so coarse
 edges are unions of fine edges and the spaces nest exactly), and every
 corner of the square meets a diagonal, so no vertex star degenerates to a
 single triangle.  With one diagonal direction throughout, two corners would
-have one-triangle stars, and the patch smoothers below would lose a
-noticeable constant in the mass-matrix limit.
+have one-triangle stars, and the vertex-patch smoothers of ``multigrid``
+would lose a noticeable constant in the mass-matrix limit.  Their patches
+come from ``vertex_patches``: one sorted array of edge ids per vertex.
 
 Vertices are numbered row-major (x fastest), triangles cell-major (bottom
 triangle first), and edges in three structured blocks: horizontal, vertical,
@@ -29,7 +30,6 @@ import numpy as np
 __all__ = [
     "MeshLevel",
     "MeshHierarchy",
-    "VertexPatch",
     "build_level",
     "build_hierarchy",
     "vertex_patches",
@@ -50,7 +50,6 @@ class MeshLevel:
         local vertex ``a``.
     triangle_edge_signs : (nt, 3) int array in {-1, +1}; +1 where the global
         edge normal coincides with the triangle's outward normal.
-    edge_triangles : (ne, 2) int array of incident triangles, -1 padded.
     """
 
     n: int
@@ -59,7 +58,6 @@ class MeshLevel:
     edges: np.ndarray
     triangle_edges: np.ndarray
     triangle_edge_signs: np.ndarray
-    edge_triangles: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -73,21 +71,12 @@ class MeshLevel:
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    @property
-    def dims(self) -> dict:
-        """Dimensions of the piecewise-constant (S), edge-flux (V) and
-        vertex (C) degree-of-freedom spaces."""
-        return {"S": self.num_triangles, "V": self.num_edges, "C": self.num_vertices}
-
     def areas(self) -> np.ndarray:
         """Signed triangle areas (all equal to ``1/(2 n^2)`` and positive)."""
         p = self.vertices[self.triangles]
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def boundary_edge_mask(self) -> np.ndarray:
-        return self.edge_triangles[:, 1] < 0
 
 
 @dataclass(frozen=True)
@@ -99,18 +88,6 @@ class MeshHierarchy:
     @property
     def num_levels(self) -> int:
         return len(self.levels)
-
-    def finest(self) -> MeshLevel:
-        return self.levels[-1]
-
-
-@dataclass(frozen=True)
-class VertexPatch:
-    """Star of one vertex: its incident triangles and incident edges."""
-
-    vertex: int
-    triangle_ids: np.ndarray
-    edge_ids: np.ndarray
 
 
 def build_level(n: int) -> MeshLevel:
@@ -167,15 +144,6 @@ def build_level(n: int) -> MeshLevel:
     )
     triangle_edge_signs = np.where(u < w, 1, -1)
 
-    # An edge's triangles in ascending order: the lower id first, -1 on the
-    # boundary.
-    owner = np.repeat(np.arange(triangles.shape[0]), 3)
-    first = np.full(edges.shape[0], triangles.shape[0])
-    last = np.full(edges.shape[0], -1)
-    np.minimum.at(first, triangle_edges.ravel(), owner)
-    np.maximum.at(last, triangle_edges.ravel(), owner)
-    edge_triangles = np.column_stack([first, np.where(last > first, last, -1)])
-
     return MeshLevel(
         n=n,
         vertices=vertices,
@@ -183,7 +151,6 @@ def build_level(n: int) -> MeshLevel:
         edges=edges,
         triangle_edges=triangle_edges,
         triangle_edge_signs=triangle_edge_signs,
-        edge_triangles=edge_triangles,
     )
 
 
@@ -197,28 +164,16 @@ def build_hierarchy(n0: int, num_levels: int) -> MeshHierarchy:
 
 
 def vertex_patches(level: MeshLevel) -> list:
-    """Vertex stars, one per mesh vertex in ascending vertex order.
+    """Edge stars, one per mesh vertex in ascending vertex order.
 
-    A patch collects the triangles containing the vertex and the edges having
-    it as an endpoint.  With the alternating diagonals an interior vertex has
-    8 of each when the diagonals of all four surrounding cells meet there and
-    4 otherwise; corners and boundary vertices have fewer.  Every edge of the
+    A patch is the sorted array of ids of the edges having the vertex as an
+    endpoint.  With the alternating diagonals an interior vertex has 8 of
+    them when the diagonals of all four surrounding cells meet there and 4
+    otherwise; corners and boundary vertices have fewer.  Every edge of the
     mesh belongs to exactly two patches — one per endpoint.
     """
-    nv = level.num_vertices
-    tri_of = [[] for _ in range(nv)]
-    for t, tri in enumerate(level.triangles):
-        for v in tri:
-            tri_of[v].append(t)
-    edge_of = [[] for _ in range(nv)]
+    edge_of = [[] for _ in range(level.num_vertices)]
     for e, (a, b) in enumerate(level.edges):
         edge_of[a].append(e)
         edge_of[b].append(e)
-    return [
-        VertexPatch(
-            vertex=v,
-            triangle_ids=np.asarray(sorted(tri_of[v]), dtype=np.int64),
-            edge_ids=np.asarray(sorted(edge_of[v]), dtype=np.int64),
-        )
-        for v in range(nv)
-    ]
+    return [np.asarray(sorted(ids), dtype=np.int64) for ids in edge_of]

