@@ -119,7 +119,9 @@ def aux_pencil_eigenvalues(ctx: AuxSpectrumContext, s: float) -> np.ndarray:
 def exact_condition_number(scalar_eigenvalues: np.ndarray, s: float) -> float:
     """Condition number of the exactly preconditioned scalar s-power,
     ``(r_max / r_min)^(1+s)`` with ``r = alpha / (1 + alpha)`` over the
-    scalar pencil eigenvalues ``alpha``."""
+    scalar pencil eigenvalues ``alpha``.  Only the extremes matter: the full
+    spectrum or any array that holds its smallest and largest value will do
+    (``spectral.scalar_extremes``)."""
     _check_exponent(s)
     r = scalar_eigenvalues / (1.0 + scalar_eigenvalues)
     return float((r.max() / r.min()) ** (1.0 + s))

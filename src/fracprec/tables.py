@@ -10,11 +10,13 @@ Three grids are produced, mirroring the package's three headline results:
      powers (PCG + estimates).
 
 All three rest on the scalar pencil (grad.T inv(mass_v) grad, mass_s) of the
-finest mesh, diagonalized once per size: grid 3 uses it as the operator,
-grid 1 applies the flux operator's powers through it by the discrete
-Helmholtz split (``spectral.HelmholtzPair``), and grid 2 reads its exact
-condition numbers and the inf-sup constant off its eigenvalues in closed
-form (``auxiliary.exact_condition_number``).  The only flux pencil ever
+finest mesh.  Grids 1 and 3 diagonalize it once per size: grid 3 uses it as
+the operator, and grid 1 applies the flux operator's powers through it by
+the discrete Helmholtz split (``spectral.HelmholtzPair``).  Grid 2 does not
+diagonalize it: its exact condition numbers and the inf-sup constant depend
+only on the pencil's two extreme eigenvalues (closed form in
+``auxiliary.exact_condition_number``), which ``spectral.scalar_extremes``
+finds by Lanczos on sparse factorizations.  The only flux pencil ever
 diagonalized is the coarsest mesh's, for the multilevel coarse solve.  Grids
 1 and 3 build one ``multigrid.MultilevelSetup`` per size, with that coarse
 pencil and the patch eigensolves, and take every exponent's preconditioner
@@ -48,6 +50,7 @@ from .spectral import (
     PencilError,
     apply_power,
     generalized_eig,
+    scalar_extremes,
     solve_power,
 )
 from .vectors import TaggedVector
@@ -71,7 +74,7 @@ NEGATIVE_S = tuple(round(-1.0 + 0.1 * i, 1) for i in range(11))
 SETTINGS = {
     "1": dict(s_values=POSITIVE_S, sizes=(8, 16, 32), levels=4, tol=1e-9, maxit=200,
               seed=7, max_dense=DENSE_LIMIT),
-    "2": dict(s_values=NEGATIVE_S, sizes=(16, 32), seed=7, max_dense=DENSE_LIMIT),
+    "2": dict(s_values=NEGATIVE_S, sizes=(16, 32), seed=7),
     "3": dict(s_values=NEGATIVE_S, sizes=(8, 16, 32), levels=4, tol=1e-10, maxit=200,
               seed=7, max_dense=DENSE_LIMIT),
     "props": dict(s_values=POSITIVE_S, tol=1e-9, seed=7, trials=200),
@@ -155,9 +158,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if "tol" in reads and cfg.tol <= 0:
         raise ValueError("tolerance must be positive")
     if "max_dense" in reads:
-        # Dense eigensolves: the finest scalar pencil (2n^2) and, on the
-        # multilevel grids, the coarse flux pencil (3n0^2 + 2n0).
-        n0s = [n // 2 ** (cfg.levels - 1) for n in cfg.sizes] if "levels" in reads else []
+        # Dense eigensolves: the finest scalar pencil (2n^2) and the coarse
+        # flux pencil (3n0^2 + 2n0).
+        n0s = [n // 2 ** (cfg.levels - 1) for n in cfg.sizes]
         need = max([2 * n * n for n in cfg.sizes] + [3 * m * m + 2 * m for m in n0s])
         if cfg.max_dense < need:
             raise ValueError(f"max_dense {cfg.max_dense} is below the {need}-dimensional "
@@ -253,13 +256,6 @@ def _cell_rng(seed: int, table_no: int, s: float, n: int):
     return np.random.default_rng([seed, table_no, *key, n])
 
 
-def _scalar_pair(lm, dense_limit):
-    """The diagonalized scalar pencil (grad.T inv(mass_v) grad, mass_s) of
-    one level."""
-    return generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=lm.index,
-                           dense_limit=dense_limit)
-
-
 class _HierarchySetup:
     """Per-size state shared by every exponent: the multilevel setup
     (``multigrid.multilevel_setup``) and the fine operator: the scalar pencil
@@ -273,7 +269,8 @@ class _HierarchySetup:
         self.finest = cfg.levels - 1
         self.multilevel = multilevel_setup(hierarchy, lms, dense_limit=cfg.max_dense)
         fine = lms[-1]
-        scalar_pair = _scalar_pair(fine, cfg.max_dense)
+        scalar_pair = generalized_eig(laplacian_dual(fine), fine.mass_s, space="S",
+                                      level=fine.index, dense_limit=cfg.max_dense)
         self.op_pair = (scalar_pair if cfg.table == "3"
                         else HelmholtzPair(scalar_pair, fine.grad, fine.mass_v))
         self.dim = self.op_pair.dim
@@ -321,14 +318,14 @@ def run_table2(cfg: ExperimentConfig | None = None) -> TableResult:
     result = TableResult("2", cfg, ())
     for n in cfg.sizes:
         lm = assemble_all(build_hierarchy(n, 1))[-1]
-        alpha = _scalar_pair(lm, cfg.max_dense).eigenvalues
+        alpha_min, alpha_max = scalar_extremes(lm)
         N = lm.mesh.num_triangles
         result.columns += (N,)
         for s in cfg.s_values:
-            cond = exact_condition_number(alpha, s)
+            cond = exact_condition_number(np.array([alpha_min, alpha_max]), s)
             result.cells[(s, N)] = CellResult(s, N, None, cond, True)
         # beta^2 = min alpha / (1 + alpha); keep the finest mesh's value.
-        beta_sq = alpha.min() / (1.0 + alpha.min())
+        beta_sq = alpha_min / (1.0 + alpha_min)
     result.reference = {s: beta_sq ** -(1.0 + s) for s in cfg.s_values}
     return result
 

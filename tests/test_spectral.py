@@ -10,6 +10,7 @@ from fracprec.spectral import (
     generalized_eig,
     inf_sup_constant,
     power_matrix,
+    scalar_extremes,
     solve_power,
 )
 from fracprec.vectors import TaggedVector, TagError
@@ -168,3 +169,11 @@ class TestMeshPencils:
         B0 = lm.grad.T @ lu.solve(lm.grad.toarray())
         pair = generalized_eig(0.5 * (B0 + B0.T), lm.mass_s.toarray())
         assert inf_sup_constant(lm) == pytest.approx(np.sqrt(pair.eigenvalues[0]), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_scalar_extremes_match_dense_spectrum(self, n):
+        lm = assemble(build_level(n))
+        dense = generalized_eig(laplacian_dual(lm), lm.mass_s).eigenvalues[[0, -1]]
+        got = scalar_extremes(lm)
+        np.testing.assert_allclose(got, dense, rtol=1e-10)
+        assert scalar_extremes(lm) == got  # fixed start vector: bit for bit

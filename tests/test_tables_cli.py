@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from fracprec import cli, tables
+from fracprec.auxiliary import exact_condition_number
+from fracprec.fem import assemble_all, laplacian_dual
+from fracprec.mesh import build_hierarchy
+from fracprec.spectral import generalized_eig
 
 
 class TestSizeResolution:
@@ -67,6 +71,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("table, setting", [
         ("2", dict(levels=3)), ("props", dict(sizes=(8,))), ("1", dict(trials=5)),
+        ("2", dict(max_dense=5)),
     ])
     def test_unread_setting_rejected(self, table, setting):
         with pytest.raises(ValueError, match="does not read"):
@@ -193,6 +198,17 @@ class TestExactConditionGrid:
         for (s, N), cell in small_table2.cells.items():
             assert cell.cond <= small_table2.reference[s] * (1 + 1e-6)
 
+    def test_cells_match_dense_eigenvalues(self):
+        # Oracle: the closed forms on the full dense spectrum of the pencil.
+        result = tables.run_table2(tables.default_config("2", sizes=(16,)))
+        lm = assemble_all(build_hierarchy(16, 1))[-1]
+        alpha = generalized_eig(laplacian_dual(lm), lm.mass_s).eigenvalues
+        beta_sq = alpha[0] / (1.0 + alpha[0])
+        for s in tables.NEGATIVE_S:
+            cond = exact_condition_number(alpha, s)
+            assert f"{result.cells[(s, 512)].cond:.6g}" == f"{cond:.6g}"
+            assert f"{result.reference[s]:.6g}" == f"{beta_sq ** -(1.0 + s):.6g}"
+
     def test_render_includes_reference(self, small_table2):
         text = small_table2.to_markdown()
         assert text.splitlines()[0] == "| s | N=32 | N=128 | beta^-2(1+s) |"
@@ -268,6 +284,7 @@ class TestCli:
         ["props", "--max-dense", "5"],
         ["table1", "--bogus"], ["table2", "--bogus"], ["table3", "--bogus"],
         ["props", "--bogus"],
+        ["table2", "--max-dense", "5"], ["table2", "--max-dense=-1"],
     ])
     def test_option_the_command_does_not_read_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -284,8 +301,6 @@ class TestCli:
         (["table1", "--sizes", "8", "--levels", "1", "--s-list", "0.5", "--max-dense", "150"],
          "max_dense 150 is below the 208-dimensional dense eigensolve of this run; "
          "raise it to at least 208"),
-        (["table2", "--sizes", "4", "--max-dense", "5"], "raise it to at least 32"),
-        (["table2", "--sizes", "4", "--max-dense=-1"], "raise it to at least 32"),
     ])
     def test_no_trials_or_too_small_dense_cap_is_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
@@ -295,7 +310,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["table1", "--levels", "0"], "levels must be at least 1"),
-        (["table2", "--sizes", "4", "--max-dense", "5"], "raise it to at least 32"),
+        (["table2", "--sizes="], "no sizes given"),
         (["table3", "--s-list", "0.5"], "exponent 0.5 outside [-1.0, 0.0]"),
         (["props", "--tol", "0"], "tolerance must be positive"),
     ])
