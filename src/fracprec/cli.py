@@ -4,7 +4,7 @@ Examples:
 
     fracprec table1                      # default sizes, markdown to stdout
     fracprec table3 --sizes 8,16 --format csv --out t3.csv
-    fracprec table1 --sizes 64 --max-dense 8192    # the large optional column
+    fracprec table1 --sizes 64           # the large optional column, a few GB
     fracprec table1 --levels 1 --s-list 0          # exact coarse solve only
     fracprec props --trials 500
 """
@@ -17,6 +17,7 @@ import re
 import sys
 
 from . import tables
+from .spectral import PencilError
 from .verify import report_csv, report_text
 
 
@@ -40,7 +41,6 @@ _OPTIONS = {
     "tol": ("--tol", float, "tolerance"),
     "maxit": ("--maxit", int, "iteration cap"),
     "seed": ("--seed", int, "base seed"),
-    "max_dense": ("--max-dense", int, "dense eigensolve size cap, 8192 for --sizes 64"),
     "trials": ("--trials", int, "randomized trials per matrix check"),
 }
 
@@ -86,8 +86,13 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = tables.validate(tables.default_config(table, **settings))
-    except ValueError as err:
+    except (ValueError, PencilError) as err:  # bad settings, or too large for memory
         parser.error(str(err))
+    if out:  # an unwritable path is refused now, not after the run
+        try:
+            open(out, "a").close()
+        except OSError as err:
+            parser.error(f"cannot write {out}: {err.strerror}")
 
     if table == "props":
         reports = tables.run_props(cfg)

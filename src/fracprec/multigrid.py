@@ -32,7 +32,7 @@ import numpy as np
 
 from .fem import assemble_prolongation
 from .fem import LevelMatrices
-from .spectral import DENSE_LIMIT, SpectralPair, generalized_eig, solve_power
+from .spectral import SpectralPair, generalized_eig, solve_power
 from .vectors import retag, untag
 
 __all__ = [
@@ -118,7 +118,7 @@ class MultilevelSetup:
     finest: LevelMatrices
 
 
-def multilevel_setup(hierarchy, lms, dense_limit: int | None = DENSE_LIMIT) -> MultilevelSetup:
+def multilevel_setup(hierarchy, lms) -> MultilevelSetup:
     """Diagonalize the coarse pencil, eigendecompose every vertex patch and
     assemble the embeddings, once for all exponents."""
     if len(lms) != hierarchy.num_levels:
@@ -127,8 +127,7 @@ def multilevel_setup(hierarchy, lms, dense_limit: int | None = DENSE_LIMIT) -> M
         patch_groups=tuple(precompute_patches(hierarchy, lms)),
         prolongations=tuple(assemble_prolongation(hierarchy, k)
                             for k in range(hierarchy.num_levels - 1)),
-        coarse_pair=generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0,
-                                    dense_limit=dense_limit),
+        coarse_pair=generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0),
         finest=lms[-1],
     )
 

@@ -57,12 +57,26 @@ __all__ = [
     "densify",
 ]
 
-DENSE_LIMIT = 3500
 RESIDUAL_TOL = 1e-10  # eigen residual bound, relative to the largest eigenvalue
 
 
 class PencilError(RuntimeError):
-    """The pencil is not symmetric definite or the eigensolve lost accuracy."""
+    """The pencil is not symmetric definite, lost accuracy or exceeds memory."""
+
+
+def available_memory() -> float:
+    """``MemAvailable`` of /proc/meminfo in bytes; infinity where it is missing."""
+    try:
+        with open("/proc/meminfo") as info:
+            return next(int(ln.split()[1]) * 1024 for ln in info if ln.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return float("inf")
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise PencilError, naming both byte counts, if ``need`` exceeds ``available_memory()``."""
+    if need > (have := available_memory()):
+        raise PencilError(f"{what} needs {need} bytes, more than the {have} bytes available")
 
 
 @dataclass(frozen=True)
@@ -125,26 +139,19 @@ def _symmetric(mat, dense: np.ndarray) -> bool:
     return np.abs(dense - dense.T).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
 
-def generalized_eig(
-    a_mat,
-    m_mat,
-    space: str | None = None,
-    level: int | None = None,
-    dense_limit: int | None = DENSE_LIMIT,
-) -> SpectralPair:
+def generalized_eig(a_mat, m_mat, space: str | None = None,
+                    level: int | None = None) -> SpectralPair:
     """All eigenpairs of (a_mat, m_mat), M-orthonormal, ascending.
 
     The decomposition is validated column by column: the residual
     ``A phi - lambda M phi`` must stay below ``RESIDUAL_TOL * max |lambda|``;
     if it does not, the modes are re-orthonormalized in the M inner product
-    and checked once more.
+    and checked once more.  Refused before any allocation if eigh's four n x n
+    arrays and a dense copy of each sparse operand exceed the available memory.
     """
     n = a_mat.shape[0]
-    if dense_limit is not None and n > dense_limit:
-        raise PencilError(
-            f"pencil of dimension {n} exceeds the dense eigensolve cap {dense_limit}; "
-            "raise the cap explicitly for large runs"
-        )
+    require_memory(8 * n * n * (4 + sp.issparse(a_mat) + sp.issparse(m_mat)),
+                   f"the dense eigensolve of dimension {n}")
     a_dense = densify(a_mat)
     m_dense = densify(m_mat)
     if not _symmetric(a_mat, a_dense):

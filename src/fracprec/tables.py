@@ -44,15 +44,8 @@ from .fem import assemble_all, laplacian_dual
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
 from .multigrid import AdditiveMultigrid, multilevel_setup
-from .spectral import (
-    DENSE_LIMIT,
-    HelmholtzPair,
-    PencilError,
-    apply_power,
-    generalized_eig,
-    scalar_extremes,
-    solve_power,
-)
+from .spectral import (HelmholtzPair, PencilError, apply_power, generalized_eig,
+                       require_memory, scalar_extremes, solve_power)
 from .vectors import TaggedVector
 
 __all__ = [
@@ -72,11 +65,9 @@ NEGATIVE_S = tuple(round(-1.0 + 0.1 * i, 1) for i in range(11))
 # Every setting each command reads, with its default; the CLI offers exactly
 # these options and ``validate`` checks exactly these settings.
 SETTINGS = {
-    "1": dict(s_values=POSITIVE_S, sizes=(8, 16, 32), levels=4, tol=1e-9, maxit=200,
-              seed=7, max_dense=DENSE_LIMIT),
+    "1": dict(s_values=POSITIVE_S, sizes=(8, 16, 32), levels=4, tol=1e-9, maxit=200, seed=7),
     "2": dict(s_values=NEGATIVE_S, sizes=(16, 32), seed=7),
-    "3": dict(s_values=NEGATIVE_S, sizes=(8, 16, 32), levels=4, tol=1e-10, maxit=200,
-              seed=7, max_dense=DENSE_LIMIT),
+    "3": dict(s_values=NEGATIVE_S, sizes=(8, 16, 32), levels=4, tol=1e-10, maxit=200, seed=7),
     "props": dict(s_values=POSITIVE_S, tol=1e-9, seed=7, trials=200),
 }
 
@@ -92,7 +83,6 @@ class ExperimentConfig:
     tol: float | None = None
     maxit: int | None = None
     seed: int | None = None
-    max_dense: int | None = None
     trials: int | None = None  # randomized trials per property check
 
 
@@ -123,9 +113,12 @@ def resolve_size(value: int, table: str) -> int:
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check the settings the command reads; sizes come back as subdivisions n."""
+    """Check the settings the command reads; sizes come back as subdivisions n.
+    A grid 1 or 3 run too large for the available memory raises PencilError."""
     reads = SETTINGS[cfg.table]
     if "sizes" in reads:
+        if any(v < 1 for v in cfg.sizes):
+            raise ValueError("sizes must be at least 1")
         sizes = tuple(resolve_size(v, cfg.table) for v in cfg.sizes)
         for i, n in enumerate(sizes):
             if n in sizes[:i]:
@@ -147,6 +140,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for name in ("levels", "maxit", "trials"):
         if name in reads and getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be at least 1")
+    if "tol" in reads and not 0 < cfg.tol < 1:  # also rejects nan
+        raise ValueError("tolerance must be strictly between 0 and 1")
     if "levels" in reads:
         step = 2 ** (cfg.levels - 1)
         for n in cfg.sizes:
@@ -155,16 +150,14 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                     f"finest size n={n} does not refine down over {cfg.levels} levels "
                     f"(needs a multiple of {step})"
                 )
-    if "tol" in reads and cfg.tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if "max_dense" in reads:
-        # Dense eigensolves: the finest scalar pencil (2n^2) and the coarse
-        # flux pencil (3n0^2 + 2n0).
-        n0s = [n // 2 ** (cfg.levels - 1) for n in cfg.sizes]
-        need = max([2 * n * n for n in cfg.sizes] + [3 * m * m + 2 * m for m in n0s])
-        if cfg.max_dense < need:
-            raise ValueError(f"max_dense {cfg.max_dense} is below the {need}-dimensional "
-                             f"dense eigensolve of this run; raise it to at least {need}")
+        # Dense bytes at the largest size, checked last: two NV x NS arrays
+        # (laplacian_dual), four NS x NS (scalar eigh), six NV0 x NV0 (coarse flux
+        # eigh).  These stages run one after another, so the sum also covers
+        # the arrays each keeps from the one before.
+        n = max(cfg.sizes)
+        ns, nv, n0 = 2 * n * n, 3 * n * n + 2 * n, n // step
+        require_memory(8 * (2 * nv * ns + 4 * ns * ns + 6 * (3 * n0 * n0 + 2 * n0) ** 2),
+                       f"the dense reference at n={n}")
     return cfg
 
 
@@ -267,10 +260,10 @@ class _HierarchySetup:
         hierarchy = build_hierarchy(n0, cfg.levels)
         lms = assemble_all(hierarchy)
         self.finest = cfg.levels - 1
-        self.multilevel = multilevel_setup(hierarchy, lms, dense_limit=cfg.max_dense)
+        self.multilevel = multilevel_setup(hierarchy, lms)
         fine = lms[-1]
         scalar_pair = generalized_eig(laplacian_dual(fine), fine.mass_s, space="S",
-                                      level=fine.index, dense_limit=cfg.max_dense)
+                                      level=fine.index)
         self.op_pair = (scalar_pair if cfg.table == "3"
                         else HelmholtzPair(scalar_pair, fine.grad, fine.mass_v))
         self.dim = self.op_pair.dim

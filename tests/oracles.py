@@ -3,10 +3,10 @@
 import numpy as np
 
 from fracprec.krylov import IndefinitenessError
-from fracprec.spectral import DENSE_LIMIT, densify, generalized_eig
+from fracprec.spectral import densify, generalized_eig
 
 
-def pencil_condition(a_map, b_map, dim: int, dense_limit: int | None = DENSE_LIMIT) -> float:
+def pencil_condition(a_map, b_map, dim: int) -> float:
     """Exact condition number of the pencil (a, b): both maps must be
     symmetric with the same orientation; applies-only input is materialized
     column by column (intended for desk-size verification)."""
@@ -15,5 +15,5 @@ def pencil_condition(a_map, b_map, dim: int, dense_limit: int | None = DENSE_LIM
     for name, M in (("first", A), ("second", B)):
         if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
             raise IndefinitenessError(f"{name} map is not symmetric")
-    w = generalized_eig(0.5 * (A + A.T), 0.5 * (B + B.T), dense_limit=dense_limit).eigenvalues
+    w = generalized_eig(0.5 * (A + A.T), 0.5 * (B + B.T)).eigenvalues
     return float(w[-1] / w[0])

@@ -115,7 +115,7 @@ def test_criterion_2_flux_grid_reproduction(flux_grid):
 @pytest.mark.skipif(not os.environ.get("FRACPREC_LARGE"),
                     reason="large fourth column only with FRACPREC_LARGE=1")
 def test_criterion_2_optional_large_column():
-    cfg = tables.default_config("1", sizes=(12416,), max_dense=13000)
+    cfg = tables.default_config("1", sizes=(12416,))
     result = tables.run_table1(cfg)
     reference = {s: row[3:] for s, row in FLUX_GRID_REFERENCE.items()}
     worst_iters, worst_cond = _grid_deviations(result, reference)

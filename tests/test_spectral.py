@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fracprec import spectral
 from fracprec.fem import assemble, laplacian_dual
 from fracprec.mesh import build_level
 from fracprec.spectral import (
@@ -61,9 +62,20 @@ class TestGeneralizedEig:
         with pytest.raises(PencilError):
             generalized_eig(np.eye(2), np.diag([1.0, -1.0]))
 
-    def test_dense_cap(self):
-        with pytest.raises(PencilError):
-            generalized_eig(np.eye(40), np.eye(40), dense_limit=39)
+    def test_memory_guard(self, monkeypatch):
+        # Budget injected, nothing large allocated: eigh's four 40 x 40 arrays,
+        # plus one dense copy per sparse operand.
+        for a, m, need in [(np.eye(40), np.eye(40), 51200),
+                           (sp.eye(40), sp.eye(40, format="csr"), 76800)]:
+            monkeypatch.setattr(spectral, "available_memory", lambda: need - 1)
+            with pytest.raises(PencilError, match=f"needs {need} bytes, more than the "
+                                                  f"{need - 1} bytes available"):
+                generalized_eig(a, m)
+            monkeypatch.setattr(spectral, "available_memory", lambda: need)
+            assert generalized_eig(a, m).dim == 40
+
+    def test_available_memory_is_read(self):
+        assert 0 < spectral.available_memory()
 
 
 class TestPowers:

@@ -1,10 +1,12 @@
 import io
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracprec import cli, tables
+from fracprec import cli, spectral, tables
 from fracprec.auxiliary import exact_condition_number
 from fracprec.fem import assemble_all, laplacian_dual
 from fracprec.mesh import build_hierarchy
@@ -271,6 +273,10 @@ class TestCli:
         (["table1", "--sizes", "8,208"], "sizes 8 and 208 are the same grid (n=8)"),
         (["table2", "--sizes="], "no sizes given"),
         (["props", "--s-list="], "no exponents given"),
+        (["table2", "--sizes", "0"], "sizes must be at least 1"),
+        (["table2", "--sizes=-4"], "sizes must be at least 1"),
+        (["table1", "--sizes", "0"], "sizes must be at least 1"),
+        (["table3", "--sizes=8,-8"], "sizes must be at least 1"),
     ])
     def test_bad_exponents_or_repeated_sizes_are_usage_errors(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
@@ -298,11 +304,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["props", "--trials", "0"], "trials must be at least 1"),
         (["props", "--trials=-3"], "trials must be at least 1"),
-        (["table1", "--sizes", "8", "--levels", "1", "--s-list", "0.5", "--max-dense", "150"],
-         "max_dense 150 is below the 208-dimensional dense eigensolve of this run; "
-         "raise it to at least 208"),
     ])
-    def test_no_trials_or_too_small_dense_cap_is_usage_error(self, argv, message, capsys):
+    def test_no_trials_is_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
@@ -312,7 +315,13 @@ class TestCli:
         (["table1", "--levels", "0"], "levels must be at least 1"),
         (["table2", "--sizes="], "no sizes given"),
         (["table3", "--s-list", "0.5"], "exponent 0.5 outside [-1.0, 0.0]"),
-        (["props", "--tol", "0"], "tolerance must be positive"),
+        (["props", "--tol", "0"], "tolerance must be strictly between 0 and 1"),
+        (["props", "--tol", "nan"], "tolerance must be strictly between 0 and 1"),
+        (["table1", "--sizes", "8", "--s-list", "0.5", "--tol", "nan"],
+         "tolerance must be strictly between 0 and 1"),
+        (["table3", "--sizes", "8", "--s-list=-0.5", "--tol", "inf"],
+         "tolerance must be strictly between 0 and 1"),
+        (["table3", "--tol", "1"], "tolerance must be strictly between 0 and 1"),
     ])
     def test_settings_error_prints_the_command_usage(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
@@ -322,6 +331,16 @@ class TestCli:
         assert lines[0].startswith(f"usage: fracprec {argv[0]} ")
         assert lines[-1].startswith(f"fracprec {argv[0]}: error: ")
         assert lines[-1].endswith(message)
+
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tables, "run_table2", None)  # refused before any work
+        target = tmp_path / "missing" / "x.md"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["table2", "--sizes", "4", "--s-list=-0.5", "--out", str(target)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(
+            f"error: cannot write {target}: No such file or directory")
+        assert not target.parent.exists()
 
     def test_table2_csv_is_labelled_exact(self, capsys):
         code = cli.main(["table2", "--sizes", "4", "--s-list=-0.5", "--format", "csv"])
@@ -342,3 +361,55 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "8/8 checks passed" in out
+
+
+
+def dense_estimate(cfg):
+    """The byte count ``validate`` hands to the memory guard."""
+    needs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables, "require_memory", lambda need, what: needs.append(need))
+        tables.validate(cfg)
+    return needs[0]
+
+
+class TestMemoryGuard:
+    """Budgets are injected through ``spectral.available_memory``; nothing
+    large is allocated."""
+
+    def test_run_too_large_for_memory_is_usage_error(self, monkeypatch, capsys):
+        def no_assembly(*args):
+            raise AssertionError("assembled before the memory check")
+
+        monkeypatch.setattr(spectral, "available_memory", lambda: 1000)
+        monkeypatch.setattr(tables, "assemble_all", no_assembly)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["table1", "--sizes", "8"])
+        assert err.value.code == 2
+        # 8 * (2*208*128 + 4*128^2 + 6*5^2) at n = 8, n0 = 1
+        assert capsys.readouterr().err.rstrip().endswith(
+            "error: the dense reference at n=8 needs 951472 bytes, "
+            "more than the 1000 bytes available")
+
+    def test_largest_size_sets_the_estimate(self, monkeypatch):
+        cfg = tables.default_config("3", sizes=(8, 32, 16))
+        need = dense_estimate(cfg)
+        assert need == dense_estimate(replace(cfg, sizes=(32,)))
+        assert need > dense_estimate(replace(cfg, sizes=(16,)))
+        monkeypatch.setattr(spectral, "available_memory", lambda: need)
+        tables.validate(cfg)
+        monkeypatch.setattr(spectral, "available_memory", lambda: need - 1)
+        with pytest.raises(spectral.PencilError, match=f"n=32 needs {need} bytes"):
+            tables.validate(cfg)
+
+    @pytest.mark.parametrize("table", ["1", "3"])
+    def test_estimate_bounds_what_the_setup_allocates(self, table):
+        cfg = tables.default_config(table, sizes=(16,))
+        need = dense_estimate(cfg)
+        tracemalloc.start()
+        try:
+            tables._HierarchySetup(16, tables.validate(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert need / 2 <= peak <= need
