@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import verify
 from .auxiliary import build_multigrid, exact_condition_number
 from .fem import assemble_all, laplacian_dual
 from .krylov import IndefinitenessError, pcg
@@ -56,7 +55,6 @@ __all__ = [
     "run_table1",
     "run_table2",
     "run_table3",
-    "run_props",
 ]
 
 POSITIVE_S = tuple(round(0.1 * i, 1) for i in range(11))
@@ -87,13 +85,19 @@ class ExperimentConfig:
 
 
 def default_config(table: str, **overrides) -> ExperimentConfig:
+    """The command's settings with ``overrides`` applied.  This is where sizes
+    enter, so each is read here, once, as a subdivision count n or a system
+    dimension N (``resolve_size``); the config holds subdivisions n."""
     table = str(table)
     if table not in SETTINGS:
         raise ValueError(f"unknown table {table!r}; expected 1, 2, 3 or props")
     unread = sorted(set(overrides) - set(SETTINGS[table]))
     if unread:
         raise ValueError(f"table {table} does not read {', '.join(unread)}")
-    return ExperimentConfig(table, **{**SETTINGS[table], **overrides})
+    cfg = ExperimentConfig(table, **{**SETTINGS[table], **overrides})
+    if "sizes" in SETTINGS[table]:
+        cfg = replace(cfg, sizes=_distinct_sizes(cfg.sizes, table))
+    return cfg
 
 
 def resolve_size(value: int, table: str) -> int:
@@ -112,19 +116,26 @@ def resolve_size(value: int, table: str) -> int:
     return n
 
 
+def _distinct_sizes(sizes: tuple, table: str | None = None) -> tuple:
+    """Sizes as distinct subdivisions n.  With a table, each size is first
+    read by ``resolve_size``; without one, sizes are already subdivisions."""
+    if any(v < 1 for v in sizes):
+        raise ValueError("sizes must be at least 1")
+    ns = tuple(resolve_size(v, table) if table else v for v in sizes)
+    for i, n in enumerate(ns):
+        if n in ns[:i]:
+            raise ValueError(f"sizes {sizes[ns.index(n)]} and {sizes[i]} "
+                             f"are the same grid (n={n})")
+    return ns
+
+
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check the settings the command reads; sizes come back as subdivisions n.
+    """Check the settings the command reads; returns the config with -0.0
+    exponents read as 0.0, so ``validate(validate(cfg)) == validate(cfg)``.
     A grid 1 or 3 run too large for the available memory raises PencilError."""
     reads = SETTINGS[cfg.table]
     if "sizes" in reads:
-        if any(v < 1 for v in cfg.sizes):
-            raise ValueError("sizes must be at least 1")
-        sizes = tuple(resolve_size(v, cfg.table) for v in cfg.sizes)
-        for i, n in enumerate(sizes):
-            if n in sizes[:i]:
-                raise ValueError(f"sizes {cfg.sizes[sizes.index(n)]} and {cfg.sizes[i]} "
-                                 f"are the same grid (n={n})")
-        cfg = replace(cfg, sizes=sizes)
+        _distinct_sizes(cfg.sizes)
     # -0 is the exponent 0: one cell, one label, one report grid point.
     cfg = replace(cfg, s_values=tuple(s + 0.0 for s in cfg.s_values))
     if not cfg.s_values or "sizes" in reads and not cfg.sizes:
@@ -309,6 +320,7 @@ def run_table3(cfg: ExperimentConfig | None = None) -> TableResult:
 def run_table2(cfg: ExperimentConfig | None = None) -> TableResult:
     cfg = validate(cfg or default_config("2"))
     result = TableResult("2", cfg, ())
+    finest = max(cfg.sizes)
     for n in cfg.sizes:
         lm = assemble_all(build_hierarchy(n, 1))[-1]
         alpha_min, alpha_max = scalar_extremes(lm)
@@ -317,14 +329,8 @@ def run_table2(cfg: ExperimentConfig | None = None) -> TableResult:
         for s in cfg.s_values:
             cond = exact_condition_number(np.array([alpha_min, alpha_max]), s)
             result.cells[(s, N)] = CellResult(s, N, None, cond, True)
-        # beta^2 = min alpha / (1 + alpha); keep the finest mesh's value.
-        beta_sq = alpha_min / (1.0 + alpha_min)
+        if n == finest:  # beta^2 = min alpha / (1 + alpha) on the finest mesh
+            beta_sq = alpha_min / (1.0 + alpha_min)
     result.reference = {s: beta_sq ** -(1.0 + s) for s in cfg.s_values}
     return result
 
-
-def run_props(cfg: ExperimentConfig | None = None):
-    """Dispatch the operator-inequality suite; returns the report list."""
-    cfg = validate(cfg or default_config("props"))
-    return verify.run_all(trials=cfg.trials, s_grid=cfg.s_values, seed=cfg.seed,
-                          tol=cfg.tol)

@@ -7,14 +7,15 @@ the spectral radius of the operator involved.  A report passes when that
 margin is no worse than ``-tol``.
 
 The matrix-level checks (operator Jensen, Loewner-Heinz) run hundreds of
-randomized trials on small dense matrices.  The mesh-level checks build the
-actual discrete operators on a small hierarchy and verify
+randomized trials on dense matrices of dimension at most 40.  The mesh-level
+checks share one fixture, ``MeshOperators``: the actual discrete operators on
+the 4-level hierarchy n = 1, 2, 4, 8.  They verify
 
   * the one-sided coarse-restriction inequality for fractional powers (with
     its adjoint form, and the fact that the fractional coarse projection is
     a projection only at the endpoint exponents),
   * the commuting identity  (level power) o (fractional projection chain)
-    = (dual restriction chain) o (finest power),
+    = (dual restriction chain) o (finest power) on its three coarsest levels,
   * the two-sided spectral bounds of the gradient-sandwich preconditioner,
   * invariance of the discrete Helmholtz subspaces under fractional powers,
   * the smoother upper bound, its endpoint interpolation, and the
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 1))
+_LARGEST_TRIAL_DIM = 40  # the random matrices of the matrix-level checks
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,12 @@ def _power(symmetric: np.ndarray, s: float) -> np.ndarray:
     return (V * w**s) @ V.T
 
 
-def check_jensen(trials=200, max_dim=40, s_grid=DEFAULT_GRID, seed=20, tol=1e-9):
+def check_jensen(trials=200, s_grid=DEFAULT_GRID, seed=20, tol=1e-9):
     """T' A^s T <= (T' A T)^s for contractions T and symmetric PSD A."""
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
-        m = int(rng.integers(2, max_dim + 1))
+        m = int(rng.integers(2, _LARGEST_TRIAL_DIM + 1))
         k = int(rng.integers(1, m + 1))
         T = rng.standard_normal((m, k))
         norm = np.linalg.norm(T, 2)
@@ -109,12 +111,12 @@ def check_jensen(trials=200, max_dim=40, s_grid=DEFAULT_GRID, seed=20, tol=1e-9)
     return InequalityReport("operator-jensen", tuple(s_grid), worst, tol)
 
 
-def check_loewner_heinz(trials=200, max_dim=40, s_grid=DEFAULT_GRID, seed=21, tol=1e-9):
+def check_loewner_heinz(trials=200, s_grid=DEFAULT_GRID, seed=21, tol=1e-9):
     """A <= B implies A^s <= B^s for s in [0, 1]."""
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
-        m = int(rng.integers(2, max_dim + 1))
+        m = int(rng.integers(2, _LARGEST_TRIAL_DIM + 1))
         C = rng.standard_normal((m, m))
         A = C.T @ C
         D = rng.standard_normal((int(rng.integers(1, m + 1)), m))
@@ -126,7 +128,8 @@ def check_loewner_heinz(trials=200, max_dim=40, s_grid=DEFAULT_GRID, seed=21, to
 
 
 class MeshOperators:
-    """Dense level operators on a small hierarchy, shared by the mesh checks.
+    """Dense level operators on the hierarchy n = 1, 2, 4, 8, shared by the
+    mesh checks.
 
     Holds, per level: the flux pencil eigendecomposition, dual-form and
     inverse-power matrices for any exponent, and the embedding (prolongation)
@@ -135,8 +138,8 @@ class MeshOperators:
     ``multigrid.MultilevelSetup``.
     """
 
-    def __init__(self, n0=1, num_levels=4):
-        self.hierarchy = build_hierarchy(n0, num_levels)
+    def __init__(self):
+        self.hierarchy = build_hierarchy(1, 4)
         self.lms = assemble_all(self.hierarchy)
         self.setup = multilevel_setup(self.hierarchy, self.lms)
         self.pairs = [self.setup.coarse_pair] + [
@@ -168,12 +171,11 @@ class MeshOperators:
         return 0.5 * (R + R.T)  # symmetric up to roundoff by construction
 
 
-def check_noninheritance(ops: MeshOperators | None = None, s_grid=DEFAULT_GRID, tol=1e-9):
+def check_noninheritance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9):
     """Fractional powers are not inherited under coarsening, but one-sided:
     the coarse s-power form dominates the restricted fine one.  Also checks
     the adjoint form and that the fractional coarse projection composed with
     the embedding is the identity only at s in {0, 1}."""
-    ops = ops or MeshOperators()
     worst = np.inf
     defects = {}
     for s in s_grid:
@@ -203,11 +205,11 @@ def check_noninheritance(ops: MeshOperators | None = None, s_grid=DEFAULT_GRID, 
     return InequalityReport("coarse-power-noninheritance", tuple(s_grid), worst, tol, keep)
 
 
-def check_projection_identity(ops: MeshOperators | None = None, s_grid=DEFAULT_GRID, tol=1e-10):
+def check_projection_identity(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-10):
     """(level power) o (fractional projection chain) equals
-    (dual restriction chain) o (finest power), level by level."""
-    ops = ops or MeshOperators(n0=1, num_levels=3)
-    J = ops.num_levels
+    (dual restriction chain) o (finest power), level by level, on the three
+    coarsest levels (n = 1, 2, 4)."""
+    J = 3
     worst = np.inf
     for s in s_grid:
         Fh = ops.dual_form(J - 1, s)
@@ -222,12 +224,10 @@ def check_projection_identity(ops: MeshOperators | None = None, s_grid=DEFAULT_G
     return InequalityReport("power-projection-commutes", tuple(s_grid), worst, tol)
 
 
-def check_aux_bounds(lm=None, t_grid=DEFAULT_GRID, tol=1e-9):
+def check_aux_bounds(ops: MeshOperators, t_grid=DEFAULT_GRID, tol=1e-9):
     """Eigenvalues of the gradient-sandwich pencil lie in [beta^(2(1-t)), 1]:
     grad' (flux -(1-t)-power) grad against the scalar t-power dual form."""
-    if lm is None:
-        lm = assemble_all(build_hierarchy(8, 1))[-1]
-    flux_pair = generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index)
+    lm, flux_pair = ops.lms[-1], ops.pairs[-1]
     scalar_pair = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=lm.index)
     ctx = make_aux_spectrum_context(lm, flux_pair, scalar_pair)
     beta_sq = inf_sup_constant(lm) ** 2
@@ -241,14 +241,12 @@ def check_aux_bounds(lm=None, t_grid=DEFAULT_GRID, tol=1e-9):
     )
 
 
-def check_helmholtz_invariance(lm=None, s_grid=DEFAULT_GRID, tol=1e-9):
+def check_helmholtz_invariance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9):
     """Fractional powers of the flux operator preserve the Helmholtz split:
     rotated-gradient fields are fixed vectors (eigenvalue 1 for every s),
     gradient fields stay gradient fields, and on them the s-power acts with
     eigenvalues (1 + scalar eigenvalue)^s."""
-    if lm is None:
-        lm = assemble_all(build_hierarchy(8, 1))[-1]
-    vpair = generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index)
+    lm, vpair = ops.lms[-1], ops.pairs[-1]
     M = lm.mass_v.toarray()
     Minv_grad = np.linalg.solve(M, lm.grad.toarray())  # gradient fields, coefficients
     curl = lm.curl.toarray()[:, 1:]  # rotated gradients, dual; drop the constant
@@ -268,12 +266,11 @@ def check_helmholtz_invariance(lm=None, s_grid=DEFAULT_GRID, tol=1e-9):
     return InequalityReport("helmholtz-invariance", tuple(s_grid), worst, tol)
 
 
-def check_smoother_bound(ops: MeshOperators | None = None, s_grid=DEFAULT_GRID, tol=1e-8):
+def check_smoother_bound(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-8):
     """Patch-smoother upper bound: the smoother form is dominated by a
     constant times the inverse s-power form, with the constant interpolating
     the endpoint constants K0 (mass solve) and K1 (full solve) as
     K0^(1-s) K1^s."""
-    ops = ops or MeshOperators()
     K0 = K1 = c = 0.0
     worst = np.inf
     C1 = 0.0
@@ -298,8 +295,7 @@ def check_smoother_bound(ops: MeshOperators | None = None, s_grid=DEFAULT_GRID, 
     )
 
 
-def check_stable_decomposition(ops: MeshOperators | None = None, s_grid=DEFAULT_GRID,
-                               tol=1e-9):
+def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9):
     """Multilevel splitting on the complement of the fractional coarse
     projection: pencil of the inverse smoother form against the s-power form.
 
@@ -311,7 +307,6 @@ def check_stable_decomposition(ops: MeshOperators | None = None, s_grid=DEFAULT_
     not a projection and its range fills the whole level, so C2 is reported
     as a measurement, not asserted.
     """
-    ops = ops or MeshOperators()
     decay_floor = 0.5
     C2 = 0.0
     growth = 1.0
@@ -340,16 +335,16 @@ def check_stable_decomposition(ops: MeshOperators | None = None, s_grid=DEFAULT_
     )
 
 
-def run_all(trials=200, max_dim=40, s_grid=DEFAULT_GRID, seed=20, tol=1e-9):
+def run_all(trials=200, s_grid=DEFAULT_GRID, seed=20, tol=1e-9):
     """Run every check; returns the list of reports in a fixed order."""
     ops = MeshOperators()
     return [
-        check_jensen(trials, max_dim, s_grid, seed, tol),
-        check_loewner_heinz(trials, max_dim, s_grid, seed + 1, tol),
+        check_jensen(trials, s_grid, seed, tol),
+        check_loewner_heinz(trials, s_grid, seed + 1, tol),
         check_noninheritance(ops, s_grid, tol),
-        check_projection_identity(MeshOperators(1, 3), s_grid, max(tol, 1e-10)),
-        check_aux_bounds(None, s_grid, tol),
-        check_helmholtz_invariance(None, s_grid, tol),
+        check_projection_identity(ops, s_grid, max(tol, 1e-10)),
+        check_aux_bounds(ops, s_grid, tol),
+        check_helmholtz_invariance(ops, s_grid, tol),
         check_smoother_bound(ops, s_grid, max(tol, 1e-8)),
         check_stable_decomposition(ops, s_grid, tol),
     ]

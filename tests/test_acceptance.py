@@ -143,7 +143,7 @@ def test_criterion_4_condition_h_independence(flux_grid, scalar_grid):
 
 
 def test_criterion_5_operator_inequalities():
-    reports = verify.run_all(trials=200, max_dim=40)
+    reports = verify.run_all(trials=200)
     failed = [r.name for r in reports if not r.passed]
     worst = min(r.worst for r in reports)
     ok = not failed

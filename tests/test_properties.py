@@ -1,5 +1,5 @@
-"""Property tests (derandomized hypothesis): size resolution, tag algebra
-and PCG on random SPD pencils."""
+"""Property tests (derandomized hypothesis): size resolution, settings
+validation, tag algebra and PCG on random SPD pencils."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fracprec import spectral
 from fracprec.krylov import pcg
-from fracprec.tables import resolve_size
+from fracprec.tables import default_config, resolve_size, validate
 from fracprec.vectors import REPS, SPACES, TagError, TaggedVector, pair
 
 from oracles import pencil_condition
@@ -40,6 +41,21 @@ def test_resolve_size_rejects_non_dimensions(table, value):
     else:
         with pytest.raises(ValueError):
             resolve_size(value, table)
+
+
+@derandomized
+@given(st.sampled_from(sorted(DIMENSION)), st.integers(100, 200))
+def test_validate_is_idempotent(table, n):
+    # n >= 100 is also a spelling of a system dimension, so a second
+    # resolution of the sizes would read it as one.  The memory guard of
+    # grids 1 and 3 sees an unlimited budget: nothing is assembled here.
+    levels = {} if table == "2" else {"levels": 1}
+    cfg = default_config(table, sizes=(DIMENSION[table](n),), **levels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "available_memory", lambda: float("inf"))
+        once = validate(cfg)
+        assert once.sizes == (n,)
+        assert validate(once) == once
 
 
 tags = st.tuples(st.sampled_from(SPACES), st.integers(0, 6), st.sampled_from(REPS))

@@ -2,6 +2,7 @@
 README documents, and the layers the benchmark tracer wraps by module path."""
 
 import importlib
+import inspect
 import re
 import runpy
 from pathlib import Path
@@ -48,3 +49,9 @@ def test_every_traced_layer_resolves():
 def test_generalized_eig_is_bound_where_the_tracer_patches_it():
     assert tables.generalized_eig is spectral.generalized_eig
     assert verify.generalized_eig is spectral.generalized_eig
+
+
+def test_run_all_takes_the_keywords_its_callers_pass():
+    # bench/workloads.py passes trials, s_grid and seed; the CLI adds tol.
+    # Binding raises TypeError for any keyword run_all does not take.
+    inspect.signature(verify.run_all).bind(trials=1, s_grid=(0.5,), seed=0, tol=1e-9)

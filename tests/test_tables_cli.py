@@ -53,8 +53,8 @@ class TestConfig:
         cfg = tables.default_config("1", sizes=(8,), tol=1e-6, seed=11)
         assert cfg.sizes == (8,) and cfg.tol == 1e-6 and cfg.seed == 11
 
-    def test_validate_resolves_dimensions(self):
-        cfg = tables.validate(tables.default_config("1", sizes=(800,), levels=4))
+    def test_default_config_resolves_dimensions(self):
+        cfg = tables.default_config("1", sizes=(800,), levels=4)
         assert cfg.sizes == (16,)
 
     def test_validate_rejects_unrefinable_sizes(self):
@@ -199,6 +199,11 @@ class TestExactConditionGrid:
         # Computed condition numbers approach the reference from below.
         for (s, N), cell in small_table2.cells.items():
             assert cell.cond <= small_table2.reference[s] * (1 + 1e-6)
+
+    def test_reference_column_is_the_finest_size(self):
+        runs = [tables.run_table2(tables.default_config("2", sizes=sizes, s_values=(-0.5, 0.0)))
+                for sizes in ((8, 4), (4, 8))]
+        assert runs[0].reference == runs[1].reference
 
     def test_cells_match_dense_eigenvalues(self):
         # Oracle: the closed forms on the full dense spectrum of the pencil.

@@ -1,9 +1,14 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from fracprec import verify
+from fracprec.fem import assemble_all
+from fracprec.mesh import build_hierarchy
+from fracprec.multigrid import multilevel_setup
+from fracprec.spectral import generalized_eig
 
 EXPECTED_ORDER = [
     "operator-jensen",
@@ -21,7 +26,7 @@ EXPECTED_ORDER = [
 def reports():
     # Reduced trial count keeps this fast; the acceptance run uses the full
     # defaults.
-    return verify.run_all(trials=60, max_dim=25)
+    return verify.run_all(trials=60)
 
 
 @pytest.fixture(scope="module")
@@ -81,21 +86,73 @@ class TestSuite:
 
 class TestIndividualChecks:
     def test_jensen_endpoint_exponents_are_exact(self):
-        r = verify.check_jensen(trials=20, max_dim=10, s_grid=(0.0, 1.0))
+        r = verify.check_jensen(trials=20, s_grid=(0.0, 1.0))
         assert r.worst >= -1e-12
 
     def test_loewner_heinz_small_grid(self):
-        r = verify.check_loewner_heinz(trials=20, max_dim=10, s_grid=(0.3, 0.8))
+        r = verify.check_loewner_heinz(trials=20, s_grid=(0.3, 0.8))
         assert r.passed
 
     def test_random_checks_deterministic(self):
-        a = verify.check_jensen(trials=10, max_dim=8, seed=99)
-        b = verify.check_jensen(trials=10, max_dim=8, seed=99)
+        a = verify.check_jensen(trials=10, seed=99)
+        b = verify.check_jensen(trials=10, seed=99)
         assert a.worst == b.worst
 
     def test_aux_bounds_custom_grid(self):
-        r = verify.check_aux_bounds(t_grid=(0.0, 0.5, 1.0))
+        r = verify.check_aux_bounds(verify.MeshOperators(), t_grid=(0.0, 0.5, 1.0))
         assert r.passed and r.grid == (0.0, 0.5, 1.0)
+
+
+class TestSharedFixture:
+    """``run_all`` builds one ``MeshOperators`` for all six mesh checks; its
+    levels are the operators the checks would build for themselves."""
+
+    MATRICES = ("mass_s", "mass_v", "divdiv", "hdiv", "grad", "curl")
+
+    def test_run_all_builds_the_mesh_operators_once(self, monkeypatch):
+        built, assembled = [], []
+        init, assemble = verify.MeshOperators.__init__, verify.assemble_all
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        def counting_assemble(hierarchy):
+            lms = assemble(hierarchy)
+            assembled.append([lm.mesh.n for lm in lms])
+            return lms
+
+        monkeypatch.setattr(verify.MeshOperators, "__init__", counting_init)
+        monkeypatch.setattr(verify, "assemble_all", counting_assemble)
+        verify.run_all(trials=1, s_grid=(0.5,))
+        assert len(built) == 1
+        assert assembled == [[1, 2, 4, 8]]
+
+    @staticmethod
+    def assert_pairs_equal(a, b):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.modes, b.modes)
+
+    def test_levels_equal_the_operators_built_alone(self):
+        ops = verify.MeshOperators()
+        # Finest level: what the gradient-sandwich and Helmholtz checks read.
+        fine = assemble_all(build_hierarchy(8, 1))[-1]
+        for name in self.MATRICES:
+            assert np.array_equal(getattr(ops.lms[-1], name).toarray(),
+                                  getattr(fine, name).toarray()), name
+        self.assert_pairs_equal(ops.pairs[-1],
+                                generalized_eig(fine.hdiv, fine.mass_v, space="V", level=0))
+        # Three coarsest levels: what the projection identity reads.
+        hierarchy = build_hierarchy(1, 3)
+        lms = assemble_all(hierarchy)
+        setup = multilevel_setup(hierarchy, lms)
+        pairs = [setup.coarse_pair] + [
+            generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index) for lm in lms[1:]
+        ]
+        for k in range(3):
+            self.assert_pairs_equal(ops.pairs[k], pairs[k])
+        for k in range(2):
+            assert np.array_equal(ops.embeddings[k], setup.prolongations[k].toarray())
 
 
 class TestRendering:
