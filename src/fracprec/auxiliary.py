@@ -62,9 +62,7 @@ def _check_exponent(s: float) -> None:
 class AuxiliaryPreconditioner:
     """grad.T composed with an inner flux solve composed with grad."""
 
-    def __init__(self, s: float, lm: LevelMatrices, inner):
-        _check_exponent(s)
-        self.s = s
+    def __init__(self, lm: LevelMatrices, inner):
         self.lm = lm
         self.inner = inner
 
@@ -77,14 +75,15 @@ class AuxiliaryPreconditioner:
 
 def build_exact(s: float, lm: LevelMatrices, flux_pair: SpectralPair) -> AuxiliaryPreconditioner:
     """Reference variant: exact inverse (1+s)-power on the flux space."""
-    return AuxiliaryPreconditioner(s, lm, lambda d: solve_power(flux_pair, 1.0 + s, d))
+    _check_exponent(s)
+    return AuxiliaryPreconditioner(lm, lambda d: solve_power(flux_pair, 1.0 + s, d))
 
 
 def build_multigrid(s: float, setup: MultilevelSetup) -> AuxiliaryPreconditioner:
     """Practical variant: the additive multilevel solver of ``setup`` at
     exponent 1+s; one setup serves every exponent."""
     _check_exponent(s)
-    return AuxiliaryPreconditioner(s, setup.finest, AdditiveMultigrid(setup, 1.0 + s).apply)
+    return AuxiliaryPreconditioner(setup.finest, AdditiveMultigrid(setup, 1.0 + s).apply)
 
 
 @dataclass(frozen=True)

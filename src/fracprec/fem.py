@@ -13,18 +13,20 @@ Assembled objects (sparse CSR unless noted):
 - ``mass_s``      (NS, NS)  diagonal of triangle areas
 - ``mass_v``      (NV, NV)  flux mass matrix (edge-midpoint quadrature,
                             exact for the quadratic integrand)
-- ``divdiv``      (NV, NV)  <div .,div .>
-- ``hdiv``        (NV, NV)  mass_v + divdiv
+- ``hdiv``        (NV, NV)  mass_v + <div .,div .>
 - ``grad``        (NV, NS)  discrete gradient in dual form:
                             grad[e, t] = -<indicator_t, div psi_e>
 - ``curl``        (NV, NC)  <rot of the hat function, psi_e>
 
-``divdiv == grad @ inv(mass_s) @ grad.T`` holds exactly, which ties the two
-independently assembled sign conventions together (tested).
+``hdiv - mass_v == grad @ inv(mass_s) @ grad.T`` holds exactly, which ties
+the two independently assembled sign conventions together (tested).
 
-Beyond the level matrices the module builds the dense dual scalar operator
-(``laplacian_dual``) and the flux embedding between consecutive levels
-(``assemble_prolongation``).
+``assemble_all`` assembles a list of levels, coarsest first, as
+``mesh.build_hierarchy`` returns it; each ``LevelMatrices`` carries its mesh,
+so the assembled list is the hierarchy from then on.  Beyond the level
+matrices the module builds the dense dual scalar operator
+(``laplacian_dual``) and the flux embedding from one level into its uniform
+refinement (``assemble_prolongation``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import MeshHierarchy, MeshLevel
+from .mesh import MeshLevel
 
 __all__ = [
     "LevelMatrices",
@@ -54,7 +56,6 @@ class LevelMatrices:
     mesh: MeshLevel
     mass_s: sp.csr_matrix
     mass_v: sp.csr_matrix
-    divdiv: sp.csr_matrix
     hdiv: sp.csr_matrix
     grad: sp.csr_matrix
     curl: sp.csr_matrix
@@ -104,15 +105,14 @@ def assemble(level: MeshLevel, index: int = 0) -> LevelMatrices:
         mesh=level,
         mass_s=mass_s,
         mass_v=mass_v,
-        divdiv=divdiv,
         hdiv=(mass_v + divdiv).tocsr(),
         grad=grad,
         curl=curl,
     )
 
 
-def assemble_all(hierarchy: MeshHierarchy) -> list:
-    return [assemble(lvl, k) for k, lvl in enumerate(hierarchy.levels)]
+def assemble_all(levels: list) -> list:
+    return [assemble(lvl, k) for k, lvl in enumerate(levels)]
 
 
 def laplacian_dual(lm: LevelMatrices) -> np.ndarray:
@@ -124,14 +124,16 @@ def laplacian_dual(lm: LevelMatrices) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def assemble_prolongation(hierarchy: MeshHierarchy, coarse_index: int) -> sp.csr_matrix:
-    """Flux coefficient embedding from level ``coarse_index`` to the next one.
+def assemble_prolongation(coarse: MeshLevel, fine: MeshLevel) -> sp.csr_matrix:
+    """Flux coefficient embedding from ``coarse`` into ``fine``, its uniform
+    refinement (``fine.n == 2 * coarse.n``; any other pair is a ValueError).
 
     Normal traces are reproduced exactly, so the embedding is pointwise.
     """
-    coarse = hierarchy.levels[coarse_index]
-    fine = hierarchy.levels[coarse_index + 1]
     n_c, n_f = coarse.n, fine.n
+    if n_f != 2 * n_c:
+        raise ValueError(f"fine level (n={n_f}) is not the refinement of the "
+                         f"coarse level (n={n_c})")
     mf = n_f + 1
 
     # Fine-edge midpoints in units of 1/(2 n_f): integer and exact.

@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "MeshLevel",
-    "MeshHierarchy",
     "build_level",
     "build_hierarchy",
     "vertex_patches",
@@ -77,17 +76,6 @@ class MeshLevel:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-@dataclass(frozen=True)
-class MeshHierarchy:
-    """Nested levels produced by uniform refinement."""
-
-    levels: list
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
 
 
 def build_level(n: int) -> MeshLevel:
@@ -154,13 +142,14 @@ def build_level(n: int) -> MeshLevel:
     )
 
 
-def build_hierarchy(n0: int, num_levels: int) -> MeshHierarchy:
-    """Uniformly refined hierarchy with ``n0 * 2**k`` cells per side on level k."""
+def build_hierarchy(n0: int, num_levels: int) -> list:
+    """Uniformly refined levels, coarsest first, with ``n0 * 2**k`` cells per
+    side on level k."""
     if n0 < 1:
         raise ValueError(f"coarsest cells per side must be >= 1, got {n0}")
     if num_levels < 1:
         raise ValueError(f"need at least one level, got {num_levels}")
-    return MeshHierarchy(levels=[build_level(n0 * 2**k) for k in range(num_levels)])
+    return [build_level(n0 * 2**k) for k in range(num_levels)]
 
 
 def vertex_patches(level: MeshLevel) -> list:

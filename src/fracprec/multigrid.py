@@ -15,9 +15,11 @@ eigendecompositions:
 - coefficient contributions are carried up through the embeddings and added.
 
 Nothing but the smoother scaling depends on the exponent: the coarse
-pencil, the patch eigendecompositions and the embeddings are built once per
-hierarchy (``multilevel_setup``), and ``AdditiveMultigrid(setup, s)`` takes
-the preconditioner of any exponent from that one setup.
+pencil, the patch eigendecompositions and the embeddings are built once from
+the assembled levels (``multilevel_setup(lms)``, the list
+``fem.assemble_all`` returns, coarsest first; each level carries its mesh),
+and ``AdditiveMultigrid(setup, s)`` takes the preconditioner of any exponent
+from that one setup.
 
 All sums run in a fixed order (levels ascending; within a level the patch
 batches by ascending patch size, each batch in ascending vertex order), so
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import assemble_prolongation
-from .fem import LevelMatrices
+from .fem import LevelMatrices, assemble_prolongation
+from .mesh import vertex_patches
 from .spectral import SpectralPair, generalized_eig, solve_power
 from .vectors import retag, untag
 
@@ -79,14 +81,9 @@ def _group_patches(lm, patches) -> list:
     return groups
 
 
-def precompute_patches(hierarchy, lms) -> list:
+def precompute_patches(lms) -> list:
     """Per-level patch eigendecompositions; entry 0 is None (exact there)."""
-    from .mesh import vertex_patches
-
-    out = [None]
-    for k in range(1, len(lms)):
-        out.append(_group_patches(lms[k], vertex_patches(hierarchy.levels[k])))
-    return out
+    return [None] + [_group_patches(lm, vertex_patches(lm.mesh)) for lm in lms[1:]]
 
 
 class PatchSmoother:
@@ -110,7 +107,7 @@ class PatchSmoother:
 @dataclass(frozen=True)
 class MultilevelSetup:
     """The exponent-independent part of the additive multilevel solver on one
-    hierarchy; ``multilevel_setup`` builds it."""
+    list of assembled levels; ``multilevel_setup`` builds it."""
 
     patch_groups: tuple        # per level; entry 0 is None (exact there)
     prolongations: tuple       # flux embeddings, level k -> k+1
@@ -118,15 +115,13 @@ class MultilevelSetup:
     finest: LevelMatrices
 
 
-def multilevel_setup(hierarchy, lms) -> MultilevelSetup:
+def multilevel_setup(lms) -> MultilevelSetup:
     """Diagonalize the coarse pencil, eigendecompose every vertex patch and
     assemble the embeddings, once for all exponents."""
-    if len(lms) != hierarchy.num_levels:
-        raise ValueError("one assembled level per mesh level is required")
     return MultilevelSetup(
-        patch_groups=tuple(precompute_patches(hierarchy, lms)),
-        prolongations=tuple(assemble_prolongation(hierarchy, k)
-                            for k in range(hierarchy.num_levels - 1)),
+        patch_groups=tuple(precompute_patches(lms)),
+        prolongations=tuple(assemble_prolongation(c.mesh, f.mesh)
+                            for c, f in zip(lms, lms[1:])),
         coarse_pair=generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0),
         finest=lms[-1],
     )

@@ -268,10 +268,9 @@ class _HierarchySetup:
     def __init__(self, n: int, cfg: ExperimentConfig):
         n0 = n // 2 ** (cfg.levels - 1)
         self.n = n
-        hierarchy = build_hierarchy(n0, cfg.levels)
-        lms = assemble_all(hierarchy)
+        lms = assemble_all(build_hierarchy(n0, cfg.levels))
         self.finest = cfg.levels - 1
-        self.multilevel = multilevel_setup(hierarchy, lms)
+        self.multilevel = multilevel_setup(lms)
         fine = lms[-1]
         scalar_pair = generalized_eig(laplacian_dual(fine), fine.mass_s, space="S",
                                       level=fine.index)

@@ -133,15 +133,14 @@ class MeshOperators:
 
     Holds, per level: the flux pencil eigendecomposition, dual-form and
     inverse-power matrices for any exponent, and the embedding (prolongation)
-    matrices between consecutive levels.  The coarse pencil, the embeddings
-    and the patch groups of the smoothers come from the hierarchy's
-    ``multigrid.MultilevelSetup``.
+    matrices between consecutive levels.  ``lms`` are the assembled levels,
+    coarsest first; the coarse pencil, the embeddings and the patch groups of
+    the smoothers come from their ``multigrid.MultilevelSetup``.
     """
 
     def __init__(self):
-        self.hierarchy = build_hierarchy(1, 4)
-        self.lms = assemble_all(self.hierarchy)
-        self.setup = multilevel_setup(self.hierarchy, self.lms)
+        self.lms = assemble_all(build_hierarchy(1, 4))
+        self.setup = multilevel_setup(self.lms)
         self.pairs = [self.setup.coarse_pair] + [
             generalized_eig(lm.hdiv, lm.mass_v, space="V", level=k)
             for k, lm in enumerate(self.lms[1:], start=1)
@@ -150,7 +149,7 @@ class MeshOperators:
 
     @property
     def num_levels(self) -> int:
-        return self.hierarchy.num_levels
+        return len(self.lms)
 
     def dual_form(self, k: int, s: float) -> np.ndarray:
         return power_matrix(self.pairs[k], s, dual_form=True)

@@ -184,8 +184,7 @@ def test_criterion_6_power_calculus_identities():
 
 
 def test_criterion_7_exactness_endpoints():
-    hierarchy = build_hierarchy(8, 1)
-    lm = assemble_all(hierarchy)[-1]
+    lm = assemble_all(build_hierarchy(8, 1))[-1]
     flux_pair = generalized_eig(lm.hdiv, lm.mass_v, space="V", level=0)
     scalar_pair = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=0)
     rng = np.random.default_rng(77)
@@ -199,7 +198,7 @@ def test_criterion_7_exactness_endpoints():
                            rhs, x0, tol=1e-10)
 
     # Exponent zero on one level: the multilevel solver is an exact mass solve.
-    mg = AdditiveMultigrid(multilevel_setup(hierarchy, [lm]), 0.0)
+    mg = AdditiveMultigrid(multilevel_setup([lm]), 0.0)
     rhs = TaggedVector("V", 0, "dual", rng.uniform(-1, 1, lm.mesh.num_edges))
     x0 = TaggedVector("V", 0, "coefficient", rng.uniform(-1, 1, lm.mesh.num_edges))
     _, flux_report = pcg(lambda v: apply_power(flux_pair, 0.0, v), mg.apply,

@@ -26,44 +26,41 @@ def dense(aux):
 
 @pytest.fixture(scope="module")
 def single_level():
-    hierarchy = build_hierarchy(4, 1)
-    lms = assemble_all(hierarchy)
+    lms = assemble_all(build_hierarchy(4, 1))
     lm = lms[-1]
     flux_pair = generalized_eig(lm.hdiv, lm.mass_v, space="V", level=0)
     scalar_pair = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=0)
-    return hierarchy, lms, flux_pair, scalar_pair
+    return lms, flux_pair, scalar_pair
 
 
 @pytest.fixture(scope="module")
 def ctx(single_level):
-    _, lms, flux_pair, scalar_pair = single_level
+    lms, flux_pair, scalar_pair = single_level
     return make_aux_spectrum_context(lms[-1], flux_pair, scalar_pair)
 
 
 @pytest.fixture(scope="module")
 def alpha(single_level):
-    return single_level[3].eigenvalues
+    return single_level[2].eigenvalues
 
 
 @pytest.fixture(scope="module")
 def two_level():
-    hierarchy = build_hierarchy(2, 2)
-    lms = assemble_all(hierarchy)
-    return hierarchy, lms
+    return assemble_all(build_hierarchy(2, 2))
 
 
 class TestExactVariant:
     def test_s_minus_one_reproduces_scalar_operator(self, single_level):
         # At the left endpoint the inner solve is a plain flux mass solve, so
         # the sandwich collapses to the scalar operator itself.
-        _, lms, flux_pair, _ = single_level
+        lms, flux_pair, _ = single_level
         lm = lms[-1]
         B = dense(build_exact(-1.0, lm, flux_pair))
         A = laplacian_dual(lm)
         np.testing.assert_allclose(B, A, atol=1e-10 * np.abs(A).max())
 
     def test_apply_matches_matrix(self, single_level):
-        _, lms, flux_pair, _ = single_level
+        lms, flux_pair, _ = single_level
         lm = lms[-1]
         aux = build_exact(-0.4, lm, flux_pair)
         rng = np.random.default_rng(30)
@@ -73,7 +70,7 @@ class TestExactVariant:
         np.testing.assert_allclose(out.values, dense(aux) @ u, atol=1e-12)
 
     def test_raw_array_passthrough(self, single_level):
-        _, lms, flux_pair, _ = single_level
+        lms, flux_pair, _ = single_level
         lm = lms[-1]
         aux = build_exact(-0.4, lm, flux_pair)
         rng = np.random.default_rng(31)
@@ -84,14 +81,14 @@ class TestExactVariant:
         np.testing.assert_allclose(raw, tagged.values)
 
     def test_zero_maps_to_zero(self, single_level):
-        _, lms, flux_pair, _ = single_level
+        lms, flux_pair, _ = single_level
         lm = lms[-1]
         aux = build_exact(-0.7, lm, flux_pair)
         out = aux.apply(np.zeros(lm.mesh.num_triangles))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_tag_discipline(self, single_level):
-        _, lms, flux_pair, _ = single_level
+        lms, flux_pair, _ = single_level
         lm = lms[-1]
         aux = build_exact(-0.5, lm, flux_pair)
         n = lm.mesh.num_triangles
@@ -103,7 +100,7 @@ class TestExactVariant:
             aux.apply(TaggedVector("S", 1, "coefficient", np.ones(n)))
 
     def test_exponent_outside_range_rejected(self, single_level):
-        _, lms, flux_pair, _ = single_level
+        lms, flux_pair, _ = single_level
         lm = lms[-1]
         for bad in (0.5, -1.2, 1.0):
             with pytest.raises(ValueError):
@@ -119,7 +116,7 @@ class TestSpectrum:
         # squared inf-sup constant (two very different computations of the
         # same pencil minimum); the top approaches 1 from below under
         # refinement, so the condition number is bounded by beta**-2.
-        _, lms, _, _ = single_level
+        lms, _, _ = single_level
         beta_sq = inf_sup_constant(lms[-1]) ** 2
         w = aux_pencil_eigenvalues(ctx, 0.0)
         assert w[0] == pytest.approx(beta_sq, rel=1e-8)
@@ -127,7 +124,7 @@ class TestSpectrum:
         assert exact_condition_number(alpha, 0.0) <= 1.0 / beta_sq + 1e-9
 
     def test_eigenvalues_within_theoretical_bounds(self, single_level, ctx):
-        _, lms, _, _ = single_level
+        lms, _, _ = single_level
         beta_sq = inf_sup_constant(lms[-1]) ** 2
         for s in S_GRID:
             w = aux_pencil_eigenvalues(ctx, s)
@@ -142,7 +139,7 @@ class TestSpectrum:
     def test_matches_brute_force_pencil(self, single_level, alpha):
         # Same number via the generic path: the preconditioner against the
         # inverse of the fractional operator it targets.
-        _, lms, flux_pair, scalar_pair = single_level
+        lms, flux_pair, scalar_pair = single_level
         lm = lms[-1]
         dim = lm.mesh.num_triangles
         for s in (-0.5, -0.2):
@@ -161,10 +158,10 @@ class TestSpectrum:
 
 class TestMultigridVariant:
     def test_composition_matches_manual(self, two_level):
-        hierarchy, lms = two_level
+        lms = two_level
         lm = lms[-1]
         s = -0.6
-        setup = multilevel_setup(hierarchy, lms)
+        setup = multilevel_setup(lms)
         aux = build_multigrid(s, setup)
         mg = AdditiveMultigrid(setup, 1.0 + s)
         rng = np.random.default_rng(32)
@@ -177,8 +174,8 @@ class TestMultigridVariant:
     def test_single_level_collapses_to_exact(self, single_level):
         # With one mesh level the multilevel inner solve is just the exact
         # coarse solve, so both variants produce the same matrix.
-        hierarchy, lms, flux_pair, _ = single_level
-        setup = multilevel_setup(hierarchy, lms)
+        lms, flux_pair, _ = single_level
+        setup = multilevel_setup(lms)
         for s in (-1.0, -0.5, 0.0):
             dense_mg = dense(build_multigrid(s, setup))
             dense_exact = dense(build_exact(s, lms[-1], flux_pair))
@@ -187,14 +184,14 @@ class TestMultigridVariant:
             )
 
     def test_symmetric_positive_definite(self, two_level):
-        hierarchy, lms = two_level
-        B = dense(build_multigrid(-0.5, multilevel_setup(hierarchy, lms)))
+        lms = two_level
+        B = dense(build_multigrid(-0.5, multilevel_setup(lms)))
         np.testing.assert_allclose(B, B.T, atol=1e-10 * np.abs(B).max())
         assert np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 0
 
     def test_exponent_outside_range_rejected(self, two_level):
-        hierarchy, lms = two_level
-        setup = multilevel_setup(hierarchy, lms)
+        lms = two_level
+        setup = multilevel_setup(lms)
         with pytest.raises(ValueError):
             build_multigrid(0.3, setup)
         with pytest.raises(ValueError):

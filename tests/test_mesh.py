@@ -114,18 +114,17 @@ class TestEdgesAndIncidence:
 
 class TestHierarchy:
     def test_level_sizes(self):
-        hier = build_hierarchy(1, 4)
-        assert [lvl.n for lvl in hier.levels] == [1, 2, 4, 8]
-        assert hier.levels[-1].num_edges == 208
+        levels = build_hierarchy(1, 4)
+        assert [lvl.n for lvl in levels] == [1, 2, 4, 8]
+        assert levels[-1].num_edges == 208
 
     def test_single_level(self):
-        hier = build_hierarchy(8, 1)
-        assert hier.num_levels == 1
-        assert hier.levels[0].num_triangles == 128
+        levels = build_hierarchy(8, 1)
+        assert len(levels) == 1
+        assert levels[0].num_triangles == 128
 
     def test_vertices_nested(self):
-        hier = build_hierarchy(2, 2)
-        coarse, fine = hier.levels
+        coarse, fine = build_hierarchy(2, 2)
         # Coarse vertex (i, j) lies at fine vertex (2i, 2j).
         for j in range(coarse.n + 1):
             for i in range(coarse.n + 1):
@@ -134,8 +133,7 @@ class TestHierarchy:
                 np.testing.assert_allclose(coarse.vertices[c], fine.vertices[f])
 
     def test_edge_children_cover_parent(self):
-        hier = build_hierarchy(2, 2)
-        coarse, fine = hier.levels
+        coarse, fine = build_hierarchy(2, 2)
         kids = np.array([fine_edges_on(coarse, fine, e) for e in range(coarse.num_edges)])
         assert kids.shape == (coarse.num_edges, 2)
         assert len(np.unique(kids)) == 2 * coarse.num_edges
@@ -154,8 +152,7 @@ class TestHierarchy:
             assert any(np.allclose(p, mid) for p in halves[1])
 
     def test_triangle_children_partition(self):
-        hier = build_hierarchy(2, 2)
-        coarse, fine = hier.levels
+        coarse, fine = build_hierarchy(2, 2)
         parents = parent_triangles(coarse, fine)
         np.testing.assert_array_equal(np.bincount(parents), 4)
         for c in range(coarse.num_triangles):

@@ -7,6 +7,8 @@ import re
 import runpy
 from pathlib import Path
 
+import numpy as np
+
 import fracprec
 from fracprec import spectral, tables, verify
 
@@ -31,6 +33,18 @@ def test_public_names_are_the_readme_library_names():
     assert set(fracprec.__all__) == set(expected)
     for name in fracprec.__all__:
         assert hasattr(fracprec, name), name
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(code, scope)
+    fine = scope["lms"][-1].mesh
+    d = np.random.default_rng(0).uniform(-1, 1, fine.num_edges)
+    assert scope["mg"].apply(d).shape == (fine.num_edges,)
+    u = np.random.default_rng(1).uniform(-1, 1, fine.num_triangles)
+    assert scope["aux"].apply(u).shape == (fine.num_triangles,)
 
 
 def test_every_traced_layer_resolves():
