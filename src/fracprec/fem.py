@@ -16,7 +16,6 @@ Assembled objects (sparse CSR unless noted):
 - ``hdiv``        (NV, NV)  mass_v + <div .,div .>
 - ``grad``        (NV, NS)  discrete gradient in dual form:
                             grad[e, t] = -<indicator_t, div psi_e>
-- ``curl``        (NV, NC)  <rot of the hat function, psi_e>
 
 ``hdiv - mass_v == grad @ inv(mass_s) @ grad.T`` holds exactly, which ties
 the two independently assembled sign conventions together (tested).
@@ -24,9 +23,11 @@ the two independently assembled sign conventions together (tested).
 ``assemble_all`` assembles a list of levels, coarsest first, as
 ``mesh.build_hierarchy`` returns it; each ``LevelMatrices`` carries its mesh,
 so the assembled list is the hierarchy from then on.  Beyond the level
-matrices the module builds the dense dual scalar operator
-(``laplacian_dual``) and the flux embedding from one level into its uniform
-refinement (``assemble_prolongation``).
+matrices the module builds the rotated-gradient pairing
+``assemble_curl`` (NV, NC), ``<rot of the hat function, psi_e>``, where it is
+read; the sparse dual scalar operator ``laplacian_dual``, a cell-centred
+stencil of at most five entries per row; and the flux embedding from one
+level into its uniform refinement (``assemble_prolongation``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "LevelMatrices",
     "assemble",
     "assemble_all",
+    "assemble_curl",
     "laplacian_dual",
     "assemble_prolongation",
 ]
@@ -58,17 +60,16 @@ class LevelMatrices:
     mass_v: sp.csr_matrix
     hdiv: sp.csr_matrix
     grad: sp.csr_matrix
-    curl: sp.csr_matrix
 
 
 def assemble(level: MeshLevel, index: int = 0) -> LevelMatrices:
     """Assemble all level matrices at once (vectorized over triangles)."""
     pts = level.vertices[level.triangles]          # (nt, 3, 2)
     area = level.areas()                            # (nt,)
-    nt, nv_local = level.num_triangles, 3
+    nt = level.num_triangles
     te = level.triangle_edges                       # (nt, 3)
     s = level.triangle_edge_signs.astype(float)     # (nt, 3)
-    NS, NV, NC = level.num_triangles, level.num_edges, level.num_vertices
+    NS, NV = level.num_triangles, level.num_edges
 
     # Edge midpoints (the quadrature points), local basis values there.
     mids = 0.5 * (pts[:, [1, 2, 0], :] + pts[:, [2, 0, 1], :])      # (nt, 3, 2)
@@ -88,17 +89,6 @@ def assemble(level: MeshLevel, index: int = 0) -> LevelMatrices:
     tcols = np.broadcast_to(np.arange(nt)[:, None], (nt, 3)).ravel()
     grad = sp.coo_matrix(((-s).ravel(), (te.ravel(), tcols)), shape=(NV, NS)).tocsr()
 
-    # rot of the hat function of local vertex a is the constant vector
-    # (p_{a+2} - p_{a+1}) / (2|T|); pair it with phi_b via the centroid rule
-    # (exact: the integrand is affine).
-    rot = (pts[:, [2, 0, 1], :] - pts[:, [1, 2, 0], :]) / (2.0 * area)[:, None, None]
-    cen = pts.mean(axis=1)                                          # (nt, 2)
-    phi_cen = (cen[:, None, :] - pts) / (2.0 * area)[:, None, None]  # (nt, 3, 2)
-    kdata = np.einsum("tbx,tax->tba", s[:, :, None] * phi_cen, rot) * area[:, None, None]
-    krows = np.broadcast_to(te[:, :, None], (nt, 3, 3)).ravel()
-    kcols = np.broadcast_to(level.triangles[:, None, :], (nt, 3, 3)).ravel()
-    curl = sp.coo_matrix((kdata.ravel(), (krows, kcols)), shape=(NV, NC)).tocsr()
-
     mass_s = sp.diags(area).tocsr()
     return LevelMatrices(
         index=index,
@@ -107,7 +97,6 @@ def assemble(level: MeshLevel, index: int = 0) -> LevelMatrices:
         mass_v=mass_v,
         hdiv=(mass_v + divdiv).tocsr(),
         grad=grad,
-        curl=curl,
     )
 
 
@@ -115,13 +104,51 @@ def assemble_all(levels: list) -> list:
     return [assemble(lvl, k) for k, lvl in enumerate(levels)]
 
 
-def laplacian_dual(lm: LevelMatrices) -> np.ndarray:
-    """Dense dual form of the S-space operator grad* grad (symmetric PSD...
-    in fact positive definite: the discrete gradient has full column rank)."""
-    lu = spla.splu(lm.mass_v.tocsc())
-    X = lu.solve(lm.grad.toarray())
-    A = lm.grad.T @ X
-    return 0.5 * (A + A.T)
+def assemble_curl(level: MeshLevel) -> sp.csr_matrix:
+    """The (NV, NC) pairing of the rotated hat functions with the flux basis.
+
+    rot of the hat function of local vertex a is the constant vector
+    (p_{a+2} - p_{a+1}) / (2|T|); it is paired with phi_b by the centroid
+    rule (exact: the integrand is affine).
+    """
+    pts = level.vertices[level.triangles]           # (nt, 3, 2)
+    area = level.areas()
+    s = level.triangle_edge_signs.astype(float)
+    rot = (pts[:, [2, 0, 1], :] - pts[:, [1, 2, 0], :]) / (2.0 * area)[:, None, None]
+    cen = pts.mean(axis=1)                                          # (nt, 2)
+    phi_cen = (cen[:, None, :] - pts) / (2.0 * area)[:, None, None]  # (nt, 3, 2)
+    kdata = np.einsum("tbx,tax->tba", s[:, :, None] * phi_cen, rot) * area[:, None, None]
+    nt = level.num_triangles
+    krows = np.broadcast_to(level.triangle_edges[:, :, None], (nt, 3, 3)).ravel()
+    kcols = np.broadcast_to(level.triangles[:, None, :], (nt, 3, 3)).ravel()
+    return sp.coo_matrix((kdata.ravel(), (krows, kcols)),
+                         shape=(level.num_edges, level.num_vertices)).tocsr()
+
+
+def laplacian_dual(lm: LevelMatrices) -> sp.csr_matrix:
+    """The dual form ``grad.T inv(mass_v) grad`` of the S-space operator
+    grad* grad, sparse (symmetric positive definite: the discrete gradient
+    has full column rank).
+
+    One SuperLU factorization of ``mass_v`` in symmetric mode gives
+    ``mass_v = P.T L diag(u) L.T P``, so the operator is ``Y.T diag(1/u) Y``
+    with ``Y = inv(L) P grad``.  Y is sparse: the sweep
+    ``Y <- P grad - (L - I) Y`` reaches its exact fixed point in a few
+    passes, as ``L - I`` is strictly lower triangular.  No entry is dropped.
+    """
+    nv = lm.mass_v.shape[0]
+    lu = spla.splu(lm.mass_v.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                   options=dict(SymmetricMode=True))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise np.linalg.LinAlgError("the factorization of the flux mass matrix "
+                                    "pivoted off its symmetric ordering")
+    b = lm.grad.tocsr()[np.argsort(lu.perm_r)]  # P grad: row j moves to perm_r[j]
+    strict = (lu.L - sp.eye(nv)).tocsr()
+    y, prev = b, None
+    while prev is None or (y != prev).nnz:
+        prev, y = y, (b - strict @ y).tocsr()
+    a = (y.T @ sp.diags(1.0 / lu.U.diagonal()) @ y).tocsr()
+    return (0.5 * (a + a.T)).tocsr()
 
 
 def assemble_prolongation(coarse: MeshLevel, fine: MeshLevel) -> sp.csr_matrix:

@@ -2,7 +2,9 @@
 
 For a pencil (A, M) with A symmetric positive semi-definite and M symmetric
 positive definite, ``generalized_eig`` computes all eigenpairs
-``A @ modes == M @ modes @ diag(eigenvalues)`` with M-orthonormal modes.
+``A @ modes == M @ modes @ diag(eigenvalues)`` with M-orthonormal modes.  A
+sparse diagonal M, such as the triangle masses, is scaled away first, so the
+scalar pencil is diagonalized as a standard symmetric problem.
 Powers of the operator represented by the pencil are then diagonal in that
 basis.  Two application routines cover both orientations used throughout:
 
@@ -130,43 +132,69 @@ def densify(op, dim: int | None = None) -> np.ndarray:
     return op.toarray() if sp.issparse(op) else np.asarray(op, dtype=float)
 
 
-def _symmetric(mat, dense: np.ndarray) -> bool:
+def _symmetric(mat) -> bool:
     """max |X - X.T| <= 1e-10 * max(1, max |X|); sparse input is checked in
-    sparse form, which is cheap next to a strided pass over the dense copy."""
+    sparse form, which is cheap next to a strided pass over a dense copy."""
     if sp.issparse(mat):
         mat = sp.csr_matrix(mat)
         return abs(mat - mat.T).max() <= 1e-10 * max(1.0, abs(mat).max())
-    return np.abs(dense - dense.T).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+    mat = np.asarray(mat, dtype=float)
+    return np.abs(mat - mat.T).max() <= 1e-10 * max(1.0, np.abs(mat).max())
+
+
+def _diagonal(mat) -> np.ndarray | None:
+    """The diagonal of a sparse matrix with no off-diagonal entries, else None."""
+    if sp.issparse(mat):
+        diag = mat.diagonal()
+        if mat.count_nonzero() == np.count_nonzero(diag):
+            return diag
+    return None
 
 
 def generalized_eig(a_mat, m_mat, space: str | None = None,
                     level: int | None = None) -> SpectralPair:
     """All eigenpairs of (a_mat, m_mat), M-orthonormal, ascending.
 
-    The decomposition is validated column by column: the residual
-    ``A phi - lambda M phi`` must stay below ``RESIDUAL_TOL * max |lambda|``;
-    if it does not, the modes are re-orthonormalized in the M inner product
-    and checked once more.  Refused before any allocation if eigh's four n x n
-    arrays and a dense copy of each sparse operand exceed the available memory.
+    A sparse ``m_mat`` with no off-diagonal entries, such as ``mass_s``, is
+    scaled away: with ``r = diag(m)^-1/2`` the standard problem ``r A r`` is
+    diagonalized and the modes are ``r psi``.  Any other mass goes to the
+    generalized solver.  The decomposition is validated column by column: the
+    residual ``A phi - lambda M phi`` must stay below
+    ``RESIDUAL_TOL * max |lambda|``; if it does not, the modes are
+    re-orthonormalized in the M inner product and checked once more.
+
+    Refused before any allocation if the dense arrays exceed the available
+    memory.  Measured with tracemalloc, either route peaks at four n x n
+    arrays (the matrices eigh factors and twice n^2 of workspace), plus a
+    dense copy of each sparse operand on the generalized route; the diagonal
+    route densifies only the scaled ``r A r``, which is one of the four.
     """
     n = a_mat.shape[0]
-    require_memory(8 * n * n * (4 + sp.issparse(a_mat) + sp.issparse(m_mat)),
-                   f"the dense eigensolve of dimension {n}")
-    a_dense = densify(a_mat)
-    m_dense = densify(m_mat)
-    if not _symmetric(a_mat, a_dense):
+    diag = _diagonal(m_mat)
+    copies = 0 if diag is not None else sp.issparse(a_mat) + sp.issparse(m_mat)
+    require_memory(8 * n * n * (4 + copies), f"the dense eigensolve of dimension {n}")
+    if not _symmetric(a_mat):
         raise PencilError("left matrix is not symmetric")
-    if not _symmetric(m_mat, m_dense):
+    if not _symmetric(m_mat):
         raise PencilError("mass matrix is not symmetric")
-    try:
-        w, phi = sla.eigh(a_dense, m_dense, driver="gvd")
-    except sla.LinAlgError as err:
-        raise PencilError(f"mass matrix is not positive definite: {err}") from err
+    mass_op = sp.csr_matrix(m_mat) if sp.issparse(m_mat) else densify(m_mat)
+    if diag is None:
+        try:
+            w, phi = sla.eigh(densify(a_mat), densify(mass_op), driver="gvd")
+        except sla.LinAlgError as err:
+            raise PencilError(f"mass matrix is not positive definite: {err}") from err
+    else:
+        if not (diag > 0).all():
+            raise PencilError("mass matrix is not positive definite: "
+                              f"diagonal entry {diag.min():.3e}")
+        root = 1.0 / np.sqrt(diag)
+        r_mat = sp.diags(root)
+        w, phi = sla.eigh(densify(r_mat @ a_mat @ r_mat), driver="evd")
+        phi *= root[:, None]
     if w[0] <= 0:
         raise PencilError(f"pencil is not positive definite (min eigenvalue {w[0]:.3e})")
 
     scale = RESIDUAL_TOL * np.abs(w).max()
-    mass_op = sp.csr_matrix(m_mat) if sp.issparse(m_mat) else m_dense
     resid = a_mat @ phi - (mass_op @ phi) * w
     if np.linalg.norm(resid, axis=0).max() > scale:
         # Fix up M-orthonormality and try once more.

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .fem import assemble_all, laplacian_dual
+from .fem import assemble_all, assemble_curl, laplacian_dual
 from .mesh import build_hierarchy
 from .multigrid import PatchSmoother, multilevel_setup
 from .spectral import densify, generalized_eig, inf_sup_constant, power_matrix
@@ -248,7 +248,7 @@ def check_helmholtz_invariance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     lm, vpair = ops.lms[-1], ops.pairs[-1]
     M = lm.mass_v.toarray()
     Minv_grad = np.linalg.solve(M, lm.grad.toarray())  # gradient fields, coefficients
-    curl = lm.curl.toarray()[:, 1:]  # rotated gradients, dual; drop the constant
+    curl = assemble_curl(lm.mesh).toarray()[:, 1:]  # rotated gradients, dual; drop the constant
     alpha = generalized_eig(
         lm.grad.T @ Minv_grad, lm.mass_s, space="S", level=lm.index
     ).eigenvalues

@@ -56,7 +56,7 @@ class TestExactVariant:
         lms, flux_pair, _ = single_level
         lm = lms[-1]
         B = dense(build_exact(-1.0, lm, flux_pair))
-        A = laplacian_dual(lm)
+        A = laplacian_dual(lm).toarray()
         np.testing.assert_allclose(B, A, atol=1e-10 * np.abs(A).max())
 
     def test_apply_matches_matrix(self, single_level):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fracprec.fem import assemble, assemble_all, assemble_prolongation, laplacian_dual
+from fracprec.fem import (assemble, assemble_all, assemble_curl, assemble_prolongation,
+                          laplacian_dual)
 from fracprec.mesh import build_hierarchy, build_level
 from fracprec.vectors import TaggedVector, TagError
 
@@ -83,23 +86,25 @@ class TestAssembly:
                         x = lam @ p
                         acc += w * (rot @ (x - p[b])) / (2 * area)
                     K[e, tri[a]] += sgn * acc * area
-        np.testing.assert_allclose(lm.curl.toarray(), K, atol=1e-13)
+        np.testing.assert_allclose(assemble_curl(level).toarray(), K, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_curl_columns_divergence_free(self, n):
-        lm = assemble(build_level(n))
+        level = build_level(n)
+        lm = assemble(level)
         lu = spla.splu(lm.mass_v.tocsc())
-        assert np.abs(lm.grad.T @ lu.solve(lm.curl.toarray())).max() < 1e-12
+        assert np.abs(lm.grad.T @ lu.solve(assemble_curl(level).toarray())).max() < 1e-12
 
     def test_curl_kills_constants(self):
-        lm = assemble(build_level(3))
-        assert np.abs(lm.curl @ np.ones(lm.mesh.num_vertices)).max() < 1e-13
+        level = build_level(3)
+        assert np.abs(assemble_curl(level) @ np.ones(level.num_vertices)).max() < 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_curl_orthogonal_to_gradients(self, n):
-        lm = assemble(build_level(n))
+        level = build_level(n)
+        lm = assemble(level)
         lu = spla.splu(lm.mass_v.tocsc())
-        orth = lm.curl.toarray().T @ lu.solve(lm.grad.toarray())
+        orth = assemble_curl(level).toarray().T @ lu.solve(lm.grad.toarray())
         assert np.abs(orth).max() < 1e-12
 
     def test_boundary_flux_of_constant(self):
@@ -120,9 +125,27 @@ class TestAssembly:
 
     def test_laplacian_dual_spd(self):
         lm = assemble(build_level(2))
-        A = laplacian_dual(lm)
+        A = laplacian_dual(lm).toarray()
         np.testing.assert_allclose(A, A.T, atol=1e-14)
         assert np.linalg.eigvalsh(A).min() > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_laplacian_dual_matches_dense_solve(self, n):
+        # The sparse triangular route against a dense solve with all of grad.
+        lm = assemble(build_level(n))
+        grad = lm.grad.toarray()
+        dense = grad.T @ np.linalg.solve(lm.mass_v.toarray(), grad)
+        A = laplacian_dual(lm)
+        assert sp.issparse(A)
+        assert np.diff(A.tocsr().indptr).max() <= 5  # a cell-centred stencil
+        np.testing.assert_allclose(A.toarray(), dense, rtol=0, atol=1e-14 * np.abs(dense).max())
+
+    def test_laplacian_dual_refuses_a_pivoted_factorization(self):
+        # A zero diagonal block forces SuperLU off the symmetric ordering.
+        lm = assemble(build_level(1))
+        mass = sp.block_diag([[[0.0, 1.0], [1.0, 0.0]], sp.eye(3)], format="csr")
+        with pytest.raises(np.linalg.LinAlgError, match="symmetric ordering"):
+            laplacian_dual(replace(lm, mass_v=mass))
 
 
 class TestProlongation:
@@ -204,9 +227,9 @@ class TestHelmholtz:
         form of ``tau = grad_h u + rot q``).  The vertex function q is pinned
         to zero at vertex 0; without the pin the vertex system is singular
         (rot kills constants)."""
-        u = np.linalg.solve(laplacian_dual(lm), lm.grad.T @ tau)
+        u = np.linalg.solve(laplacian_dual(lm).toarray(), lm.grad.T @ tau)
         lu = spla.splu(lm.mass_v.tocsc())
-        K = lm.curl.toarray()
+        K = assemble_curl(lm.mesh).toarray()
         C = K.T @ lu.solve(K)
         rhs = K.T @ tau
         q = np.zeros(lm.mesh.num_vertices)
@@ -220,7 +243,7 @@ class TestHelmholtz:
         tau = rng.uniform(-1, 1, lm.mesh.num_edges)
         u, q = self.split(lm, tau)
         du = lm.grad @ u
-        kq = lm.curl @ q
+        kq = assemble_curl(lm.mesh) @ q
         np.testing.assert_allclose(du + kq, lm.mass_v @ tau, atol=1e-10)
         lu = spla.splu(lm.mass_v.tocsc())
         assert abs(du @ lu.solve(kq)) < 1e-10
@@ -232,7 +255,7 @@ class TestHelmholtz:
         u, q = self.split(lm, tau)
         lu = spla.splu(lm.mass_v.tocsc())
         du = lm.grad @ u
-        kq = lm.curl @ q
+        kq = assemble_curl(lm.mesh) @ q
         total = tau @ lm.mass_v @ tau
         np.testing.assert_allclose(
             du @ lu.solve(du) + kq @ lu.solve(kq), total, rtol=1e-10

@@ -48,8 +48,12 @@ class TestGeneralizedEig:
         assert np.linalg.norm(resid, axis=0).max() <= 1e-10 * pair.eigenvalues.max()
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(PencilError):
-            generalized_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
+        # On the generalized route (dense mass) and the diagonal one.
+        A = np.array([[1.0, 2.0], [0.0, 1.0]])
+        for a in (A, sp.csr_matrix(A)):
+            for mass in (np.eye(2), sp.eye(2, format="csr")):
+                with pytest.raises(PencilError, match="left matrix is not symmetric"):
+                    generalized_eig(a, mass)
 
     def test_rejects_asymmetric_mass(self):
         # Caught up front: LAPACK would read only one triangle of it.
@@ -59,20 +63,38 @@ class TestGeneralizedEig:
                 generalized_eig(np.eye(2), mass)
 
     def test_rejects_indefinite_mass(self):
-        with pytest.raises(PencilError):
-            generalized_eig(np.eye(2), np.diag([1.0, -1.0]))
+        # Dense, then sparse diagonal with a negative and with a zero entry.
+        for mass in (np.diag([1.0, -1.0]), sp.diags([1.0, -1.0], format="csr"),
+                     sp.diags([1.0, 0.0], format="csr")):
+            with pytest.raises(PencilError, match="mass matrix is not positive definite"):
+                generalized_eig(np.eye(2), mass)
 
     def test_memory_guard(self, monkeypatch):
         # Budget injected, nothing large allocated: eigh's four 40 x 40 arrays,
-        # plus one dense copy per sparse operand.
+        # plus one dense copy per sparse operand on the generalized route; a
+        # sparse diagonal mass takes the standard route, which copies neither.
+        tridiag = sp.diags([0.1, 1.0, 0.1], [-1, 0, 1], shape=(40, 40), format="csr")
         for a, m, need in [(np.eye(40), np.eye(40), 51200),
-                           (sp.eye(40), sp.eye(40, format="csr"), 76800)]:
+                           (sp.eye(40), tridiag, 76800),
+                           (sp.eye(40), sp.eye(40, format="csr"), 51200)]:
             monkeypatch.setattr(spectral, "available_memory", lambda: need - 1)
             with pytest.raises(PencilError, match=f"needs {need} bytes, more than the "
                                                   f"{need - 1} bytes available"):
                 generalized_eig(a, m)
             monkeypatch.setattr(spectral, "available_memory", lambda: need)
             assert generalized_eig(a, m).dim == 40
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_diagonal_mass_matches_the_generalized_route(self, n):
+        # The standard route for a sparse diagonal mass against the
+        # generalized solver on the same pencil with the mass densified.
+        lm = assemble(build_level(n))
+        A = laplacian_dual(lm)
+        pair = generalized_eig(A, lm.mass_s)
+        general = generalized_eig(A, lm.mass_s.toarray())
+        np.testing.assert_allclose(pair.eigenvalues, general.eigenvalues, rtol=1e-12)
+        gram = pair.modes.T @ (lm.mass_s @ pair.modes)
+        np.testing.assert_allclose(gram, np.eye(pair.dim), rtol=0, atol=1e-12)
 
     def test_available_memory_is_read(self):
         assert 0 < spectral.available_memory()

@@ -391,9 +391,9 @@ class TestMemoryGuard:
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--sizes", "8"])
         assert err.value.code == 2
-        # 8 * (2*208*128 + 4*128^2 + 6*5^2) at n = 8, n0 = 1
+        # 8 * (4*128^2 + 6*5^2 + 128*208) at n = 8, n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
-            "error: the dense reference at n=8 needs 951472 bytes, "
+            "error: the dense reference at n=8 needs 738480 bytes, "
             "more than the 1000 bytes available")
 
     def test_largest_size_sets_the_estimate(self, monkeypatch):

@@ -107,7 +107,7 @@ class TestSharedFixture:
     """``run_all`` builds one ``MeshOperators`` for all six mesh checks; its
     levels are the operators the checks would build for themselves."""
 
-    MATRICES = ("mass_s", "mass_v", "hdiv", "grad", "curl")
+    MATRICES = ("mass_s", "mass_v", "hdiv", "grad")
 
     def test_run_all_builds_the_mesh_operators_once(self, monkeypatch):
         built, assembled = [], []
