@@ -17,7 +17,9 @@ basis.  Two application routines cover both orientations used throughout:
 They are inverses of each other at the same exponent.  Both accept either a
 plain array or a :class:`~fracprec.vectors.TaggedVector`; tagged input is
 checked against the pair's space/level tags and returned re-tagged with the
-opposite representation.
+opposite representation.  ``solve_power`` also takes a pair with no mass
+whose modes are sparse and outnumber the dimension: the vertex-patch
+smoother of one ``multigrid`` level.
 
 A :class:`HelmholtzPair` stands for the flux pencil ``(hdiv, mass_v)`` of one
 level without diagonalizing it.  By the discrete Helmholtz split,
@@ -37,6 +39,7 @@ dense matrix and no full diagonalization.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +69,17 @@ class PencilError(RuntimeError):
     """The pencil is not symmetric definite, lost accuracy or exceeds memory."""
 
 
-def available_memory() -> float:
-    """``MemAvailable`` of /proc/meminfo in bytes; infinity where it is missing."""
-    try:
-        with open("/proc/meminfo") as info:
-            return next(int(ln.split()[1]) * 1024 for ln in info if ln.startswith("MemAvailable:"))
-    except (OSError, StopIteration):
-        return float("inf")
+def available_memory(meminfo: str = "/proc/meminfo",
+                     memory_max: str = "/sys/fs/cgroup/memory.max") -> float:
+    """The smaller of ``MemAvailable`` in ``meminfo`` and a numeric cgroup
+    limit in ``memory_max``, in bytes; a missing file or the limit ``max``
+    leaves the other, and infinity where neither is set."""
+    have = float("inf")
+    with suppress(OSError, StopIteration), open(meminfo) as info:
+        have = next(int(ln.split()[1]) * 1024 for ln in info if ln.startswith("MemAvailable:"))
+    with suppress(OSError, ValueError), open(memory_max) as limit:
+        have = min(have, int(limit.read()))
+    return have
 
 
 def require_memory(need: int, what: str) -> None:
@@ -83,17 +90,24 @@ def require_memory(need: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """Full eigendecomposition of a symmetric definite pencil."""
+    """Eigenpairs of a symmetric definite operator: ``solve_power`` applies
+    ``modes diag(eigenvalues**-s) modes.T``.
+
+    ``generalized_eig`` returns the full, square decomposition of a pencil
+    with its mass.  The modes may also be sparse and have more columns than
+    rows, as the patch modes of a multilevel smoother do; such a pair has no
+    mass (``None``) and is used only for the inverse power.
+    """
 
     eigenvalues: np.ndarray
-    modes: np.ndarray
-    mass: object  # sparse or dense symmetric positive definite matrix
+    modes: object  # dense or sparse, dim x number of eigenvalues
+    mass: object  # sparse or dense symmetric positive definite matrix, or None
     space: str | None = None
     level: int | None = None
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.modes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -123,12 +137,8 @@ class HelmholtzPair:
         return self.grad.shape[0]
 
 
-def densify(op, dim: int | None = None) -> np.ndarray:
-    """Dense array of a sparse or dense matrix, or of a linear map given as a
-    callable, applied column by column to the ``dim`` unit vectors (for
-    desk-size checks)."""
-    if callable(op):
-        return np.column_stack([np.asarray(op(col)) for col in np.eye(dim)])
+def densify(op) -> np.ndarray:
+    """Dense array of a sparse or dense matrix."""
     return op.toarray() if sp.issparse(op) else np.asarray(op, dtype=float)
 
 
@@ -229,12 +239,13 @@ def apply_power(pair: SpectralPair | HelmholtzPair, s: float, c):
 
 def power_matrix(pair: SpectralPair, s: float, dual_form: bool = False) -> np.ndarray:
     """Dense matrix of the s-power: dual->coefficient by default, or the
-    coefficient->dual (forward) form."""
+    coefficient->dual (forward) form, which needs the pair's mass."""
+    modes = densify(pair.modes)
     if dual_form:
-        core = (pair.modes * pair.eigenvalues**s) @ pair.modes.T
+        core = (modes * pair.eigenvalues**s) @ modes.T
         m = densify(pair.mass)
         return m @ core @ m
-    return (pair.modes * pair.eigenvalues ** (-s)) @ pair.modes.T
+    return (modes * pair.eigenvalues ** (-s)) @ modes.T
 
 
 def inf_sup_constant(lm: LevelMatrices) -> float:

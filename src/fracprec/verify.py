@@ -36,8 +36,8 @@ import scipy.linalg as sla
 
 from .fem import assemble_all, assemble_curl, laplacian_dual
 from .mesh import build_hierarchy
-from .multigrid import PatchSmoother, multilevel_setup
-from .spectral import densify, generalized_eig, inf_sup_constant, power_matrix
+from .multigrid import multilevel_setup
+from .spectral import generalized_eig, inf_sup_constant, power_matrix
 from .auxiliary import aux_pencil_eigenvalues, make_aux_spectrum_context
 
 __all__ = [
@@ -132,16 +132,17 @@ class MeshOperators:
     mesh checks.
 
     Holds, per level: the flux pencil eigendecomposition, dual-form and
-    inverse-power matrices for any exponent, and the embedding (prolongation)
+    inverse-power matrices for any exponent, the dense patch-smoother matrix
+    of every level but the coarsest, and the embedding (prolongation)
     matrices between consecutive levels.  ``lms`` are the assembled levels,
-    coarsest first; the coarse pencil, the embeddings and the patch groups of
-    the smoothers come from their ``multigrid.MultilevelSetup``.
+    coarsest first; the coarse pencil, the patch pairs of the smoothers and
+    the embeddings come from their ``multigrid.MultilevelSetup``.
     """
 
     def __init__(self):
         self.lms = assemble_all(build_hierarchy(1, 4))
         self.setup = multilevel_setup(self.lms)
-        self.pairs = [self.setup.coarse_pair] + [
+        self.pairs = [self.setup.level_pairs[0]] + [
             generalized_eig(lm.hdiv, lm.mass_v, space="V", level=k)
             for k, lm in enumerate(self.lms[1:], start=1)
         ]
@@ -157,17 +158,17 @@ class MeshOperators:
     def solve_form(self, k: int, s: float) -> np.ndarray:
         return power_matrix(self.pairs[k], s)
 
-    def fractional_projection(self, k: int, s: float) -> np.ndarray:
-        """The coarse-restriction map defined by matching s-power duals
-        against every coarse function: inv(F_c(s)) P' F_f(s)."""
-        P = self.embeddings[k]
-        return np.linalg.solve(self.dual_form(k, s), P.T @ self.dual_form(k + 1, s))
-
     def smoother_matrix(self, k: int, s: float) -> np.ndarray:
         """Dense dual-to-coefficient matrix of the level-k patch smoother."""
-        smoother = PatchSmoother(self.setup.patch_groups[k], s)
-        R = densify(smoother.apply, self.lms[k].mesh.num_edges)
+        R = power_matrix(self.setup.level_pairs[k], s)
         return 0.5 * (R + R.T)  # symmetric up to roundoff by construction
+
+
+def _fractional_projection(Fc: np.ndarray, Ff: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The coarse-restriction map defined by matching s-power duals against
+    every coarse function: inv(Fc) P' Ff, from the coarse and fine s-power
+    dual forms and the embedding P."""
+    return np.linalg.solve(Fc, P.T @ Ff)
 
 
 def check_noninheritance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9):
@@ -186,7 +187,7 @@ def check_noninheritance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9):
             worst = min(worst, _min_eig(Fc - P.T @ Ff @ P) / scale)
             # Adjoint form: the projected coarse form is dominated by the
             # fine one.
-            Ps = ops.fractional_projection(k, s)
+            Ps = _fractional_projection(Fc, Ff, P)
             scale_f = sla.eigh(Ff, eigvals_only=True)[-1]
             worst = min(worst, _min_eig(Ff - Ps.T @ Fc @ Ps) / scale_f)
             if k == ops.num_levels - 2:
@@ -211,15 +212,17 @@ def check_projection_identity(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-10
     J = 3
     worst = np.inf
     for s in s_grid:
-        Fh = ops.dual_form(J - 1, s)
+        Fh = Ff = ops.dual_form(J - 1, s)
         chain = np.eye(Fh.shape[0])
         proj = np.eye(Fh.shape[0])
         for k in range(J - 2, -1, -1):
+            Fc = ops.dual_form(k, s)
             chain = ops.embeddings[k].T @ chain  # dual restriction to level k
-            proj = ops.fractional_projection(k, s) @ proj
-            lhs = ops.dual_form(k, s) @ proj
+            proj = _fractional_projection(Fc, Ff, ops.embeddings[k]) @ proj
+            lhs = Fc @ proj
             rhs = chain @ Fh
             worst = min(worst, -np.abs(lhs - rhs).max() / np.abs(rhs).max())
+            Ff = Fc
     return InequalityReport("power-projection-commutes", tuple(s_grid), worst, tol)
 
 
@@ -313,15 +316,18 @@ def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     worst = np.inf
     for s in s_grid:
         prev = None
+        Fc = ops.dual_form(0, s)
         for k in range(1, ops.num_levels):
+            Ff = ops.dual_form(k, s)
             Rinv = np.linalg.inv(ops.smoother_matrix(k, s))
-            Ps = ops.fractional_projection(k - 1, s)
+            Ps = _fractional_projection(Fc, Ff, ops.embeddings[k - 1])
             comp = np.eye(Rinv.shape[0]) - ops.embeddings[k - 1] @ Ps
             Z = sla.orth(comp)
             w = generalized_eig(
                 Z.T @ (0.5 * (Rinv + Rinv.T)) @ Z,
-                Z.T @ ops.dual_form(k, s) @ Z,
+                Z.T @ Ff @ Z,
             ).eigenvalues
+            Fc = Ff
             C2 = max(C2, w[-1])
             lam_min = min(lam_min, w[0])
             if prev is not None:

@@ -3,7 +3,16 @@
 import numpy as np
 
 from fracprec.krylov import IndefinitenessError
-from fracprec.spectral import densify, generalized_eig
+from fracprec import spectral
+from fracprec.spectral import generalized_eig
+
+
+def densify(op, dim: int | None = None) -> np.ndarray:
+    """Dense array of a matrix, or of a linear map given as a callable,
+    applied column by column to the ``dim`` unit vectors."""
+    if callable(op):
+        return np.column_stack([np.asarray(op(col)) for col in np.eye(dim)])
+    return spectral.densify(op)
 
 
 def pencil_condition(a_map, b_map, dim: int) -> float:

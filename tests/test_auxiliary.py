@@ -11,10 +11,10 @@ from fracprec.auxiliary import (
 from fracprec.fem import assemble_all, laplacian_dual
 from fracprec.mesh import build_hierarchy
 from fracprec.multigrid import AdditiveMultigrid, multilevel_setup
-from fracprec.spectral import densify, generalized_eig, inf_sup_constant, power_matrix
+from fracprec.spectral import generalized_eig, inf_sup_constant, power_matrix
 from fracprec.vectors import TaggedVector, TagError
 
-from oracles import pencil_condition
+from oracles import densify, pencil_condition
 
 S_GRID = [-1.0, -0.8, -0.5, -0.3, 0.0]
 

@@ -6,14 +6,11 @@ import scipy.linalg as sla
 
 from fracprec.fem import assemble_all
 from fracprec.mesh import build_hierarchy, build_level, vertex_patches
-from fracprec.multigrid import (
-    AdditiveMultigrid,
-    PatchSmoother,
-    multilevel_setup,
-    precompute_patches,
-)
-from fracprec.spectral import densify, generalized_eig, power_matrix, solve_power
+from fracprec.multigrid import AdditiveMultigrid, multilevel_setup, precompute_patches
+from fracprec.spectral import generalized_eig, power_matrix, solve_power
 from fracprec.vectors import TaggedVector, TagError
+
+from oracles import densify
 
 
 @pytest.fixture(scope="module")
@@ -51,33 +48,22 @@ class TestSingleLevel:
 
 
 class TestSmoother:
-    def test_unit_power_matches_subspace_inverses(self, two_level):
-        # At exponent 1 each patch applies the plain inverse of the local
-        # matrix; rebuild that from scratch with dense inverses.
-        lms = two_level
-        smoother = PatchSmoother(precompute_patches(lms)[1], 1.0)
-        fine = lms[1]
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
+    def test_matches_the_patch_eigen_oracle(self, two_level, s):
+        # The level-1 smoother is the sum over vertex patches of the local
+        # inverse s-power; rebuild it patch by patch with dense eigensolves.
+        # At s = 1 that is the plain inverse of the local hdiv block, at
+        # s = 0 that of the local mass block.
+        fine = two_level[1]
         dim = fine.mesh.num_edges
+        A, M = fine.hdiv.toarray(), fine.mass_v.toarray()
         oracle = np.zeros((dim, dim))
-        A = fine.hdiv.toarray()
-        for ix in vertex_patches(lms[1].mesh):
-            oracle[np.ix_(ix, ix)] += np.linalg.inv(A[np.ix_(ix, ix)])
-        rng = np.random.default_rng(2)
-        d = rng.uniform(-1, 1, dim)
-        np.testing.assert_allclose(smoother.apply(d), oracle @ d, atol=1e-10)
-
-    def test_zero_power_matches_subspace_mass_inverses(self, two_level):
-        lms = two_level
-        smoother = PatchSmoother(precompute_patches(lms)[1], 0.0)
-        fine = lms[1]
-        dim = fine.mesh.num_edges
-        oracle = np.zeros((dim, dim))
-        M = fine.mass_v.toarray()
-        for ix in vertex_patches(lms[1].mesh):
-            oracle[np.ix_(ix, ix)] += np.linalg.inv(M[np.ix_(ix, ix)])
-        rng = np.random.default_rng(3)
-        d = rng.uniform(-1, 1, dim)
-        np.testing.assert_allclose(smoother.apply(d), oracle @ d, atol=1e-10)
+        for ix in vertex_patches(fine.mesh):
+            w, V = sla.eigh(A[np.ix_(ix, ix)], M[np.ix_(ix, ix)])
+            oracle[np.ix_(ix, ix)] += (V * w ** (-s)) @ V.T
+        d = np.random.default_rng(2).uniform(-1, 1, dim)
+        pair = multilevel_setup(two_level).level_pairs[1]
+        np.testing.assert_allclose(solve_power(pair, s, d), oracle @ d, atol=1e-10)
 
     def test_patch_setup_never_densifies_the_level(self):
         # At n = 32 one dense copy of the 3136 x 3136 flux matrix is 75 MiB;
@@ -93,10 +79,8 @@ class TestSmoother:
 
     def test_patch_pencil_floor(self, two_level):
         # Local pencils inherit the unit floor of the global one.
-        lms = two_level
-        data = precompute_patches(lms)
-        for g in data[1]:
-            assert g.eigenvalues.min() >= 1 - 1e-10
+        for pair in multilevel_setup(two_level).level_pairs[1:]:
+            assert pair.eigenvalues.min() >= 1 - 1e-10
 
 
 class TestPreconditioner:

@@ -99,6 +99,19 @@ class TestGeneralizedEig:
     def test_available_memory_is_read(self):
         assert 0 < spectral.available_memory()
 
+    def test_available_memory_takes_the_smaller_cgroup_limit(self, tmp_path):
+        # Files written here, not the host's: MemAvailable is 4000 kB.
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:    8000 kB\nMemAvailable:    4000 kB\n")
+        limit, missing = tmp_path / "memory.max", str(tmp_path / "missing")
+        for text, expect in [("1024000\n", 1024000), ("8192000\n", 4096000), ("max\n", 4096000)]:
+            limit.write_text(text)
+            assert spectral.available_memory(str(meminfo), str(limit)) == expect
+        assert spectral.available_memory(str(meminfo), missing) == 4096000
+        limit.write_text("8192000\n")
+        assert spectral.available_memory(missing, str(limit)) == 8192000
+        assert spectral.available_memory(missing, missing) == float("inf")
+
 
 class TestPowers:
     def setup_method(self):

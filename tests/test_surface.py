@@ -3,6 +3,7 @@ README documents, and the layers the benchmark tracer wraps by module path."""
 
 import importlib
 import inspect
+import pkgutil
 import re
 import runpy
 from pathlib import Path
@@ -45,6 +46,16 @@ def test_readme_library_example_runs():
     assert scope["mg"].apply(d).shape == (fine.num_edges,)
     u = np.random.default_rng(1).uniform(-1, 1, fine.num_triangles)
     assert scope["aux"].apply(u).shape == (fine.num_triangles,)
+
+
+def test_every_module_export_resolves():
+    # A stale name in __all__ breaks ``from fracprec.<module> import *``.
+    modules = [fracprec] + [importlib.import_module(f"fracprec.{info.name}")
+                            for info in pkgutil.iter_modules(fracprec.__path__)]
+    assert len(modules) == 11
+    for module in modules:
+        for name in getattr(module, "__all__", ()):  # cli exports nothing
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_every_traced_layer_resolves():

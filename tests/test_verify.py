@@ -145,7 +145,7 @@ class TestSharedFixture:
         # Three coarsest levels: what the projection identity reads.
         lms = assemble_all(build_hierarchy(1, 3))
         setup = multilevel_setup(lms)
-        pairs = [setup.coarse_pair] + [
+        pairs = [setup.level_pairs[0]] + [
             generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index) for lm in lms[1:]
         ]
         for k in range(3):
