@@ -361,6 +361,18 @@ class TestCli:
         assert code == 1
         assert "*" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--sizes", "4", "--levels", "2", "--s-list", "0.5"],
+        ["table2", "--sizes", "4", "--s-list=-0.5"],
+        ["table3", "--sizes", "4", "--levels", "2", "--s-list=-0.5"],
+        ["props", "--trials", "2", "--s-list", "0.5"],
+    ], ids=["table1", "table2", "table3", "props"])
+    def test_csv_lines_end_in_newline_only(self, argv, capsys):
+        code = cli.main(argv + ["--format", "csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("\n") and "\r" not in out
+
     def test_props_subcommand(self, capsys):
         code = cli.main(["props", "--trials", "5"])
         out = capsys.readouterr().out

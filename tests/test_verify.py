@@ -98,9 +98,71 @@ class TestIndividualChecks:
         b = verify.check_jensen(trials=10, seed=99)
         assert a.worst == b.worst
 
-    def test_aux_bounds_custom_grid(self):
-        r = verify.check_aux_bounds(verify.MeshOperators(), t_grid=(0.0, 0.5, 1.0))
+    def test_aux_bounds_custom_grid(self, ops):
+        r = verify.check_aux_bounds(ops, t_grid=(0.0, 0.5, 1.0))
         assert r.passed and r.grid == (0.0, 0.5, 1.0)
+
+
+@pytest.fixture(scope="module")
+def ops():
+    return verify.MeshOperators()
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestOnceOnlyWork:
+    """Each check decomposes each matrix, and builds each form, once for its
+    whole exponent grid."""
+
+    GRID = (0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("check", [verify.check_jensen, verify.check_loewner_heinz])
+    def test_matrix_checks_make_one_eigh_per_matrix(self, check, monkeypatch):
+        # Per trial: one decomposition of each of two matrices for the whole
+        # grid, plus the smallest eigenvalue of one difference per exponent.
+        calls = counting(monkeypatch, verify.sla, "eigh")
+        check(trials=3, s_grid=self.GRID)
+        assert len(calls) == 3 * (2 + len(self.GRID))
+
+    def test_smoother_bound_solves_each_pencil_once(self, ops, monkeypatch):
+        calls = counting(monkeypatch, verify, "generalized_eig")
+        verify.check_smoother_bound(ops, self.GRID)
+        assert len(calls) == (ops.num_levels - 1) * len(self.GRID)
+
+    def test_noninheritance_builds_each_dual_form_once(self, ops, monkeypatch):
+        calls = counting(monkeypatch, verify.MeshOperators, "dual_form")
+        verify.check_noninheritance(ops, self.GRID)
+        assert len(calls) == ops.num_levels * len(self.GRID)
+        assert len({(k, s) for _, k, s in calls}) == len(calls)
+
+
+class TestOtherGrids:
+    """A grid without the endpoint exponents still reports the endpoint
+    constants, equal to those of the default grid."""
+
+    def test_smoother_constants_without_the_endpoints(self, ops, by_name):
+        r = verify.check_smoother_bound(ops, (0.3, 0.7))
+        default = by_name["smoother-upper-bound"].constants
+        assert r.passed
+        for name in ("K0", "K1", "c"):
+            assert r.constants[name] == default[name], name
+
+    def test_projection_defects_only_at_reported_exponents(self, ops, by_name):
+        r = verify.check_noninheritance(ops, (0.0, 0.3, 1.0))
+        default = by_name["coarse-power-noninheritance"].constants
+        assert r.passed
+        assert r.constants == {key: default[key] for key in
+                               ("projection_defect_s=0", "projection_defect_s=1")}
 
 
 class TestSharedFixture:
