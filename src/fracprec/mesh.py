@@ -11,7 +11,9 @@ corner of the square meets a diagonal, so no vertex star degenerates to a
 single triangle.  With one diagonal direction throughout, two corners would
 have one-triangle stars, and the vertex-patch smoothers of ``multigrid``
 would lose a noticeable constant in the mass-matrix limit.  Their patches
-come from ``vertex_patches``: one sorted array of edge ids per vertex.
+come from ``vertex_patches``: one sorted array of edge ids per vertex.  The
+mirrors x -> 1 - x and y -> 1 - y map the mesh onto itself when n is even,
+the half-turn for every n; ``mirror_orbits`` tabulates the triangle orbits.
 
 Vertices are numbered row-major (x fastest), triangles cell-major (bottom
 triangle first), and edges in three structured blocks: horizontal, vertical,
@@ -32,6 +34,7 @@ __all__ = [
     "build_level",
     "build_hierarchy",
     "vertex_patches",
+    "mirror_orbits",
 ]
 
 
@@ -150,6 +153,38 @@ def build_hierarchy(n0: int, num_levels: int) -> list:
     if num_levels < 1:
         raise ValueError(f"need at least one level, got {num_levels}")
     return [build_level(n0 * 2**k) for k in range(num_levels)]
+
+
+def mirror_orbits(level: MeshLevel) -> np.ndarray:
+    """Triangle orbits under the mirror maps that carry the mesh onto itself.
+
+    Group element j applies the mirror x -> 1 - x if bit 0 of j is set and
+    y -> 1 - y if bit 1 is set; an element is kept only if it sends every
+    triangle onto a triangle (centroids matched on the integer grid
+    ``3n * centroid``).  That keeps all four elements for even ``n`` and the
+    identity and the half-turn for odd ``n``, where a single mirror flips
+    every diagonal.  No triangle is fixed by a kept map, so every orbit has
+    ``g`` members.  Returns an ``(NS/g, g)`` array: row r is one orbit,
+    column j the image of its first (lowest-numbered) triangle under the
+    j-th kept element, so the ``g x g`` Sylvester–Hadamard matrix is the
+    group's character table.
+    """
+    n = level.n
+    x, y = np.rint(level.vertices[level.triangles].sum(axis=1) * n).astype(np.int64).T
+
+    def key(x, y):
+        return x * (3 * n + 1) + y
+
+    keys = key(x, y)
+    order = np.argsort(keys)
+    images = []
+    for j in range(4):
+        want = key(3 * n - x if j & 1 else x, 3 * n - y if j & 2 else y)
+        found = order[np.minimum(np.searchsorted(keys, want, sorter=order), keys.size - 1)]
+        if (keys[found] == want).all():
+            images.append(found)
+    images = np.column_stack(images)
+    return images[images.min(axis=1) == np.arange(keys.size)]
 
 
 def vertex_patches(level: MeshLevel) -> list:

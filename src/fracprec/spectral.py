@@ -4,7 +4,12 @@ For a pencil (A, M) with A symmetric positive semi-definite and M symmetric
 positive definite, ``generalized_eig`` computes all eigenpairs
 ``A @ modes == M @ modes @ diag(eigenvalues)`` with M-orthonormal modes.  A
 sparse diagonal M, such as the triangle masses, is scaled away first, so the
-scalar pencil is diagonalized as a standard symmetric problem.
+scalar pencil is diagonalized as a standard symmetric problem.  Given the
+orbits of a symmetry group of the pencil (``mesh.mirror_orbits``: the mesh's
+mirrors and half-turn), that problem splits exactly into one block per
+character of the group in the Walsh basis over the orbits; each block is
+diagonalized on its own and the modes stay in block form
+(:class:`BlockModes`), a quarter of the dense bytes for four blocks.
 Powers of the operator represented by the pencil are then diagonal in that
 basis.  Two application routines cover both orientations used throughout:
 
@@ -40,7 +45,7 @@ dense matrix and no full diagonalization.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -52,6 +57,7 @@ from .vectors import retag, untag
 
 __all__ = [
     "SpectralPair",
+    "BlockModes",
     "HelmholtzPair",
     "PencilError",
     "generalized_eig",
@@ -63,6 +69,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10  # eigen residual bound, relative to the largest eigenvalue
+BLOCK_TOL = 1e-12  # symmetry-block coupling and orbit mass spread, relative to the largest entry
 
 
 class PencilError(RuntimeError):
@@ -94,13 +101,14 @@ class SpectralPair:
     ``modes diag(eigenvalues**-s) modes.T``.
 
     ``generalized_eig`` returns the full, square decomposition of a pencil
-    with its mass.  The modes may also be sparse and have more columns than
+    with its mass, its modes dense or, split by symmetry, a
+    :class:`BlockModes`.  The modes may also be sparse and have more columns than
     rows, as the patch modes of a multilevel smoother do; such a pair has no
     mass (``None``) and is used only for the inverse power.
     """
 
     eigenvalues: np.ndarray
-    modes: object  # dense or sparse, dim x number of eigenvalues
+    modes: object  # dense, sparse or BlockModes, dim x number of eigenvalues
     mass: object  # sparse or dense symmetric positive definite matrix, or None
     space: str | None = None
     level: int | None = None
@@ -129,7 +137,7 @@ class HelmholtzPair:
         return self.scalar.level
 
     @property
-    def modes(self) -> np.ndarray:
+    def modes(self):
         return self.scalar.modes
 
     @property
@@ -138,8 +146,8 @@ class HelmholtzPair:
 
 
 def densify(op) -> np.ndarray:
-    """Dense array of a sparse or dense matrix."""
-    return op.toarray() if sp.issparse(op) else np.asarray(op, dtype=float)
+    """Dense array of a sparse or dense matrix or of :class:`BlockModes`."""
+    return op.toarray() if hasattr(op, "toarray") else np.asarray(op, dtype=float)
 
 
 def _symmetric(mat) -> bool:
@@ -162,58 +170,194 @@ def _diagonal(mat) -> np.ndarray | None:
 
 
 def generalized_eig(a_mat, m_mat, space: str | None = None,
-                    level: int | None = None) -> SpectralPair:
+                    level: int | None = None, orbits=None) -> SpectralPair:
     """All eigenpairs of (a_mat, m_mat), M-orthonormal, ascending.
 
     A sparse ``m_mat`` with no off-diagonal entries, such as ``mass_s``, is
     scaled away: with ``r = diag(m)^-1/2`` the standard problem ``r A r`` is
-    diagonalized and the modes are ``r psi``.  Any other mass goes to the
-    generalized solver.  The decomposition is validated column by column: the
-    residual ``A phi - lambda M phi`` must stay below
-    ``RESIDUAL_TOL * max |lambda|``; if it does not, the modes are
-    re-orthonormalized in the M inner product and checked once more.
+    diagonalized and the modes are ``r psi``.  Given ``orbits``, the
+    ``(dim/g, g)`` table of a group of g symmetries of the pencil
+    (``mesh.mirror_orbits``), ``r A r`` is first split into g blocks
+    ``U_k.T r A r U_k``, one per character k, where ``U_k`` has the entries
+    of column k of the normalized Sylvester–Hadamard matrix on the orbits;
+    each block is diagonalized on its own and the modes are kept in that
+    form (:class:`BlockModes`).  Coupling between the blocks beyond
+    roundoff, or a mass that is not constant on the orbits, is a
+    PencilError.  Without orbits the modes are a dense array.  Any other
+    mass goes to the generalized solver.
+
+    The decomposition is validated column by column: the residual
+    ``A phi - lambda M phi`` must stay below ``RESIDUAL_TOL * max |lambda|``;
+    if it does not, the modes are re-orthonormalized in the M inner product
+    and checked once more.  On the diagonal route this runs one block and a
+    few hundred columns at a time.
 
     Refused before any allocation if the dense arrays exceed the available
-    memory.  Measured with tracemalloc, either route peaks at four n x n
-    arrays (the matrices eigh factors and twice n^2 of workspace), plus a
-    dense copy of each sparse operand on the generalized route; the diagonal
-    route densifies only the scaled ``r A r``, which is one of the four.
+    memory.  Measured with tracemalloc, the generalized route peaks at four
+    n x n arrays (the matrices eigh factors and twice n^2 of workspace) plus
+    a dense copy of each sparse operand.  The diagonal route peaks at
+    ``(g + 3) * (n/g)**2`` dense values, g = 1 without orbits: the modes of
+    the blocks already done and the last block's eigensolve, four (n/g)^2
+    arrays; the residual check stays within that bound.  Sparse copies of
+    ``r A r`` and its Walsh transform come on top.
     """
     n = a_mat.shape[0]
     diag = _diagonal(m_mat)
-    copies = 0 if diag is not None else sp.issparse(a_mat) + sp.issparse(m_mat)
-    require_memory(8 * n * n * (4 + copies), f"the dense eigensolve of dimension {n}")
+    if diag is None:
+        if orbits is not None:
+            raise PencilError("mirror blocks need a sparse diagonal mass")
+        copies = sp.issparse(a_mat) + sp.issparse(m_mat)
+        require_memory(8 * n * n * (4 + copies), f"the dense eigensolve of dimension {n}")
+    else:
+        orbits = np.arange(n)[:, None] if orbits is None else np.asarray(orbits)
+        m, g = orbits.shape
+        require_memory(8 * (g + 3) * m * m, f"the dense eigensolve of dimension {n}"
+                       + (f" in {g} blocks" if g > 1 else ""))
     if not _symmetric(a_mat):
         raise PencilError("left matrix is not symmetric")
     if not _symmetric(m_mat):
         raise PencilError("mass matrix is not symmetric")
     mass_op = sp.csr_matrix(m_mat) if sp.issparse(m_mat) else densify(m_mat)
-    if diag is None:
-        try:
-            w, phi = sla.eigh(densify(a_mat), densify(mass_op), driver="gvd")
-        except sla.LinAlgError as err:
-            raise PencilError(f"mass matrix is not positive definite: {err}") from err
-    else:
-        if not (diag > 0).all():
-            raise PencilError("mass matrix is not positive definite: "
-                              f"diagonal entry {diag.min():.3e}")
-        root = 1.0 / np.sqrt(diag)
-        r_mat = sp.diags(root)
-        w, phi = sla.eigh(densify(r_mat @ a_mat @ r_mat), driver="evd")
-        phi *= root[:, None]
-    if w[0] <= 0:
-        raise PencilError(f"pencil is not positive definite (min eigenvalue {w[0]:.3e})")
+    if diag is not None:
+        modes, w = _diagonal_eig(a_mat, diag, orbits, mass_op)
+        return SpectralPair(eigenvalues=w, modes=modes, mass=mass_op, space=space, level=level)
 
+    try:
+        w, phi = sla.eigh(densify(a_mat), densify(mass_op), driver="gvd")
+    except sla.LinAlgError as err:
+        raise PencilError(f"mass matrix is not positive definite: {err}") from err
+    _check_positive(w)
     scale = RESIDUAL_TOL * np.abs(w).max()
-    resid = a_mat @ phi - (mass_op @ phi) * w
-    if np.linalg.norm(resid, axis=0).max() > scale:
+    if _residual(a_mat, mass_op, phi, w) > scale:
         # Fix up M-orthonormality and try once more.
         gram = phi.T @ (mass_op @ phi)
         phi = phi @ np.linalg.inv(np.linalg.cholesky(gram).T)
-        resid = a_mat @ phi - (mass_op @ phi) * w
-        if np.linalg.norm(resid, axis=0).max() > scale:
+        if _residual(a_mat, mass_op, phi, w) > scale:
             raise PencilError("eigen residual exceeds tolerance after re-orthonormalization")
     return SpectralPair(eigenvalues=w, modes=phi, mass=mass_op, space=space, level=level)
+
+
+def _check_positive(w: np.ndarray) -> None:
+    if w.min() <= 0:
+        raise PencilError(f"pencil is not positive definite (min eigenvalue {w.min():.3e})")
+
+
+def _residual(a_mat, mass_op, phi: np.ndarray, w: np.ndarray) -> float:
+    """The largest column norm of ``A phi - M phi diag(w)``."""
+    return np.linalg.norm(a_mat @ phi - (mass_op @ phi) * w, axis=0).max()
+
+
+def _diagonal_eig(a_mat, diag: np.ndarray, orbits: np.ndarray, mass_op):
+    """Modes and ascending eigenvalues of (a_mat, diag(diag)), one Walsh
+    block of ``orbits`` at a time; see ``generalized_eig``."""
+    n = a_mat.shape[0]
+    m, g = orbits.shape
+    if not (diag > 0).all():
+        raise PencilError("mass matrix is not positive definite: "
+                          f"diagonal entry {diag.min():.3e}")
+    if not np.array_equal(np.sort(orbits, axis=None), np.arange(n)):
+        raise PencilError("the orbits do not partition the pencil's rows")
+    if np.abs(diag[orbits] - diag[orbits[:, :1]]).max() > BLOCK_TOL * diag.max():
+        raise PencilError("mass matrix is not constant on the orbits")
+    root = 1.0 / np.sqrt(diag)
+    r_mat = sp.diags(root)
+    # U = [U_0 ... U_{g-1}]: column k*m + r is character k on orbit r.
+    walsh = sla.hadamard(g) / np.sqrt(g)
+    u_mat = sp.csr_matrix((np.repeat(walsh, m, axis=1).ravel(),
+                           (np.tile(orbits.T, g).ravel(), np.tile(np.arange(n), g))),
+                          shape=(n, n))
+    split = sp.csr_matrix(u_mat.T @ (r_mat @ a_mat @ r_mat) @ u_mat)
+    rows = np.repeat(np.arange(n), np.diff(split.indptr))
+    coupling = rows // m != split.indices // m
+    if coupling.any() and abs(split.data[coupling]).max() > BLOCK_TOL * abs(split.data).max():
+        raise PencilError("the pencil couples its symmetry blocks beyond roundoff")
+    ws, blocks = [], []
+    for k in range(g):
+        w, psi = sla.eigh(densify(split[k * m:(k + 1) * m, k * m:(k + 1) * m]), driver="evd")
+        ws.append(w)
+        blocks.append(psi)
+    w = np.concatenate(ws)
+    _check_positive(w)
+
+    scale = RESIDUAL_TOL * np.abs(w).max()
+    modes = BlockModes(orbits, root, walsh, blocks, np.argsort(w, kind="stable"))
+    step = max(1, m // (2 * g))  # residual columns at a time: temporaries below 2 m^2
+
+    def residual(k):
+        return max(_residual(a_mat, mass_op, modes.block_columns(k, slice(c, c + step)),
+                             ws[k][c:c + step]) for c in range(0, m, step))
+
+    for k in range(g):
+        if residual(k) > scale:
+            # Fix up orthonormality, which is M-orthonormality of the modes, and try once more.
+            psi = blocks[k]
+            blocks[k] = psi @ np.linalg.inv(np.linalg.cholesky(psi.T @ psi).T)
+            if residual(k) > scale:
+                raise PencilError("eigen residual exceeds tolerance after re-orthonormalization")
+    return (modes.toarray() if g == 1 else modes), w[modes.order]
+
+
+@dataclass(frozen=True)
+class BlockModes:
+    """The modes ``r U blockdiag(psi_0, ..., psi_{g-1})`` of a diagonal-mass
+    pencil split by a symmetry group (``generalized_eig`` with ``orbits``),
+    held in that form: ``@`` gathers a vector or matrix by orbit, applies the
+    Walsh transform and one product per block, and scatters back, so the
+    dense ``n x n`` modes are never formed.  Column p is the block-major
+    column ``order[p]``, so the columns follow the ascending eigenvalues.
+    ``.T`` is the transposed view; ``toarray`` the dense matrix.
+    """
+
+    orbits: np.ndarray  # (m, g), column j the image of column 0 under element j
+    scale: np.ndarray  # r = diag(mass)^-1/2
+    walsh: np.ndarray  # (g, g) normalized Sylvester-Hadamard matrix, symmetric
+    blocks: list  # g dense (m, m) block eigenvectors psi_k
+    order: np.ndarray  # ascending eigenvalue p -> block-major column order[p]
+    transposed: bool = False
+
+    @property
+    def shape(self) -> tuple:
+        return (self.scale.size, self.scale.size)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.orbits, self.scale, self.order, *self.blocks))
+
+    @property
+    def T(self) -> BlockModes:
+        return replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        m, g = self.orbits.shape
+        rows = self.scale.reshape(-1, *[1] * (x.ndim - 1))
+        if self.transposed:  # psi_k.T U_k.T r x, block-major, then reordered
+            z = self.walsh @ (rows * x)[self.orbits.T].reshape(g, -1)
+            z = z.reshape(g, m, *x.shape[1:])
+            return np.concatenate([psi.T @ zk for psi, zk in zip(self.blocks, z)])[self.order]
+        c = np.empty_like(x)
+        c[self.order] = x
+        z = np.stack([psi @ ck for psi, ck in zip(self.blocks, c.reshape(g, m, *x.shape[1:]))])
+        out = np.empty_like(x)
+        out[self.orbits.T] = (self.walsh @ z.reshape(g, -1)).reshape(z.shape)
+        return rows * out
+
+    def block_columns(self, k: int, cols: slice) -> np.ndarray:
+        """Dense columns ``cols`` of block k's modes ``r U_k psi_k``."""
+        psi = self.blocks[k][:, cols]
+        out = np.empty((self.scale.size, psi.shape[1]))
+        for j, row in enumerate(self.orbits.T):
+            out[row] = self.walsh[j, k] * psi
+        out *= self.scale[:, None]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        m, g = self.orbits.shape
+        dense = np.empty(self.shape)
+        where = np.argsort(self.order)  # block-major column -> ascending position
+        for k in range(g):
+            dense[:, where[k * m:(k + 1) * m]] = self.block_columns(k, slice(None))
+        return dense.T if self.transposed else dense
 
 
 def solve_power(pair: SpectralPair, s: float, d):

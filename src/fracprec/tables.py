@@ -10,11 +10,15 @@ Three grids are produced, mirroring the package's three headline results:
      powers (PCG + estimates).
 
 All three rest on the scalar pencil (grad.T inv(mass_v) grad, mass_s) of the
-finest mesh.  Grids 1 and 3 diagonalize it once per size, from the sparse
-operator ``fem.laplacian_dual`` and as a standard problem scaled by the
-diagonal ``mass_s``: grid 3 uses it as the operator, and grid 1 applies the
-flux operator's powers through it by the discrete Helmholtz split
-(``spectral.HelmholtzPair``).  Grid 2 does not
+finest mesh.  Grids 1 and 3 diagonalize it once per size in g mirror
+blocks, from the sparse operator ``fem.laplacian_dual`` and as a standard
+problem scaled by the diagonal ``mass_s``: the mirrors x -> 1 - x and
+y -> 1 - y map the mesh onto itself for even n (g = 4), the half-turn for
+every n (g = 2 for odd n), and the pencil commutes with them, so it splits
+exactly into g blocks over the triangle orbits (``mesh.mirror_orbits``) whose
+modes are kept in block form.  Grid 3 uses it as the operator, and grid 1
+applies the flux operator's powers through it by the discrete Helmholtz
+split (``spectral.HelmholtzPair``).  Grid 2 does not
 diagonalize it: its exact condition numbers and the inf-sup constant depend
 only on the pencil's two extreme eigenvalues (closed form in
 ``auxiliary.exact_condition_number``), which ``spectral.scalar_extremes``
@@ -43,7 +47,7 @@ import numpy as np
 from .auxiliary import build_multigrid, exact_condition_number
 from .fem import assemble_all, laplacian_dual
 from .krylov import IndefinitenessError, pcg
-from .mesh import build_hierarchy
+from .mesh import build_hierarchy, mirror_orbits
 from .multigrid import AdditiveMultigrid, multilevel_setup
 from .spectral import (HelmholtzPair, PencilError, apply_power, generalized_eig,
                        require_memory, scalar_extremes, solve_power)
@@ -163,19 +167,23 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                     f"finest size n={n} does not refine down over {cfg.levels} levels "
                     f"(needs a multiple of {step})"
                 )
-        # Bytes at the largest size, checked last: the two dense eigensolves as
-        # ``generalized_eig`` counts them (four NS x NS arrays for the scalar
-        # pencil, six NV0 x NV0 for the coarse flux pencil), plus what the
-        # set-up keeps besides them (the levels' sparse matrices, the patch
+        # Bytes at the size that needs the most, checked last: the two dense
+        # eigensolves as ``generalized_eig`` counts them, plus what the set-up
+        # keeps besides them (the levels' sparse matrices, the patch
         # eigenpairs, the sparse scalar operator): tracemalloc measures 102
         # doubles per fine edge at n = 16 and 89 at n = 32, counted as 128.
-        # The stages run one after another, so the sum also covers the arrays
-        # each keeps from the one before.
-        n = max(cfg.sizes)
-        ns, nv, n0 = 2 * n * n, 3 * n * n + 2 * n, n // step
-        require_memory(8 * (4 * ns * ns + 6 * (3 * n0 * n0 + 2 * n0) ** 2
-                            + 128 * nv),
-                       f"the dense reference at n={n}")
+        # The scalar pencil splits into g mirror blocks (``mesh.mirror_orbits``:
+        # g = 4 for even n, 2 for odd n) and takes (g + 3) (NS/g)^2 doubles,
+        # its modes NS^2/g plus one block's eigensolve; the coarse flux pencil
+        # takes six NV0 x NV0 arrays.  The stages run one after another, so
+        # the sum also covers the arrays each keeps from the one before.
+        def need(n: int) -> int:
+            g, n0 = (4 if n % 2 == 0 else 2), n // step
+            ns, nv, nv0 = 2 * n * n, 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0
+            return 8 * ((g + 3) * (ns // g) ** 2 + 6 * nv0 ** 2 + 128 * nv)
+
+        n = max(cfg.sizes, key=need)
+        require_memory(need(n), f"the dense reference at n={n}")
     return cfg
 
 
@@ -280,7 +288,7 @@ class _HierarchySetup:
         self.multilevel = multilevel_setup(lms)
         fine = lms[-1]
         scalar_pair = generalized_eig(laplacian_dual(fine), fine.mass_s, space="S",
-                                      level=fine.index)
+                                      level=fine.index, orbits=mirror_orbits(fine.mesh))
         self.op_pair = (scalar_pair if cfg.table == "3"
                         else HelmholtzPair(scalar_pair, fine.grad, fine.mass_v))
         self.dim = self.op_pair.dim

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracprec.mesh import build_hierarchy, build_level, vertex_patches
+from fracprec.mesh import build_hierarchy, build_level, mirror_orbits, vertex_patches
 
 
 def parent_triangles(coarse, fine):
@@ -200,3 +200,49 @@ class TestVertexPatches:
         for edge_ids in vertex_patches(lvl):
             count[edge_ids] += 1
         np.testing.assert_array_equal(count, 2)
+
+
+def mirror_image_oracle(level, flip_x, flip_y):
+    """Triangle that each triangle's mirror image lands on, by vertex sets."""
+    n = level.n
+    grid = np.rint(level.vertices * n).astype(int)
+    ids = {frozenset(map(tuple, grid[t])): k for k, t in enumerate(level.triangles)}
+    image = np.empty(level.num_triangles, dtype=int)
+    for k, t in enumerate(level.triangles):
+        x, y = grid[t].T
+        x, y = (n - x if flip_x else x), (n - y if flip_y else y)
+        image[k] = ids[frozenset(zip(x, y))]  # KeyError if the image is no triangle
+    return image
+
+
+class TestMirrorOrbits:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_group_order_and_partition(self, n):
+        lvl = build_level(n)
+        orbits = mirror_orbits(lvl)
+        g = 4 if n % 2 == 0 else 2
+        assert orbits.shape == (lvl.num_triangles // g, g)
+        np.testing.assert_array_equal(np.sort(orbits, axis=None), np.arange(lvl.num_triangles))
+        assert (orbits[:, 0] == orbits.min(axis=1)).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_columns_are_the_mirror_maps(self, n):
+        # Element j of an even mesh flips x for bit 0 and y for bit 1; an odd
+        # mesh keeps the identity and the half-turn.  Element i ^ j carries
+        # column i to column j, so each element extends to a permutation of
+        # all triangles, checked against the vertex-set oracle.
+        lvl = build_level(n)
+        orbits = mirror_orbits(lvl)
+        g = orbits.shape[1]
+        flips = [(0, 0), (1, 0), (0, 1), (1, 1)] if g == 4 else [(0, 0), (1, 1)]
+        for j, flip in enumerate(flips):
+            perm = np.full(lvl.num_triangles, -1)
+            for i in range(g):
+                perm[orbits[:, i]] = orbits[:, i ^ j]
+            np.testing.assert_array_equal(np.sort(perm), np.arange(lvl.num_triangles))
+            np.testing.assert_array_equal(perm, mirror_image_oracle(lvl, *flip))
+            np.testing.assert_allclose(lvl.areas()[perm], lvl.areas(), rtol=1e-14)
+
+    def test_odd_mesh_has_no_single_mirror(self):
+        with pytest.raises(KeyError):
+            mirror_image_oracle(build_level(3), True, False)

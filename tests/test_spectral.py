@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from fracprec import spectral
 from fracprec.fem import assemble, laplacian_dual
-from fracprec.mesh import build_level
+from fracprec.mesh import build_level, mirror_orbits
 from fracprec.spectral import (
+    BlockModes,
+    HelmholtzPair,
     PencilError,
     apply_power,
+    densify,
     generalized_eig,
     inf_sup_constant,
     power_matrix,
@@ -224,3 +228,97 @@ class TestMeshPencils:
         got = scalar_extremes(lm)
         np.testing.assert_allclose(got, dense, rtol=1e-10)
         assert scalar_extremes(lm) == got  # fixed start vector: bit for bit
+
+
+class TestMirrorBlocks:
+    """The scalar pencil split by ``mesh.mirror_orbits`` against the dense
+    route on the same pencil."""
+
+    @staticmethod
+    def pencils(n):
+        lm = assemble(build_level(n))
+        A = laplacian_dual(lm)
+        return lm, A, generalized_eig(A, lm.mass_s), generalized_eig(
+            A, lm.mass_s, orbits=mirror_orbits(lm.mesh))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_matches_the_dense_route(self, n):
+        lm, A, dense, blocks = self.pencils(n)
+        assert isinstance(blocks.modes, BlockModes) and isinstance(dense.modes, np.ndarray)
+        np.testing.assert_allclose(blocks.eigenvalues, dense.eigenvalues, rtol=1e-12)
+        phi = densify(blocks.modes)
+        np.testing.assert_allclose(phi.T @ (lm.mass_s @ phi), np.eye(blocks.dim),
+                                   rtol=0, atol=1e-12)
+        rng = np.random.default_rng(n)
+        d = rng.uniform(-1, 1, blocks.dim)
+        c = rng.uniform(-1, 1, lm.mesh.num_edges)
+        for s in (0.0, 0.3, 1.0):
+            want = solve_power(dense, s, d)
+            np.testing.assert_allclose(solve_power(blocks, s, d), want,
+                                       rtol=0, atol=1e-12 * np.abs(want).max())
+            want = apply_power(HelmholtzPair(dense, lm.grad, lm.mass_v), s, c)
+            got = apply_power(HelmholtzPair(blocks, lm.grad, lm.mass_v), s, c)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_modes_act_as_their_dense_matrix(self, n):
+        _, _, reference, blocks = self.pencils(n)
+        modes, phi = blocks.modes, densify(blocks.modes)
+        assert modes.shape == modes.T.shape == phi.shape
+        np.testing.assert_array_equal(densify(modes.T), phi.T)
+        x = np.random.default_rng(0).uniform(-1, 1, (blocks.dim, 3))
+        for op, dense in ((modes, phi), (modes.T, phi.T)):
+            np.testing.assert_allclose(op @ x, dense @ x, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(op @ x[:, 0], dense @ x[:, 0], rtol=0, atol=1e-13)
+        g = blocks.modes.orbits.shape[1]
+        assert sum(b.nbytes for b in modes.blocks) == phi.nbytes // g < modes.nbytes
+        for dual_form in (False, True):
+            want = power_matrix(reference, 0.3, dual_form)
+            np.testing.assert_allclose(power_matrix(blocks, 0.3, dual_form), want,
+                                       rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_without_orbits_the_modes_are_the_scaled_standard_ones(self):
+        # g = 1: one block, the scaled problem r A r itself, modes dense.
+        lm = assemble(build_level(4))
+        A = laplacian_dual(lm)
+        root = 1.0 / np.sqrt(lm.mass_s.diagonal())
+        w, psi = sla.eigh((sp.diags(root) @ A @ sp.diags(root)).toarray(), driver="evd")
+        pair = generalized_eig(A, lm.mass_s)
+        np.testing.assert_array_equal(pair.eigenvalues, w)
+        np.testing.assert_array_equal(pair.modes, psi * root[:, None])
+
+    def test_rejects_a_pencil_that_is_not_mirror_invariant(self):
+        lm = assemble(build_level(4))
+        A = laplacian_dual(lm).tolil()
+        i, j = A[0].nonzero()[1][-1], 0
+        A[i, j] = A[j, i] = A[i, j] * (1 + 1e-3)
+        with pytest.raises(PencilError, match="couples its symmetry blocks"):
+            generalized_eig(A.tocsr(), lm.mass_s, orbits=mirror_orbits(lm.mesh))
+
+    def test_rejects_a_mass_that_varies_on_an_orbit(self):
+        lm = assemble(build_level(4))
+        mass = lm.mass_s.diagonal().copy()
+        mass[0] *= 1.5
+        with pytest.raises(PencilError, match="not constant on the orbits"):
+            generalized_eig(laplacian_dual(lm), sp.diags(mass, format="csr"),
+                            orbits=mirror_orbits(lm.mesh))
+
+    def test_rejects_orbits_with_a_dense_mass_or_that_miss_rows(self):
+        lm = assemble(build_level(2))
+        orbits = mirror_orbits(lm.mesh)
+        with pytest.raises(PencilError, match="need a sparse diagonal mass"):
+            generalized_eig(laplacian_dual(lm), lm.mass_s.toarray(), orbits=orbits)
+        with pytest.raises(PencilError, match="do not partition"):
+            generalized_eig(laplacian_dual(lm), lm.mass_s, orbits=orbits[:, [0, 0, 2, 3]])
+
+    def test_memory_guard_counts_one_block_at_a_time(self, monkeypatch):
+        # n = 8: four blocks of 32; the modes (4 * 32^2) plus one eigensolve
+        # (3 * 32^2), against 4 * 128^2 without the split.
+        lm = assemble(build_level(8))
+        need = 8 * 7 * 32 * 32
+        monkeypatch.setattr(spectral, "available_memory", lambda: need - 1)
+        with pytest.raises(PencilError, match=f"dimension 128 in 4 blocks needs {need} bytes"):
+            generalized_eig(laplacian_dual(lm), lm.mass_s, orbits=mirror_orbits(lm.mesh))
+        monkeypatch.setattr(spectral, "available_memory", lambda: need)
+        assert generalized_eig(laplacian_dual(lm), lm.mass_s,
+                               orbits=mirror_orbits(lm.mesh)).dim == 128

@@ -10,7 +10,7 @@ from fracprec import cli, spectral, tables
 from fracprec.auxiliary import exact_condition_number
 from fracprec.fem import assemble_all, laplacian_dual
 from fracprec.mesh import build_hierarchy
-from fracprec.spectral import generalized_eig
+from fracprec.spectral import BlockModes, generalized_eig
 
 
 class TestSizeResolution:
@@ -403,9 +403,9 @@ class TestMemoryGuard:
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--sizes", "8"])
         assert err.value.code == 2
-        # 8 * (4*128^2 + 6*5^2 + 128*208) at n = 8, n0 = 1
+        # 8 * (7*(128/4)^2 + 6*5^2 + 128*208) at n = 8 (four mirror blocks), n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
-            "error: the dense reference at n=8 needs 738480 bytes, "
+            "error: the dense reference at n=8 needs 271536 bytes, "
             "more than the 1000 bytes available")
 
     def test_largest_size_sets_the_estimate(self, monkeypatch):
@@ -418,6 +418,18 @@ class TestMemoryGuard:
         monkeypatch.setattr(spectral, "available_memory", lambda: need - 1)
         with pytest.raises(spectral.PencilError, match=f"n=32 needs {need} bytes"):
             tables.validate(cfg)
+
+    def test_odd_size_counts_two_mirror_blocks(self):
+        # 8 * (5*(98/2)^2 + 6*161^2 + 128*161) at n = n0 = 7: the half-turn
+        # alone maps an odd mesh onto itself.
+        assert dense_estimate(tables.default_config("3", sizes=(7,), levels=1)) == 1505112
+
+    @pytest.mark.parametrize("table", ["1", "3"])
+    def test_fine_scalar_modes_stay_in_mirror_blocks(self, table):
+        setup = tables._HierarchySetup(16, tables.default_config(table, sizes=(16,)))
+        modes = setup.op_pair.modes
+        assert isinstance(modes, BlockModes)
+        assert [b.shape for b in modes.blocks] == [(128, 128)] * 4
 
     @pytest.mark.parametrize("table", ["1", "3"])
     def test_estimate_bounds_what_the_setup_allocates(self, table):
