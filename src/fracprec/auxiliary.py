@@ -40,7 +40,7 @@ import numpy as np
 
 from .fem import LevelMatrices
 from .multigrid import AdditiveMultigrid, MultilevelSetup
-from .spectral import SpectralPair, solve_power
+from .spectral import SpectralPair
 from .vectors import retag, untag
 
 __all__ = [
@@ -60,7 +60,8 @@ def _check_exponent(s: float) -> None:
 
 
 class AuxiliaryPreconditioner:
-    """grad.T composed with an inner flux solve composed with grad."""
+    """grad.T composed with an inner flux solve composed with grad; the
+    level's stored ``grad_t`` applies grad.T."""
 
     def __init__(self, lm: LevelMatrices, inner):
         self.lm = lm
@@ -70,13 +71,13 @@ class AuxiliaryPreconditioner:
         vals = untag(u, "S", self.lm.index, "coefficient")
         flux_dual = self.lm.grad @ vals
         flux_coeff = self.inner(flux_dual)
-        return retag(u, "dual", self.lm.grad.T @ flux_coeff)
+        return retag(u, "dual", self.lm.grad_t @ flux_coeff)
 
 
 def build_exact(s: float, lm: LevelMatrices, flux_pair: SpectralPair) -> AuxiliaryPreconditioner:
     """Reference variant: exact inverse (1+s)-power on the flux space."""
     _check_exponent(s)
-    return AuxiliaryPreconditioner(lm, lambda d: solve_power(flux_pair, 1.0 + s, d))
+    return AuxiliaryPreconditioner(lm, flux_pair.inverse_power(1.0 + s))
 
 
 def build_multigrid(s: float, setup: MultilevelSetup) -> AuxiliaryPreconditioner:

@@ -16,6 +16,8 @@ Assembled objects (sparse CSR unless noted):
 - ``hdiv``        (NV, NV)  mass_v + <div .,div .>
 - ``grad``        (NV, NS)  discrete gradient in dual form:
                             grad[e, t] = -<indicator_t, div psi_e>
+- ``grad_t``      (NS, NV)  its transpose, stored in CSR form so that no
+                            apply builds one
 
 ``hdiv - mass_v == grad @ inv(mass_s) @ grad.T`` holds exactly, which ties
 the two independently assembled sign conventions together (tested).
@@ -49,6 +51,8 @@ __all__ = [
     "assemble_prolongation",
 ]
 
+FILL_TOL = 1e-12  # roundoff fill dropped from laplacian_dual, relative to its largest entry
+
 
 @dataclass(frozen=True)
 class LevelMatrices:
@@ -60,6 +64,7 @@ class LevelMatrices:
     mass_v: sp.csr_matrix
     hdiv: sp.csr_matrix
     grad: sp.csr_matrix
+    grad_t: sp.csr_matrix
 
 
 def assemble(level: MeshLevel, index: int = 0) -> LevelMatrices:
@@ -97,6 +102,7 @@ def assemble(level: MeshLevel, index: int = 0) -> LevelMatrices:
         mass_v=mass_v,
         hdiv=(mass_v + divdiv).tocsr(),
         grad=grad,
+        grad_t=grad.T.tocsr(),
     )
 
 
@@ -148,7 +154,10 @@ def laplacian_dual(lm: LevelMatrices) -> sp.csr_matrix:
     while prev is None or (y != prev).nnz:
         prev, y = y, (b - strict @ y).tocsr()
     a = (y.T @ sp.diags(1.0 / lu.U.diagonal()) @ y).tocsr()
-    return (0.5 * (a + a.T)).tocsr()
+    a = (0.5 * (a + a.T)).tocsr()
+    a.data[np.abs(a.data) <= FILL_TOL * np.abs(a.data).max()] = 0.0
+    a.eliminate_zeros()
+    return a
 
 
 def assemble_prolongation(coarse: MeshLevel, fine: MeshLevel) -> sp.csr_matrix:

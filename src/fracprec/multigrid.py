@@ -15,11 +15,14 @@ s-power ``modes diag(lambda**-s) modes.T`` of one ``spectral.SpectralPair``:
   the vertex-patch (additive Schwarz) smoother;
 - coefficient contributions are carried up through the embeddings and added.
 
-Nothing but the scaling ``lambda**-s`` depends on the exponent: the pairs and
-the embeddings are built once from the assembled levels
-(``multilevel_setup(lms)``, the list ``fem.assemble_all`` returns, coarsest
-first; each level carries its mesh), and ``AdditiveMultigrid(setup, s)``
-takes the preconditioner of any exponent from that one setup.
+Nothing but the scaling ``lambda**-s`` depends on the exponent: the pairs,
+the embeddings and their transposes (the dual restrictions, stored in CSR
+form) are built once from the assembled levels (``multilevel_setup(lms)``,
+the list ``fem.assemble_all`` returns, coarsest first; each level carries
+its mesh).  ``AdditiveMultigrid(setup, s)`` takes the preconditioner of any
+exponent from that one setup and computes the scaling once, as one
+``spectral.PowerMap`` per level, so an apply runs only the sparse and dense
+products.
 
 All sums run in a fixed order (levels ascending; within a level the patch
 modes by ascending patch size, then ascending vertex), so repeated
@@ -35,7 +38,7 @@ import scipy.sparse as sp
 
 from .fem import LevelMatrices, assemble_prolongation
 from .mesh import vertex_patches
-from .spectral import SpectralPair, generalized_eig, solve_power
+from .spectral import SpectralPair, generalized_eig
 from .vectors import retag, untag
 
 __all__ = [
@@ -89,17 +92,19 @@ class MultilevelSetup:
 
     level_pairs: tuple     # flux pencil of level 0, then the patch pair of each finer level
     prolongations: tuple   # flux embeddings, level k -> k+1
+    restrictions: tuple    # their transposes in CSR form: dual restrictions, level k+1 -> k
     finest: LevelMatrices
 
 
 def multilevel_setup(lms) -> MultilevelSetup:
     """Diagonalize the coarse pencil, eigendecompose every vertex patch and
     assemble the embeddings, once for all exponents."""
+    prolongations = tuple(assemble_prolongation(c.mesh, f.mesh) for c, f in zip(lms, lms[1:]))
     return MultilevelSetup(
         level_pairs=(generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0),
                      *precompute_patches(lms)),
-        prolongations=tuple(assemble_prolongation(c.mesh, f.mesh)
-                            for c, f in zip(lms, lms[1:])),
+        prolongations=prolongations,
+        restrictions=tuple(P.T.tocsr() for P in prolongations),
         finest=lms[-1],
     )
 
@@ -115,6 +120,7 @@ class AdditiveMultigrid:
         self.s = s
         self.finest_index = setup.finest.index
         self.dim = setup.finest.mesh.num_edges
+        self.powers = tuple(pair.inverse_power(s) for pair in setup.level_pairs)
 
     def apply(self, d):
         """Dual vector in, coefficient vector out."""
@@ -122,12 +128,11 @@ class AdditiveMultigrid:
         if vals.shape != (self.dim,):
             raise ValueError(f"expected dual vector of length {self.dim}, got {vals.shape}")
 
-        pairs, pros = self.setup.level_pairs, self.setup.prolongations
         duals = [vals]
-        for P in reversed(pros):
-            duals.append(P.T @ duals[-1])
+        for R in reversed(self.setup.restrictions):
+            duals.append(R @ duals[-1])
         duals.reverse()
-        acc = solve_power(pairs[0], self.s, duals[0])
-        for P, pair, dual in zip(pros, pairs[1:], duals[1:]):
-            acc = P @ acc + solve_power(pair, self.s, dual)
+        acc = self.powers[0](duals[0])
+        for P, power, dual in zip(self.setup.prolongations, self.powers[1:], duals[1:]):
+            acc = P @ acc + power(dual)
         return retag(d, "coefficient", acc)

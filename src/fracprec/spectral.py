@@ -11,20 +11,25 @@ character of the group in the Walsh basis over the orbits; each block is
 diagonalized on its own and the modes stay in block form
 (:class:`BlockModes`), a quarter of the dense bytes for four blocks.
 Powers of the operator represented by the pencil are then diagonal in that
-basis.  Two application routines cover both orientations used throughout:
+basis.  Each pair type builds a fixed-exponent :class:`PowerMap` for either
+orientation used throughout:
 
-- ``solve_power(pair, s, d)``:  dual -> coefficient, ``modes @ diag(w**-s) @ modes.T @ d``
+- ``pair.inverse_power(s)``:  dual -> coefficient, ``modes @ diag(w**-s) @ modes.T @ d``
   (the inverse s-power; s=1 solves A x = d, s=0 solves M x = d);
-- ``apply_power(pair, s, c)``:  coefficient -> dual,
+- ``pair.forward_power(s)``:  coefficient -> dual,
   ``M @ modes @ diag(w**s) @ modes.T @ M @ c`` (the forward s-power; s=1 is
   A @ c, s=0 is M @ c).
 
-They are inverses of each other at the same exponent.  Both accept either a
+They are inverses of each other at the same exponent.  Only the scaling
+depends on the exponent, and a map computes it once, when it is built; the
+transposed modes are built once per pair.  So a map applied inside a Krylov
+loop creates no sparse transpose and evaluates no power.  ``solve_power``
+and ``apply_power`` build the map and apply it once.  Maps accept either a
 plain array or a :class:`~fracprec.vectors.TaggedVector`; tagged input is
-checked against the pair's space/level tags and returned re-tagged with the
-opposite representation.  ``solve_power`` also takes a pair with no mass
-whose modes are sparse and outnumber the dimension: the vertex-patch
-smoother of one ``multigrid`` level.
+checked against the pair's space/level tags on every apply and returned
+re-tagged with the opposite representation.  The inverse power also takes a
+pair with no mass whose modes are sparse and outnumber the dimension: the
+vertex-patch smoother of one ``multigrid`` level.
 
 A :class:`HelmholtzPair` stands for the flux pencil ``(hdiv, mass_v)`` of one
 level without diagonalizing it.  By the discrete Helmholtz split,
@@ -34,8 +39,8 @@ eigenpair ``(1 + alpha, inv(mass_v) grad phi)``, so the forward power is
 
     mass_v + grad @ Phi @ diag(((1 + alpha)**s - 1) / alpha) @ Phi.T @ grad.T,
 
-which ``apply_power`` evaluates from the scalar pair alone, with no flux
-eigensolve and no ``mass_v`` solve.
+which its ``forward_power`` evaluates from the scalar pair alone, with no
+flux eigensolve and no ``mass_v`` solve.
 
 When only the two extreme eigenvalues of the scalar pencil are needed,
 ``scalar_extremes`` finds them by Lanczos on sparse factorizations, with no
@@ -44,8 +49,9 @@ dense matrix and no full diagonalization.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -57,6 +63,7 @@ from .vectors import retag, untag
 
 __all__ = [
     "SpectralPair",
+    "PowerMap",
     "BlockModes",
     "HelmholtzPair",
     "PencilError",
@@ -96,8 +103,31 @@ def require_memory(need: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
+class PowerMap:
+    """One pair's power at one fixed exponent, as a map between the two
+    representations: ``SpectralPair.inverse_power``, ``.forward_power`` and
+    ``HelmholtzPair.forward_power`` build it.  It holds the exponent's
+    scaling, computed once; ``kernel`` is the pair's exponent-independent
+    product, which holds the transposed modes.  A tagged input must carry the
+    pair's space and level and the representation ``rep``; the output has
+    the other representation.
+    """
+
+    space: str | None
+    level: int | None
+    rep: str  # the representation taken
+    kernel: Callable  # (scale, values) -> values
+    scale: np.ndarray
+
+    def __call__(self, x):
+        vals = untag(x, self.space, self.level, self.rep)
+        return retag(x, "dual" if self.rep == "coefficient" else "coefficient",
+                     self.kernel(self.scale, vals))
+
+
+@dataclass(frozen=True)
 class SpectralPair:
-    """Eigenpairs of a symmetric definite operator: ``solve_power`` applies
+    """Eigenpairs of a symmetric definite operator: ``inverse_power(s)`` is
     ``modes diag(eigenvalues**-s) modes.T``.
 
     ``generalized_eig`` returns the full, square decomposition of a pencil
@@ -105,6 +135,11 @@ class SpectralPair:
     :class:`BlockModes`.  The modes may also be sparse and have more columns than
     rows, as the patch modes of a multilevel smoother do; such a pair has no
     mass (``None``) and is used only for the inverse power.
+
+    What every power shares is built with the pair: the modes in the column
+    order their products run in (block-major for :class:`BlockModes`, so an
+    apply does not reorder), their transpose (CSR for sparse modes, so no
+    apply builds one) and the eigenvalues in that order.
     """
 
     eigenvalues: np.ndarray
@@ -112,23 +147,57 @@ class SpectralPair:
     mass: object  # sparse or dense symmetric positive definite matrix, or None
     space: str | None = None
     level: int | None = None
+    _factors: tuple = field(init=False, repr=False, compare=False)  # modes, modes.T, spectrum
+
+    def __post_init__(self):
+        modes, spectrum = self.modes, self.eigenvalues
+        if isinstance(modes, BlockModes):
+            spectrum = np.empty_like(spectrum)
+            spectrum[modes.order] = self.eigenvalues
+            modes = replace(modes, order=None)
+        modes_t = modes.T.tocsr() if sp.issparse(modes) else modes.T
+        object.__setattr__(self, "_factors", (modes, modes_t, spectrum))
 
     @property
     def dim(self) -> int:
         return self.modes.shape[0]
 
+    def sandwich(self, scale: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``modes diag(scale) modes.T x``, ``scale`` in the column order of
+        ``spectrum`` (block-major for :class:`BlockModes`)."""
+        modes, modes_t, _ = self._factors
+        return modes @ (scale * (modes_t @ x))
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues in the column order ``sandwich`` runs in."""
+        return self._factors[2]
+
+    def _forward(self, scale, c):
+        return self.mass @ self.sandwich(scale, self.mass @ c)
+
+    def inverse_power(self, s: float) -> PowerMap:
+        """Dual -> coefficient map of the inverse s-power (s=1 solves A x = d,
+        s=0 solves M x = d)."""
+        return PowerMap(self.space, self.level, "dual", self.sandwich, self.spectrum ** -s)
+
+    def forward_power(self, s: float) -> PowerMap:
+        """Coefficient -> dual map of the forward s-power
+        ``M modes diag(eigenvalues**s) modes.T M`` (s=1 is A, s=0 is M)."""
+        return PowerMap(self.space, self.level, "coefficient", self._forward, self.spectrum ** s)
+
 
 @dataclass(frozen=True)
 class HelmholtzPair:
     """The flux pencil ``(hdiv, mass_v)`` of one level, held as its scalar
-    pencil ``(grad.T inv(mass_v) grad, mass_s)`` plus ``grad`` and ``mass_v``.
+    pencil ``(grad.T inv(mass_v) grad, mass_s)`` plus the level's ``grad``,
+    its stored transpose ``grad_t`` and ``mass_v``.
 
-    Supports the forward power only (``apply_power``).
+    Has the forward power only.
     """
 
     scalar: SpectralPair
-    grad: object  # sparse discrete gradient, dual form (edges x triangles)
-    mass: object  # mass_v
+    lm: LevelMatrices
 
     space = "V"
 
@@ -141,8 +210,29 @@ class HelmholtzPair:
         return self.scalar.modes
 
     @property
+    def grad(self):
+        return self.lm.grad
+
+    @property
+    def mass(self):
+        return self.lm.mass_v
+
+    @property
     def dim(self) -> int:
         return self.grad.shape[0]
+
+    def _forward(self, gain, c):
+        return self.mass @ c + self.grad @ self.scalar.sandwich(gain, self.lm.grad_t @ c)
+
+    def forward_power(self, s: float) -> PowerMap:
+        """Coefficient -> dual map of the forward s-power, with the gain
+        ``((1 + alpha)**s - 1) / alpha`` on the scalar eigenvalues alpha."""
+        alpha = self.scalar.spectrum
+        gain = np.expm1(s * np.log1p(alpha)) / alpha
+        return PowerMap(self.space, self.level, "coefficient", self._forward, gain)
+
+    def inverse_power(self, s: float):
+        raise TypeError("a HelmholtzPair supports the forward power only")
 
 
 def densify(op) -> np.ndarray:
@@ -304,15 +394,16 @@ class BlockModes:
     held in that form: ``@`` gathers a vector or matrix by orbit, applies the
     Walsh transform and one product per block, and scatters back, so the
     dense ``n x n`` modes are never formed.  Column p is the block-major
-    column ``order[p]``, so the columns follow the ascending eigenvalues.
-    ``.T`` is the transposed view; ``toarray`` the dense matrix.
+    column ``order[p]``, so the columns follow the ascending eigenvalues;
+    with ``order`` None they stay block-major, as ``SpectralPair`` applies
+    them.  ``.T`` is the transposed view; ``toarray`` the dense matrix.
     """
 
     orbits: np.ndarray  # (m, g), column j the image of column 0 under element j
     scale: np.ndarray  # r = diag(mass)^-1/2
     walsh: np.ndarray  # (g, g) normalized Sylvester-Hadamard matrix, symmetric
     blocks: list  # g dense (m, m) block eigenvectors psi_k
-    order: np.ndarray  # ascending eigenvalue p -> block-major column order[p]
+    order: np.ndarray | None  # ascending eigenvalue p -> block-major column order[p]
     transposed: bool = False
 
     @property
@@ -321,7 +412,8 @@ class BlockModes:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.orbits, self.scale, self.order, *self.blocks))
+        arrays = (self.orbits, self.scale, self.order, *self.blocks)
+        return sum(a.nbytes for a in arrays if a is not None)
 
     @property
     def T(self) -> BlockModes:
@@ -331,16 +423,22 @@ class BlockModes:
         x = np.asarray(x, dtype=float)
         m, g = self.orbits.shape
         rows = self.scale.reshape(-1, *[1] * (x.ndim - 1))
-        if self.transposed:  # psi_k.T U_k.T r x, block-major, then reordered
+        out = np.empty((g, m, *x.shape[1:]))  # one product per block, block-major
+        if self.transposed:  # psi_k.T U_k.T r x, then reordered
             z = self.walsh @ (rows * x)[self.orbits.T].reshape(g, -1)
-            z = z.reshape(g, m, *x.shape[1:])
-            return np.concatenate([psi.T @ zk for psi, zk in zip(self.blocks, z)])[self.order]
-        c = np.empty_like(x)
-        c[self.order] = x
-        z = np.stack([psi @ ck for psi, ck in zip(self.blocks, c.reshape(g, m, *x.shape[1:]))])
-        out = np.empty_like(x)
-        out[self.orbits.T] = (self.walsh @ z.reshape(g, -1)).reshape(z.shape)
-        return rows * out
+            for psi, zk, ok in zip(self.blocks, z.reshape(out.shape), out):
+                np.matmul(psi.T, zk, out=ok)
+            out = out.reshape(x.shape)
+            return out if self.order is None else out[self.order]
+        c = x
+        if self.order is not None:
+            c = np.empty_like(x)
+            c[self.order] = x
+        for psi, ck, ok in zip(self.blocks, c.reshape(out.shape), out):
+            np.matmul(psi, ck, out=ok)
+        y = np.empty_like(x)
+        y[self.orbits.T] = (self.walsh @ out.reshape(g, -1)).reshape(out.shape)
+        return rows * y
 
     def block_columns(self, k: int, cols: slice) -> np.ndarray:
         """Dense columns ``cols`` of block k's modes ``r U_k psi_k``."""
@@ -354,7 +452,8 @@ class BlockModes:
     def toarray(self) -> np.ndarray:
         m, g = self.orbits.shape
         dense = np.empty(self.shape)
-        where = np.argsort(self.order)  # block-major column -> ascending position
+        # block-major column -> its position
+        where = np.arange(m * g) if self.order is None else np.argsort(self.order)
         for k in range(g):
             dense[:, where[k * m:(k + 1) * m]] = self.block_columns(k, slice(None))
         return dense.T if self.transposed else dense
@@ -362,23 +461,12 @@ class BlockModes:
 
 def solve_power(pair: SpectralPair, s: float, d):
     """Inverse s-power applied to a dual vector; returns coefficients."""
-    if isinstance(pair, HelmholtzPair):
-        raise TypeError("a HelmholtzPair supports the forward power only")
-    vals = untag(d, pair.space, pair.level, "dual")
-    out = pair.modes @ (pair.eigenvalues ** (-s) * (pair.modes.T @ vals))
-    return retag(d, "coefficient", out)
+    return pair.inverse_power(s)(d)
 
 
 def apply_power(pair: SpectralPair | HelmholtzPair, s: float, c):
     """Forward s-power applied to a coefficient vector; returns a dual vector."""
-    vals = untag(c, pair.space, pair.level, "coefficient")
-    if isinstance(pair, HelmholtzPair):
-        alpha, phi = pair.scalar.eigenvalues, pair.modes
-        gain = np.expm1(s * np.log1p(alpha)) / alpha  # ((1 + alpha)**s - 1) / alpha
-        out = pair.mass @ vals + pair.grad @ (phi @ (gain * (phi.T @ (pair.grad.T @ vals))))
-    else:
-        out = pair.mass @ (pair.modes @ (pair.eigenvalues**s * (pair.modes.T @ (pair.mass @ vals))))
-    return retag(c, "dual", out)
+    return pair.forward_power(s)(c)
 
 
 def power_matrix(pair: SpectralPair, s: float, dual_form: bool = False) -> np.ndarray:

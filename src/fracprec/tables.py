@@ -26,7 +26,8 @@ finds by Lanczos on sparse factorizations.  The only flux pencil ever
 diagonalized is the coarsest mesh's, for the multilevel coarse solve.  Grids
 1 and 3 build one ``multigrid.MultilevelSetup`` per size, with that coarse
 pencil and the patch eigensolves, and take every exponent's preconditioner
-from it.
+from it.  Each cell builds its operator and preconditioner once, as
+fixed-exponent maps (``spectral.PowerMap``), before its PCG starts.
 
 Cells are seeded individually from (seed, table, exponent, size), so a grid
 is reproducible cell by cell no matter which subset or order is run, and
@@ -49,8 +50,8 @@ from .fem import assemble_all, laplacian_dual
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy, mirror_orbits
 from .multigrid import AdditiveMultigrid, multilevel_setup
-from .spectral import (HelmholtzPair, PencilError, apply_power, generalized_eig,
-                       require_memory, scalar_extremes, solve_power)
+from .spectral import (HelmholtzPair, PencilError, generalized_eig, require_memory,
+                       scalar_extremes)
 from .vectors import TaggedVector
 
 __all__ = [
@@ -169,9 +170,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                 )
         # Bytes at the size that needs the most, checked last: the two dense
         # eigensolves as ``generalized_eig`` counts them, plus what the set-up
-        # keeps besides them (the levels' sparse matrices, the patch
-        # eigenpairs, the sparse scalar operator): tracemalloc measures 102
-        # doubles per fine edge at n = 16 and 89 at n = 32, counted as 128.
+        # keeps besides them (the levels' sparse matrices and stored
+        # transposes, the patch eigenpairs, the sparse scalar operator):
+        # tracemalloc measures 228 doubles per fine edge at n = 8, 152 at
+        # n = 16 and 144 at n = 32, counted as 256.
         # The scalar pencil splits into g mirror blocks (``mesh.mirror_orbits``:
         # g = 4 for even n, 2 for odd n) and takes (g + 3) (NS/g)^2 doubles,
         # its modes NS^2/g plus one block's eigensolve; the coarse flux pencil
@@ -180,7 +182,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         def need(n: int) -> int:
             g, n0 = (4 if n % 2 == 0 else 2), n // step
             ns, nv, nv0 = 2 * n * n, 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0
-            return 8 * ((g + 3) * (ns // g) ** 2 + 6 * nv0 ** 2 + 128 * nv)
+            return 8 * ((g + 3) * (ns // g) ** 2 + 6 * nv0 ** 2 + 256 * nv)
 
         n = max(cfg.sizes, key=need)
         require_memory(need(n), f"the dense reference at n={n}")
@@ -289,8 +291,7 @@ class _HierarchySetup:
         fine = lms[-1]
         scalar_pair = generalized_eig(laplacian_dual(fine), fine.mass_s, space="S",
                                       level=fine.index, orbits=mirror_orbits(fine.mesh))
-        self.op_pair = (scalar_pair if cfg.table == "3"
-                        else HelmholtzPair(scalar_pair, fine.grad, fine.mass_v))
+        self.op_pair = scalar_pair if cfg.table == "3" else HelmholtzPair(scalar_pair, fine)
         self.dim = self.op_pair.dim
 
 
@@ -299,12 +300,12 @@ def _run_krylov_cell(setup: _HierarchySetup, s: float, cfg: ExperimentConfig) ->
     try:
         if cfg.table == "1":
             precond = AdditiveMultigrid(setup.multilevel, s).apply
-            op = lambda v: apply_power(setup.op_pair, s, v)
+            op = setup.op_pair.forward_power(s)
             rhs = TaggedVector("V", setup.finest, "dual", rng.uniform(-1, 1, setup.dim))
             x0 = TaggedVector("V", setup.finest, "coefficient", rng.uniform(-1, 1, setup.dim))
         else:
             precond = build_multigrid(s, setup.multilevel).apply
-            op = lambda v: solve_power(setup.op_pair, -s, v)
+            op = setup.op_pair.inverse_power(-s)
             rhs = TaggedVector("S", setup.finest, "coefficient", rng.uniform(-1, 1, setup.dim))
             x0 = TaggedVector("S", setup.finest, "dual", rng.uniform(-1, 1, setup.dim))
         _, report = pcg(op, precond, rhs, x0, tol=cfg.tol, maxit=cfg.maxit)

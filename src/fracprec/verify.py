@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -136,9 +137,11 @@ class MeshOperators:
     Holds, per level: the flux pencil eigendecomposition, dual-form and
     inverse-power matrices for any exponent, the dense patch-smoother matrix
     of every level but the coarsest, and the embedding (prolongation)
-    matrices between consecutive levels.  ``lms`` are the assembled levels,
-    coarsest first; the coarse pencil, the patch pairs of the smoothers and
-    the embeddings come from their ``multigrid.MultilevelSetup``.
+    matrices between consecutive levels; and the finest level's scalar
+    pencil ``scalar_pair``, shared by the two checks that read it.  ``lms``
+    are the assembled levels, coarsest first; the coarse pencil, the patch
+    pairs of the smoothers and the embeddings come from their
+    ``multigrid.MultilevelSetup``.
     """
 
     def __init__(self):
@@ -153,6 +156,13 @@ class MeshOperators:
     @property
     def num_levels(self) -> int:
         return len(self.lms)
+
+    @cached_property
+    def scalar_pair(self):
+        """The finest level's scalar pencil (grad.T inv(mass_v) grad, mass_s),
+        diagonalized by the first check that reads it."""
+        fine = self.lms[-1]
+        return generalized_eig(laplacian_dual(fine), fine.mass_s, space="S", level=fine.index)
 
     def dual_form(self, k: int, s: float) -> np.ndarray:
         return power_matrix(self.pairs[k], s, dual_form=True)
@@ -231,8 +241,7 @@ def check_aux_bounds(ops: MeshOperators, t_grid=DEFAULT_GRID, tol=1e-9):
     """Eigenvalues of the gradient-sandwich pencil lie in [beta^(2(1-t)), 1]:
     grad' (flux -(1-t)-power) grad against the scalar t-power dual form."""
     lm, flux_pair = ops.lms[-1], ops.pairs[-1]
-    scalar_pair = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=lm.index)
-    ctx = make_aux_spectrum_context(lm, flux_pair, scalar_pair)
+    ctx = make_aux_spectrum_context(lm, flux_pair, ops.scalar_pair)
     beta_sq = inf_sup_constant(lm) ** 2
     worst = np.inf
     for t in t_grid:
@@ -255,7 +264,7 @@ def check_helmholtz_invariance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     grad_mass = Minv_grad.T @ M @ Minv_grad
     curl = assemble_curl(lm.mesh).toarray()[:, 1:]  # rotated gradients, dual; drop the constant
     Minv_curl = np.linalg.solve(M, curl)
-    alpha = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=lm.index).eigenvalues
+    alpha = ops.scalar_pair.eigenvalues
     worst = np.inf
     for s in s_grid:
         Fs = power_matrix(vpair, s, dual_form=True)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fracprec import fem
 from fracprec.fem import (assemble, assemble_all, assemble_curl, assemble_prolongation,
                           laplacian_dual)
 from fracprec.mesh import build_hierarchy, build_level
@@ -129,7 +130,7 @@ class TestAssembly:
         np.testing.assert_allclose(A, A.T, atol=1e-14)
         assert np.linalg.eigvalsh(A).min() > 0
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12])
     def test_laplacian_dual_matches_dense_solve(self, n):
         # The sparse triangular route against a dense solve with all of grad.
         lm = assemble(build_level(n))
@@ -139,6 +140,22 @@ class TestAssembly:
         assert sp.issparse(A)
         assert np.diff(A.tocsr().indptr).max() <= 5  # a cell-centred stencil
         np.testing.assert_allclose(A.toarray(), dense, rtol=0, atol=1e-14 * np.abs(dense).max())
+
+    @pytest.mark.parametrize("n", [6, 8, 16, 32])
+    def test_laplacian_dual_drops_only_roundoff_fill(self, n, monkeypatch):
+        # At powers of two the product has no fill, so the drop leaves the
+        # matrix as it was, bit for bit; elsewhere it removes the fill
+        # (72 entries a row at n = 6) down to the cell stencil.
+        lm = assemble(build_level(n))
+        A = laplacian_dual(lm)
+        monkeypatch.setattr(fem, "FILL_TOL", 0.0)
+        kept = laplacian_dual(lm)
+        assert np.diff(A.indptr).max() <= 5
+        if n & (n - 1) == 0:
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(A, name), getattr(kept, name))
+        else:
+            assert kept.nnz > 10 * A.nnz
 
     def test_laplacian_dual_refuses_a_pivoted_factorization(self):
         # A zero diagonal block forces SuperLU off the symmetric ordering.

@@ -37,7 +37,7 @@ def level(request):
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
 def test_forward_power_matches_flux_pencil(level, s):
     lm, flux_pair, scalar_pair = level
-    reduced = HelmholtzPair(scalar_pair, lm.grad, lm.mass_v)
+    reduced = HelmholtzPair(scalar_pair, lm)
     rng = np.random.default_rng(40)
     for _ in range(3):
         c = rng.uniform(-1, 1, lm.mesh.num_edges)
@@ -65,7 +65,7 @@ def test_smallest_ratio_is_inf_sup_squared(level):
 
 def test_reduced_pair_tags(level):
     lm, _, scalar_pair = level
-    reduced = HelmholtzPair(scalar_pair, lm.grad, lm.mass_v)
+    reduced = HelmholtzPair(scalar_pair, lm)
     ne = lm.mesh.num_edges
     assert reduced.dim == ne and reduced.modes is scalar_pair.modes
     out = apply_power(reduced, 0.5, TaggedVector("V", 0, "coefficient", np.ones(ne)))

@@ -256,8 +256,8 @@ class TestMirrorBlocks:
             want = solve_power(dense, s, d)
             np.testing.assert_allclose(solve_power(blocks, s, d), want,
                                        rtol=0, atol=1e-12 * np.abs(want).max())
-            want = apply_power(HelmholtzPair(dense, lm.grad, lm.mass_v), s, c)
-            got = apply_power(HelmholtzPair(blocks, lm.grad, lm.mass_v), s, c)
+            want = apply_power(HelmholtzPair(dense, lm), s, c)
+            got = apply_power(HelmholtzPair(blocks, lm), s, c)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("n", [3, 4])

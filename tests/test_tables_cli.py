@@ -403,9 +403,9 @@ class TestMemoryGuard:
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--sizes", "8"])
         assert err.value.code == 2
-        # 8 * (7*(128/4)^2 + 6*5^2 + 128*208) at n = 8 (four mirror blocks), n0 = 1
+        # 8 * (7*(128/4)^2 + 6*5^2 + 256*208) at n = 8 (four mirror blocks), n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
-            "error: the dense reference at n=8 needs 271536 bytes, "
+            "error: the dense reference at n=8 needs 484528 bytes, "
             "more than the 1000 bytes available")
 
     def test_largest_size_sets_the_estimate(self, monkeypatch):
@@ -420,9 +420,9 @@ class TestMemoryGuard:
             tables.validate(cfg)
 
     def test_odd_size_counts_two_mirror_blocks(self):
-        # 8 * (5*(98/2)^2 + 6*161^2 + 128*161) at n = n0 = 7: the half-turn
+        # 8 * (5*(98/2)^2 + 6*161^2 + 256*161) at n = n0 = 7: the half-turn
         # alone maps an odd mesh onto itself.
-        assert dense_estimate(tables.default_config("3", sizes=(7,), levels=1)) == 1505112
+        assert dense_estimate(tables.default_config("3", sizes=(7,), levels=1)) == 1669976
 
     @pytest.mark.parametrize("table", ["1", "3"])
     def test_fine_scalar_modes_stay_in_mirror_blocks(self, table):
@@ -433,12 +433,15 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("table", ["1", "3"])
     def test_estimate_bounds_what_the_setup_allocates(self, table):
-        cfg = tables.default_config(table, sizes=(16,))
-        need = dense_estimate(cfg)
-        tracemalloc.start()
-        try:
-            tables._HierarchySetup(16, tables.validate(cfg))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert need / 2 <= peak <= need
+        # An upper bound at n = 8 and n = 16, and a tight one at n = 16.
+        for n in (8, 16):
+            cfg = tables.default_config(table, sizes=(n,))
+            need = dense_estimate(cfg)
+            tracemalloc.start()
+            try:
+                tables._HierarchySetup(n, tables.validate(cfg))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= need
+        assert need / 2 <= peak
