@@ -3,8 +3,9 @@ H(div) operators on structured triangulations of the unit square.
 
 The package builds nested meshes whose cells alternate their split diagonal,
 assembles lowest-order flux / piecewise-constant / vertex element matrices,
-applies fractional operator powers through dense pencil eigendecompositions,
-and combines exact coarse fractional solves with vertex-patch fractional
+applies fractional operator powers through pencil eigendecompositions (dense
+on coarse meshes and patches, by FFT for the fine scalar pencil), and
+combines exact coarse fractional solves with vertex-patch fractional
 smoothers into an additive multilevel preconditioner.  Sandwiching that
 solver between the discrete gradient and its transpose preconditions
 negative fractional powers of the scalar operator.  Krylov utilities,

@@ -4,7 +4,7 @@ Examples:
 
     fracprec table1                      # default sizes, markdown to stdout
     fracprec table3 --sizes 8,16 --format csv --out t3.csv
-    fracprec table1 --sizes 64           # the large optional column, ~20 s, ~330 MiB
+    fracprec table1 --sizes 64           # the large optional column, ~2 s, ~90 MiB
     fracprec table1 --levels 1 --s-list 0          # exact coarse solve only
     fracprec props --trials 500
 """
@@ -110,8 +110,11 @@ def main(argv=None) -> int:
         failed = result.failed
 
     if out:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
+        try:  # the probe above cannot see a device that fills up
+            with open(out, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as err:
+            parser.error(f"cannot write {out}: {err.strerror}")
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)

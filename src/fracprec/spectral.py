@@ -4,12 +4,11 @@ For a pencil (A, M) with A symmetric positive semi-definite and M symmetric
 positive definite, ``generalized_eig`` computes all eigenpairs
 ``A @ modes == M @ modes @ diag(eigenvalues)`` with M-orthonormal modes.  A
 sparse diagonal M, such as the triangle masses, is scaled away first, so the
-scalar pencil is diagonalized as a standard symmetric problem.  Given the
-orbits of a symmetry group of the pencil (``mesh.mirror_orbits``: the mesh's
-mirrors and half-turn), that problem splits exactly into one block per
-character of the group in the Walsh basis over the orbits; each block is
-diagonalized on its own and the modes stay in block form
-(:class:`BlockModes`), a quarter of the dense bytes for four blocks.
+pencil is diagonalized as a standard symmetric problem.  The scalar pencil
+of a whole structured mesh needs no dense eigensolve: ``fourier_pair``
+splits it by the mesh's translations into one 8 x 8 block per wavenumber of
+the oddly reflected mesh, and its modes are a frame applied by FFT
+(:class:`FourierModes`).
 Powers of the operator represented by the pencil are then diagonal in that
 basis.  Each pair type builds a fixed-exponent :class:`PowerMap` for either
 orientation used throughout:
@@ -58,16 +57,18 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import LevelMatrices
+from .fem import LevelMatrices, assemble
+from .mesh import build_level
 from .vectors import retag, untag
 
 __all__ = [
     "SpectralPair",
     "PowerMap",
-    "BlockModes",
+    "FourierModes",
     "HelmholtzPair",
     "PencilError",
     "generalized_eig",
+    "fourier_pair",
     "solve_power",
     "apply_power",
     "inf_sup_constant",
@@ -76,7 +77,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10  # eigen residual bound, relative to the largest eigenvalue
-BLOCK_TOL = 1e-12  # symmetry-block coupling and orbit mass spread, relative to the largest entry
 
 
 class PencilError(RuntimeError):
@@ -131,47 +131,33 @@ class SpectralPair:
     ``modes diag(eigenvalues**-s) modes.T``.
 
     ``generalized_eig`` returns the full, square decomposition of a pencil
-    with its mass, its modes dense or, split by symmetry, a
-    :class:`BlockModes`.  The modes may also be sparse and have more columns than
-    rows, as the patch modes of a multilevel smoother do; such a pair has no
-    mass (``None``) and is used only for the inverse power.
+    with its mass and dense modes.  The modes may also have more columns
+    than rows: the sparse patch modes of a multilevel smoother, whose pair
+    has no mass (``None``) and is used only for the inverse power, and the
+    :class:`FourierModes` frame of ``fourier_pair``.
 
-    What every power shares is built with the pair: the modes in the column
-    order their products run in (block-major for :class:`BlockModes`, so an
-    apply does not reorder), their transpose (CSR for sparse modes, so no
-    apply builds one) and the eigenvalues in that order.
+    The transposed modes are built with the pair (CSR for sparse modes), so
+    no apply builds one.
     """
 
     eigenvalues: np.ndarray
-    modes: object  # dense, sparse or BlockModes, dim x number of eigenvalues
+    modes: object  # dense, sparse or FourierModes, dim x number of eigenvalues
     mass: object  # sparse or dense symmetric positive definite matrix, or None
     space: str | None = None
     level: int | None = None
-    _factors: tuple = field(init=False, repr=False, compare=False)  # modes, modes.T, spectrum
+    _modes_t: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        modes, spectrum = self.modes, self.eigenvalues
-        if isinstance(modes, BlockModes):
-            spectrum = np.empty_like(spectrum)
-            spectrum[modes.order] = self.eigenvalues
-            modes = replace(modes, order=None)
-        modes_t = modes.T.tocsr() if sp.issparse(modes) else modes.T
-        object.__setattr__(self, "_factors", (modes, modes_t, spectrum))
+        modes_t = self.modes.T.tocsr() if sp.issparse(self.modes) else self.modes.T
+        object.__setattr__(self, "_modes_t", modes_t)
 
     @property
     def dim(self) -> int:
         return self.modes.shape[0]
 
     def sandwich(self, scale: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``modes diag(scale) modes.T x``, ``scale`` in the column order of
-        ``spectrum`` (block-major for :class:`BlockModes`)."""
-        modes, modes_t, _ = self._factors
-        return modes @ (scale * (modes_t @ x))
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """The eigenvalues in the column order ``sandwich`` runs in."""
-        return self._factors[2]
+        """``modes diag(scale) modes.T x``, ``scale`` one entry per eigenvalue."""
+        return self.modes @ (scale * (self._modes_t @ x))
 
     def _forward(self, scale, c):
         return self.mass @ self.sandwich(scale, self.mass @ c)
@@ -179,12 +165,12 @@ class SpectralPair:
     def inverse_power(self, s: float) -> PowerMap:
         """Dual -> coefficient map of the inverse s-power (s=1 solves A x = d,
         s=0 solves M x = d)."""
-        return PowerMap(self.space, self.level, "dual", self.sandwich, self.spectrum ** -s)
+        return PowerMap(self.space, self.level, "dual", self.sandwich, self.eigenvalues ** -s)
 
     def forward_power(self, s: float) -> PowerMap:
         """Coefficient -> dual map of the forward s-power
         ``M modes diag(eigenvalues**s) modes.T M`` (s=1 is A, s=0 is M)."""
-        return PowerMap(self.space, self.level, "coefficient", self._forward, self.spectrum ** s)
+        return PowerMap(self.space, self.level, "coefficient", self._forward, self.eigenvalues ** s)
 
 
 @dataclass(frozen=True)
@@ -227,7 +213,7 @@ class HelmholtzPair:
     def forward_power(self, s: float) -> PowerMap:
         """Coefficient -> dual map of the forward s-power, with the gain
         ``((1 + alpha)**s - 1) / alpha`` on the scalar eigenvalues alpha."""
-        alpha = self.scalar.spectrum
+        alpha = self.scalar.eigenvalues
         gain = np.expm1(s * np.log1p(alpha)) / alpha
         return PowerMap(self.space, self.level, "coefficient", self._forward, gain)
 
@@ -236,7 +222,7 @@ class HelmholtzPair:
 
 
 def densify(op) -> np.ndarray:
-    """Dense array of a sparse or dense matrix or of :class:`BlockModes`."""
+    """Dense array of a sparse or dense matrix."""
     return op.toarray() if hasattr(op, "toarray") else np.asarray(op, dtype=float)
 
 
@@ -260,63 +246,51 @@ def _diagonal(mat) -> np.ndarray | None:
 
 
 def generalized_eig(a_mat, m_mat, space: str | None = None,
-                    level: int | None = None, orbits=None) -> SpectralPair:
+                    level: int | None = None) -> SpectralPair:
     """All eigenpairs of (a_mat, m_mat), M-orthonormal, ascending.
 
     A sparse ``m_mat`` with no off-diagonal entries, such as ``mass_s``, is
     scaled away: with ``r = diag(m)^-1/2`` the standard problem ``r A r`` is
-    diagonalized and the modes are ``r psi``.  Given ``orbits``, the
-    ``(dim/g, g)`` table of a group of g symmetries of the pencil
-    (``mesh.mirror_orbits``), ``r A r`` is first split into g blocks
-    ``U_k.T r A r U_k``, one per character k, where ``U_k`` has the entries
-    of column k of the normalized Sylvester–Hadamard matrix on the orbits;
-    each block is diagonalized on its own and the modes are kept in that
-    form (:class:`BlockModes`).  Coupling between the blocks beyond
-    roundoff, or a mass that is not constant on the orbits, is a
-    PencilError.  Without orbits the modes are a dense array.  Any other
-    mass goes to the generalized solver.
+    diagonalized and the modes are ``r psi``.  Any other mass goes to the
+    generalized solver.
 
     The decomposition is validated column by column: the residual
     ``A phi - lambda M phi`` must stay below ``RESIDUAL_TOL * max |lambda|``;
     if it does not, the modes are re-orthonormalized in the M inner product
-    and checked once more.  On the diagonal route this runs one block and a
-    few hundred columns at a time.
+    and checked once more.
 
     Refused before any allocation if the dense arrays exceed the available
-    memory.  Measured with tracemalloc, the generalized route peaks at four
-    n x n arrays (the matrices eigh factors and twice n^2 of workspace) plus
-    a dense copy of each sparse operand.  The diagonal route peaks at
-    ``(g + 3) * (n/g)**2`` dense values, g = 1 without orbits: the modes of
-    the blocks already done and the last block's eigensolve, four (n/g)^2
-    arrays; the residual check stays within that bound.  Sparse copies of
-    ``r A r`` and its Walsh transform come on top.
+    memory.  Measured with tracemalloc, both routes peak at four n x n
+    arrays, which is what is counted: on the generalized route the matrices
+    eigh factors and twice n^2 of workspace, plus a dense copy of each
+    sparse operand; on the standard route the scaled operator, the modes and
+    the eigensolve's workspace, and then the modes and the residual check's
+    three products.  A sparse copy of ``r A r`` comes on top.
     """
     n = a_mat.shape[0]
     diag = _diagonal(m_mat)
-    if diag is None:
-        if orbits is not None:
-            raise PencilError("mirror blocks need a sparse diagonal mass")
-        copies = sp.issparse(a_mat) + sp.issparse(m_mat)
-        require_memory(8 * n * n * (4 + copies), f"the dense eigensolve of dimension {n}")
-    else:
-        orbits = np.arange(n)[:, None] if orbits is None else np.asarray(orbits)
-        m, g = orbits.shape
-        require_memory(8 * (g + 3) * m * m, f"the dense eigensolve of dimension {n}"
-                       + (f" in {g} blocks" if g > 1 else ""))
+    copies = 0 if diag is not None else sp.issparse(a_mat) + sp.issparse(m_mat)
+    require_memory(8 * n * n * (4 + copies), f"the dense eigensolve of dimension {n}")
     if not _symmetric(a_mat):
         raise PencilError("left matrix is not symmetric")
     if not _symmetric(m_mat):
         raise PencilError("mass matrix is not symmetric")
     mass_op = sp.csr_matrix(m_mat) if sp.issparse(m_mat) else densify(m_mat)
     if diag is not None:
-        modes, w = _diagonal_eig(a_mat, diag, orbits, mass_op)
-        return SpectralPair(eigenvalues=w, modes=modes, mass=mass_op, space=space, level=level)
-
-    try:
-        w, phi = sla.eigh(densify(a_mat), densify(mass_op), driver="gvd")
-    except sla.LinAlgError as err:
-        raise PencilError(f"mass matrix is not positive definite: {err}") from err
-    _check_positive(w)
+        if not (diag > 0).all():
+            raise PencilError("mass matrix is not positive definite: "
+                              f"diagonal entry {diag.min():.3e}")
+        root = 1.0 / np.sqrt(diag)
+        r_mat = sp.diags(root)
+        w, phi = sla.eigh(densify(r_mat @ a_mat @ r_mat), driver="evd")
+        phi *= root[:, None]
+    else:
+        try:
+            w, phi = sla.eigh(densify(a_mat), densify(mass_op), driver="gvd")
+        except sla.LinAlgError as err:
+            raise PencilError(f"mass matrix is not positive definite: {err}") from err
+    if w.min() <= 0:
+        raise PencilError(f"pencil is not positive definite (min eigenvalue {w.min():.3e})")
     scale = RESIDUAL_TOL * np.abs(w).max()
     if _residual(a_mat, mass_op, phi, w) > scale:
         # Fix up M-orthonormality and try once more.
@@ -327,136 +301,117 @@ def generalized_eig(a_mat, m_mat, space: str | None = None,
     return SpectralPair(eigenvalues=w, modes=phi, mass=mass_op, space=space, level=level)
 
 
-def _check_positive(w: np.ndarray) -> None:
-    if w.min() <= 0:
-        raise PencilError(f"pencil is not positive definite (min eigenvalue {w.min():.3e})")
-
-
 def _residual(a_mat, mass_op, phi: np.ndarray, w: np.ndarray) -> float:
     """The largest column norm of ``A phi - M phi diag(w)``."""
     return np.linalg.norm(a_mat @ phi - (mass_op @ phi) * w, axis=0).max()
 
 
-def _diagonal_eig(a_mat, diag: np.ndarray, orbits: np.ndarray, mass_op):
-    """Modes and ascending eigenvalues of (a_mat, diag(diag)), one Walsh
-    block of ``orbits`` at a time; see ``generalized_eig``."""
-    n = a_mat.shape[0]
-    m, g = orbits.shape
-    if not (diag > 0).all():
-        raise PencilError("mass matrix is not positive definite: "
-                          f"diagonal entry {diag.min():.3e}")
-    if not np.array_equal(np.sort(orbits, axis=None), np.arange(n)):
-        raise PencilError("the orbits do not partition the pencil's rows")
-    if np.abs(diag[orbits] - diag[orbits[:, :1]]).max() > BLOCK_TOL * diag.max():
-        raise PencilError("mass matrix is not constant on the orbits")
-    root = 1.0 / np.sqrt(diag)
-    r_mat = sp.diags(root)
-    # U = [U_0 ... U_{g-1}]: column k*m + r is character k on orbit r.
-    walsh = sla.hadamard(g) / np.sqrt(g)
-    u_mat = sp.csr_matrix((np.repeat(walsh, m, axis=1).ravel(),
-                           (np.tile(orbits.T, g).ravel(), np.tile(np.arange(n), g))),
-                          shape=(n, n))
-    split = sp.csr_matrix(u_mat.T @ (r_mat @ a_mat @ r_mat) @ u_mat)
-    rows = np.repeat(np.arange(n), np.diff(split.indptr))
-    coupling = rows // m != split.indices // m
-    if coupling.any() and abs(split.data[coupling]).max() > BLOCK_TOL * abs(split.data).max():
-        raise PencilError("the pencil couples its symmetry blocks beyond roundoff")
-    ws, blocks = [], []
-    for k in range(g):
-        w, psi = sla.eigh(densify(split[k * m:(k + 1) * m, k * m:(k + 1) * m]), driver="evd")
-        ws.append(w)
-        blocks.append(psi)
-    w = np.concatenate(ws)
-    _check_positive(w)
-
-    scale = RESIDUAL_TOL * np.abs(w).max()
-    modes = BlockModes(orbits, root, walsh, blocks, np.argsort(w, kind="stable"))
-    step = max(1, m // (2 * g))  # residual columns at a time: temporaries below 2 m^2
-
-    def residual(k):
-        return max(_residual(a_mat, mass_op, modes.block_columns(k, slice(c, c + step)),
-                             ws[k][c:c + step]) for c in range(0, m, step))
-
-    for k in range(g):
-        if residual(k) > scale:
-            # Fix up orthonormality, which is M-orthonormality of the modes, and try once more.
-            psi = blocks[k]
-            blocks[k] = psi @ np.linalg.inv(np.linalg.cholesky(psi.T @ psi).T)
-            if residual(k) > scale:
-                raise PencilError("eigen residual exceeds tolerance after re-orthonormalization")
-    return (modes.toarray() if g == 1 else modes), w[modes.order]
-
-
 @dataclass(frozen=True)
-class BlockModes:
-    """The modes ``r U blockdiag(psi_0, ..., psi_{g-1})`` of a diagonal-mass
-    pencil split by a symmetry group (``generalized_eig`` with ``orbits``),
-    held in that form: ``@`` gathers a vector or matrix by orbit, applies the
-    Walsh transform and one product per block, and scatters back, so the
-    dense ``n x n`` modes are never formed.  Column p is the block-major
-    column ``order[p]``, so the columns follow the ascending eigenvalues;
-    with ``order`` None they stay block-major, as ``SpectralPair`` applies
-    them.  ``.T`` is the transposed view; ``toarray`` the dense matrix.
+class FourierModes:
+    """The modes of ``fourier_pair`` as a frame over the doubled torus.
+
+    ``.T @ x`` reflects x oddly onto the torus, takes the real 2-D FFT over
+    its n x n macro-cells and applies each wavenumber's conjugate-transposed
+    block eigenvectors; ``@ c`` applies the block eigenvectors, the inverse
+    FFT and reads the unit square's quadrant back.  The coefficients are
+    complex, eight per wavenumber, and outnumber the triangles.  The signs
+    carry the inverse triangle area, so ``modes @ (modes.T @ x)`` is
+    ``x / area``, as for the mass-orthonormal modes of the pencil.  Both
+    products take vectors only.
     """
 
-    orbits: np.ndarray  # (m, g), column j the image of column 0 under element j
-    scale: np.ndarray  # r = diag(mass)^-1/2
-    walsh: np.ndarray  # (g, g) normalized Sylvester-Hadamard matrix, symmetric
-    blocks: list  # g dense (m, m) block eigenvectors psi_k
-    order: np.ndarray | None  # ascending eigenvalue p -> block-major column order[p]
+    reflect: np.ndarray  # (n, n, 8) triangle at each torus position
+    signs: np.ndarray  # (n, n, 8) the odd reflection's signs over the triangle area
+    blocks: np.ndarray  # (n, n // 2 + 1, 8, 8) eigenvectors per wavenumber
+    blocks_h: np.ndarray  # their conjugate transposes
+    quadrant: np.ndarray  # (NS,) flat torus position of each triangle
     transposed: bool = False
 
     @property
     def shape(self) -> tuple:
-        return (self.scale.size, self.scale.size)
+        shape = (self.quadrant.size, self.blocks.size // 8)
+        return shape[::-1] if self.transposed else shape
 
     @property
-    def nbytes(self) -> int:
-        arrays = (self.orbits, self.scale, self.order, *self.blocks)
-        return sum(a.nbytes for a in arrays if a is not None)
-
-    @property
-    def T(self) -> BlockModes:
+    def T(self) -> FourierModes:
         return replace(self, transposed=not self.transposed)
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        m, g = self.orbits.shape
-        rows = self.scale.reshape(-1, *[1] * (x.ndim - 1))
-        out = np.empty((g, m, *x.shape[1:]))  # one product per block, block-major
-        if self.transposed:  # psi_k.T U_k.T r x, then reordered
-            z = self.walsh @ (rows * x)[self.orbits.T].reshape(g, -1)
-            for psi, zk, ok in zip(self.blocks, z.reshape(out.shape), out):
-                np.matmul(psi.T, zk, out=ok)
-            out = out.reshape(x.shape)
-            return out if self.order is None else out[self.order]
-        c = x
-        if self.order is not None:
-            c = np.empty_like(x)
-            c[self.order] = x
-        for psi, ck, ok in zip(self.blocks, c.reshape(out.shape), out):
-            np.matmul(psi, ck, out=ok)
-        y = np.empty_like(x)
-        y[self.orbits.T] = (self.walsh @ out.reshape(g, -1)).reshape(out.shape)
-        return rows * y
+        # The 2-D FFTs as two 1-D ones: the same transform, less overhead per call.
+        if self.transposed:
+            torus = np.fft.fft(np.fft.rfft(x[self.reflect] * self.signs, axis=1), axis=0)
+            return (self.blocks_h @ torus[..., None]).ravel()
+        torus = (self.blocks @ x.reshape(*self.blocks.shape[:-1], 1))[..., 0]
+        n = self.reflect.shape[1]
+        return np.fft.irfft(np.fft.ifft(torus, axis=0), n, axis=1).ravel()[self.quadrant]
 
-    def block_columns(self, k: int, cols: slice) -> np.ndarray:
-        """Dense columns ``cols`` of block k's modes ``r U_k psi_k``."""
-        psi = self.blocks[k][:, cols]
-        out = np.empty((self.scale.size, psi.shape[1]))
-        for j, row in enumerate(self.orbits.T):
-            out[row] = self.walsh[j, k] * psi
-        out *= self.scale[:, None]
-        return out
 
-    def toarray(self) -> np.ndarray:
-        m, g = self.orbits.shape
-        dense = np.empty(self.shape)
-        # block-major column -> its position
-        where = np.arange(m * g) if self.order is None else np.argsort(self.order)
-        for k in range(g):
-            dense[:, where[k * m:(k + 1) * m]] = self.block_columns(k, slice(None))
-        return dense.T if self.transposed else dense
+def fourier_pair(lm: LevelMatrices) -> SpectralPair:
+    """The scalar pencil ``(grad.T inv(mass_v) grad, mass_s)`` of a level of
+    ``mesh.build_level``, diagonalized by the mesh's translations: the fast
+    diagonalization of Lynch, Rice & Thomas (Numer. Math. 1964) in the form
+    local Fourier analysis uses it.
+
+    Reflected oddly in x = 1 and y = 1, the n x n mesh becomes the torus
+    [0, 2]^2 of 2n x 2n cells, whose alternating diagonals repeat with
+    period two: it is n x n translates of one macro-cell of 2 x 2 cells,
+    8 triangles and 12 edges.  Odd functions form an invariant subspace of
+    the torus pencil, on which it is the pencil of the square, so every
+    power of the square's pencil is the torus power read back on the
+    quadrant.  The 2-D FFT over the macro-cells splits the torus pencil into
+    one Hermitian 8 x 8 block ``G(k)^H inv(M_V(k)) G(k)`` per wavenumber k,
+    assembled from ``fem.assemble(build_level(2))``: each edge on x = 1 or
+    y = 1 is folded onto the next macro-cell's edge with its Bloch phase.
+    Lowest-order ``mass_v`` and ``grad`` do not depend on the cell size, so
+    the triangle area scales the eigenvalues and nothing else.  The real FFT
+    keeps n (n // 2 + 1) wavenumbers.  The torus constant, the one null mode,
+    is orthogonal to every odd function: its eigenvector is zeroed and its
+    eigenvalue set to 1.
+
+    Returns a SpectralPair on the level's ``mass_s``, space "S" and index,
+    with :class:`FourierModes` and the eigenvalues in their column order.
+    """
+    n = lm.mesh.n
+    area = 0.5 / n**2
+    cell = assemble(build_level(2))
+    # Edge midpoints in quarters; an edge on x = 1 (y = 1) is the next
+    # macro-cell's edge on x = 0 (y = 0).
+    x, y = np.rint(2 * cell.mesh.vertices[cell.mesh.edges].sum(axis=1)).astype(int).T
+    owned = (x < 4) & (y < 4)
+    column = np.zeros((4, 4), dtype=int)
+    column[x[owned], y[owned]] = np.arange(owned.sum())
+    fold = (np.arange(x.size), column[x % 4, y % 4])
+    mass_v, grad = cell.mass_v.toarray(), cell.grad.toarray()
+    half = n // 2 + 1
+    w, blocks = np.empty((n, half, 8)), np.empty((n, half, 8, 8), dtype=complex)
+    bloch = np.zeros((half, x.size, owned.sum()), dtype=complex)
+    for ky in range(n):  # one row of wavenumbers at a time: small temporaries
+        bloch[:, fold[0], fold[1]] = np.exp(
+            2j * np.pi / n * (np.outer(np.arange(half), x == 4) + ky * (y == 4)))
+        bloch_h = bloch.conj().transpose(0, 2, 1)
+        g = bloch_h @ grad
+        symbol = g.conj().transpose(0, 2, 1) @ np.linalg.solve(bloch_h @ mass_v @ bloch, g)
+        w[ky], blocks[ky] = np.linalg.eigh(symbol)
+    blocks[0, 0, :, 0] = 0.0
+    w[0, 0, 0] = area
+
+    # Torus cell (i, j) is cell (i, j) of the square, mirrored in x = 1 for
+    # i >= n and in y = 1 for j >= n, with one minus sign per mirror; the
+    # y-mirror swaps a cell's bottom and top triangles.
+    j, i, c = np.meshgrid(np.arange(2 * n), np.arange(2 * n), [0, 1], indexing="ij")
+    flip_x, flip_y = i >= n, j >= n
+    tri = 2 * (np.where(flip_y, 2 * n - 1 - j, j) * n + np.where(flip_x, 2 * n - 1 - i, i))
+
+    def macro(torus):  # (2n, 2n, 2) -> (n, n, 8): macro-cell row, column, local triangle
+        return torus.reshape(n, 2, n, 2, 2).transpose(0, 2, 1, 3, 4).reshape(n, n, 8)
+
+    reflect, first = macro(tri + (c ^ flip_y)), macro(~(flip_x | flip_y))
+    quadrant = np.empty(2 * n * n, dtype=np.int64)
+    quadrant[reflect[first]] = np.flatnonzero(first)
+    modes = FourierModes(reflect, macro(np.where(flip_x ^ flip_y, -1.0, 1.0) / area), blocks,
+                         blocks.conj().transpose(0, 1, 3, 2).copy(), quadrant)
+    return SpectralPair(eigenvalues=(w / area).ravel(), modes=modes, mass=lm.mass_s,
+                        space="S", level=lm.index)
 
 
 def solve_power(pair: SpectralPair, s: float, d):

@@ -10,24 +10,21 @@ Three grids are produced, mirroring the package's three headline results:
      powers (PCG + estimates).
 
 All three rest on the scalar pencil (grad.T inv(mass_v) grad, mass_s) of the
-finest mesh.  Grids 1 and 3 diagonalize it once per size in g mirror
-blocks, from the sparse operator ``fem.laplacian_dual`` and as a standard
-problem scaled by the diagonal ``mass_s``: the mirrors x -> 1 - x and
-y -> 1 - y map the mesh onto itself for even n (g = 4), the half-turn for
-every n (g = 2 for odd n), and the pencil commutes with them, so it splits
-exactly into g blocks over the triangle orbits (``mesh.mirror_orbits``) whose
-modes are kept in block form.  Grid 3 uses it as the operator, and grid 1
-applies the flux operator's powers through it by the discrete Helmholtz
-split (``spectral.HelmholtzPair``).  Grid 2 does not
-diagonalize it: its exact condition numbers and the inf-sup constant depend
-only on the pencil's two extreme eigenvalues (closed form in
-``auxiliary.exact_condition_number``), which ``spectral.scalar_extremes``
-finds by Lanczos on sparse factorizations.  The only flux pencil ever
-diagonalized is the coarsest mesh's, for the multilevel coarse solve.  Grids
-1 and 3 build one ``multigrid.MultilevelSetup`` per size, with that coarse
-pencil and the patch eigensolves, and take every exponent's preconditioner
-from it.  Each cell builds its operator and preconditioner once, as
-fixed-exponent maps (``spectral.PowerMap``), before its PCG starts.
+finest mesh.  Grids 1 and 3 diagonalize it once per size by the mesh's
+translations (``spectral.fourier_pair``: one 8 x 8 block per wavenumber of
+the oddly reflected mesh), with no sparse operator and no dense modes.
+Grid 3 uses it as the operator, and grid 1 applies the flux operator's
+powers through it by the discrete Helmholtz split
+(``spectral.HelmholtzPair``).  Grid 2 does not diagonalize it: its exact
+condition numbers and the inf-sup constant depend only on the pencil's two
+extreme eigenvalues (closed form in ``auxiliary.exact_condition_number``),
+which ``spectral.scalar_extremes`` finds by Lanczos on sparse
+factorizations.  The only flux pencil ever diagonalized is the coarsest
+mesh's, for the multilevel coarse solve.  Grids 1 and 3 build one
+``multigrid.MultilevelSetup`` per size, with that coarse pencil and the
+patch eigensolves, and take every exponent's preconditioner from it.  Each
+cell builds its operator and preconditioner once, as fixed-exponent maps
+(``spectral.PowerMap``), before its PCG starts.
 
 Cells are seeded individually from (seed, table, exponent, size), so a grid
 is reproducible cell by cell no matter which subset or order is run, and
@@ -46,12 +43,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .auxiliary import build_multigrid, exact_condition_number
-from .fem import assemble_all, laplacian_dual
+from .fem import assemble_all
 from .krylov import IndefinitenessError, pcg
-from .mesh import build_hierarchy, mirror_orbits
+from .mesh import build_hierarchy
 from .multigrid import AdditiveMultigrid, multilevel_setup
-from .spectral import (HelmholtzPair, PencilError, generalized_eig, require_memory,
-                       scalar_extremes)
+from .spectral import HelmholtzPair, PencilError, fourier_pair, require_memory, scalar_extremes
 from .vectors import TaggedVector
 
 __all__ = [
@@ -168,24 +164,17 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                     f"finest size n={n} does not refine down over {cfg.levels} levels "
                     f"(needs a multiple of {step})"
                 )
-        # Bytes at the size that needs the most, checked last: the two dense
-        # eigensolves as ``generalized_eig`` counts them, plus what the set-up
-        # keeps besides them (the levels' sparse matrices and stored
-        # transposes, the patch eigenpairs, the sparse scalar operator):
-        # tracemalloc measures 228 doubles per fine edge at n = 8, 152 at
-        # n = 16 and 144 at n = 32, counted as 256.
-        # The scalar pencil splits into g mirror blocks (``mesh.mirror_orbits``:
-        # g = 4 for even n, 2 for odd n) and takes (g + 3) (NS/g)^2 doubles,
-        # its modes NS^2/g plus one block's eigensolve; the coarse flux pencil
-        # takes six NV0 x NV0 arrays.  The stages run one after another, so
-        # the sum also covers the arrays each keeps from the one before.
-        def need(n: int) -> int:
-            g, n0 = (4 if n % 2 == 0 else 2), n // step
-            ns, nv, nv0 = 2 * n * n, 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0
-            return 8 * ((g + 3) * (ns // g) ** 2 + 6 * nv0 ** 2 + 256 * nv)
-
-        n = max(cfg.sizes, key=need)
-        require_memory(need(n), f"the dense reference at n={n}")
+        # Bytes at the largest size, checked last: the coarse flux pencil's
+        # eigensolve as ``generalized_eig`` counts it, six NV0 x NV0 arrays,
+        # plus what the set-up holds besides it (the levels' sparse matrices
+        # and stored transposes, the patch eigenpairs, the Fourier blocks of
+        # the fine scalar pencil and their temporaries).  tracemalloc
+        # measures at most 289 doubles per fine edge at n = 8 and 236 at
+        # n = 12 to 64, counted as 320.
+        n = max(cfg.sizes)
+        n0 = n // step
+        nv, nv0 = 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0
+        require_memory(8 * (6 * nv0 ** 2 + 320 * nv), f"the set-up at n={n}")
     return cfg
 
 
@@ -289,8 +278,7 @@ class _HierarchySetup:
         self.finest = cfg.levels - 1
         self.multilevel = multilevel_setup(lms)
         fine = lms[-1]
-        scalar_pair = generalized_eig(laplacian_dual(fine), fine.mass_s, space="S",
-                                      level=fine.index, orbits=mirror_orbits(fine.mesh))
+        scalar_pair = fourier_pair(fine)
         self.op_pair = scalar_pair if cfg.table == "3" else HelmholtzPair(scalar_pair, fine)
         self.dim = self.op_pair.dim
 

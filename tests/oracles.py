@@ -29,24 +29,12 @@ def pencil_condition(a_map, b_map, dim: int) -> float:
 
 
 # The powers as they were computed before the fixed-exponent maps: the
-# scaling, every sparse transpose and the ascending-order BlockModes products
-# made anew on each call.  The maps must reproduce them bit for bit.
+# scaling and every sparse transpose made anew on each call.  The maps must
+# reproduce them bit for bit.
 
 def modes_product(modes, x, transposed=False):
-    """``modes @ x`` (or ``modes.T @ x``); BlockModes by gather, Walsh
-    transform, one product per block and scatter, in ascending column order."""
-    if not isinstance(modes, spectral.BlockModes):
-        return (modes.T if transposed else modes) @ x
-    m, g = modes.orbits.shape
-    if transposed:
-        z = (modes.walsh @ (modes.scale * x)[modes.orbits.T].reshape(g, -1)).reshape(g, m)
-        return np.concatenate([psi.T @ zk for psi, zk in zip(modes.blocks, z)])[modes.order]
-    c = np.empty_like(x)
-    c[modes.order] = x
-    z = np.stack([psi @ ck for psi, ck in zip(modes.blocks, c.reshape(g, m))])
-    out = np.empty_like(x)
-    out[modes.orbits.T] = (modes.walsh @ z.reshape(g, -1)).reshape(z.shape)
-    return modes.scale * out
+    """``modes @ x`` (or ``modes.T @ x``)."""
+    return (modes.T if transposed else modes) @ x
 
 
 def solve_power(pair, s: float, d: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from fracprec import tables
 from fracprec.auxiliary import build_multigrid
 from fracprec.multigrid import AdditiveMultigrid
-from fracprec.spectral import BlockModes, HelmholtzPair
+from fracprec.spectral import FourierModes, HelmholtzPair
 from fracprec.vectors import TaggedVector, TagError
 
 import oracles
@@ -33,7 +33,7 @@ def test_operator_map_is_the_per_call_formula(setup):
             assert isinstance(hs.op_pair, HelmholtzPair)
             got, want = hs.op_pair.forward_power(s)(x), oracles.helmholtz_power(hs.op_pair, s, x)
         else:
-            assert isinstance(hs.op_pair.modes, BlockModes)
+            assert isinstance(hs.op_pair.modes, FourierModes)
             got, want = hs.op_pair.inverse_power(-s)(x), oracles.solve_power(hs.op_pair, -s, x)
         assert np.array_equal(got, want)
 

@@ -5,13 +5,13 @@ import scipy.sparse as sp
 
 from fracprec import spectral
 from fracprec.fem import assemble, laplacian_dual
-from fracprec.mesh import build_level, mirror_orbits
+from fracprec.mesh import build_level
 from fracprec.spectral import (
-    BlockModes,
+    FourierModes,
     HelmholtzPair,
     PencilError,
     apply_power,
-    densify,
+    fourier_pair,
     generalized_eig,
     inf_sup_constant,
     power_matrix,
@@ -99,6 +99,15 @@ class TestGeneralizedEig:
         np.testing.assert_allclose(pair.eigenvalues, general.eigenvalues, rtol=1e-12)
         gram = pair.modes.T @ (lm.mass_s @ pair.modes)
         np.testing.assert_allclose(gram, np.eye(pair.dim), rtol=0, atol=1e-12)
+
+    def test_diagonal_mass_modes_are_the_scaled_standard_ones(self):
+        lm = assemble(build_level(4))
+        A = laplacian_dual(lm)
+        root = 1.0 / np.sqrt(lm.mass_s.diagonal())
+        w, psi = sla.eigh((sp.diags(root) @ A @ sp.diags(root)).toarray(), driver="evd")
+        pair = generalized_eig(A, lm.mass_s)
+        np.testing.assert_array_equal(pair.eigenvalues, w)
+        np.testing.assert_array_equal(pair.modes, psi * root[:, None])
 
     def test_available_memory_is_read(self):
         assert 0 < spectral.available_memory()
@@ -230,95 +239,72 @@ class TestMeshPencils:
         assert scalar_extremes(lm) == got  # fixed start vector: bit for bit
 
 
-class TestMirrorBlocks:
-    """The scalar pencil split by ``mesh.mirror_orbits`` against the dense
-    route on the same pencil."""
+def odd_reflection_oracle(n):
+    """Triangle of the n x n mesh and sign at each triangle of the 2n x 2n
+    mesh of [0, 2]^2, by vertex sets: coordinates past 1 mirrored in 1, one
+    minus sign per mirror."""
+    square, torus = build_level(n), build_level(2 * n)
+    grid = np.rint(square.vertices * n).astype(int)
+    ids = {frozenset(map(tuple, grid[t])): k for k, t in enumerate(square.triangles)}
+    torus_grid = np.rint(torus.vertices * 2 * n).astype(int)
+    tri, sign = [], []
+    for t in torus.triangles:
+        x, y = torus_grid[t].T
+        flip_x, flip_y = x.max() > n, y.max() > n
+        x, y = (2 * n - x if flip_x else x), (2 * n - y if flip_y else y)
+        tri.append(ids[frozenset(zip(x, y))])  # KeyError if the image is no triangle
+        sign.append(-1.0 if flip_x != flip_y else 1.0)
+    return np.array(tri), np.array(sign)
 
-    @staticmethod
-    def pencils(n):
-        lm = assemble(build_level(n))
-        A = laplacian_dual(lm)
-        return lm, A, generalized_eig(A, lm.mass_s), generalized_eig(
-            A, lm.mass_s, orbits=mirror_orbits(lm.mesh))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+class TestFourierPair:
+    """The scalar pencil diagonalized by the mesh's translations
+    (``fourier_pair``) against the dense generalized route on the same
+    pencil."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
     def test_matches_the_dense_route(self, n):
-        lm, A, dense, blocks = self.pencils(n)
-        assert isinstance(blocks.modes, BlockModes) and isinstance(dense.modes, np.ndarray)
-        np.testing.assert_allclose(blocks.eigenvalues, dense.eigenvalues, rtol=1e-12)
-        phi = densify(blocks.modes)
-        np.testing.assert_allclose(phi.T @ (lm.mass_s @ phi), np.eye(blocks.dim),
-                                   rtol=0, atol=1e-12)
+        lm = assemble(build_level(n))
+        dense = generalized_eig(laplacian_dual(lm), lm.mass_s.toarray(), space="S", level=0)
+        pair = fourier_pair(lm)
+        assert isinstance(pair.modes, FourierModes)
+        assert (pair.space, pair.level, pair.dim) == ("S", 0, dense.dim)
         rng = np.random.default_rng(n)
-        d = rng.uniform(-1, 1, blocks.dim)
+        x = rng.uniform(-1, 1, pair.dim)
         c = rng.uniform(-1, 1, lm.mesh.num_edges)
         for s in (0.0, 0.3, 1.0):
-            want = solve_power(dense, s, d)
-            np.testing.assert_allclose(solve_power(blocks, s, d), want,
-                                       rtol=0, atol=1e-12 * np.abs(want).max())
-            want = apply_power(HelmholtzPair(dense, lm), s, c)
-            got = apply_power(HelmholtzPair(blocks, lm), s, c)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            for got, want in ((solve_power(pair, s, x), solve_power(dense, s, x)),
+                              (apply_power(pair, s, x), apply_power(dense, s, x)),
+                              (apply_power(HelmholtzPair(pair, lm), s, c),
+                               apply_power(HelmholtzPair(dense, lm), s, c))):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_block_modes_act_as_their_dense_matrix(self, n):
-        _, _, reference, blocks = self.pencils(n)
-        modes, phi = blocks.modes, densify(blocks.modes)
-        assert modes.shape == modes.T.shape == phi.shape
-        np.testing.assert_array_equal(densify(modes.T), phi.T)
-        x = np.random.default_rng(0).uniform(-1, 1, (blocks.dim, 3))
-        for op, dense in ((modes, phi), (modes.T, phi.T)):
-            np.testing.assert_allclose(op @ x, dense @ x, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(op @ x[:, 0], dense @ x[:, 0], rtol=0, atol=1e-13)
-        g = blocks.modes.orbits.shape[1]
-        assert sum(b.nbytes for b in modes.blocks) == phi.nbytes // g < modes.nbytes
-        for dual_form in (False, True):
-            want = power_matrix(reference, 0.3, dual_form)
-            np.testing.assert_allclose(power_matrix(blocks, 0.3, dual_form), want,
-                                       rtol=0, atol=1e-12 * np.abs(want).max())
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_modes_are_a_frame(self, n):
+        # More columns than rows, eight per kept wavenumber, and the
+        # synthesis undoes the analysis up to the mass.
+        lm = assemble(build_level(n))
+        pair = fourier_pair(lm)
+        modes, ns = pair.modes, lm.mesh.num_triangles
+        assert modes.shape == modes.T.shape[::-1] == (ns, 8 * n * (n // 2 + 1))
+        assert modes.shape[1] > ns and pair.eigenvalues.shape == (modes.shape[1],)
+        assert pair.eigenvalues.min() > 0  # the torus constant is masked
+        x = np.random.default_rng(n).uniform(-1, 1, ns)
+        want = x / lm.mass_s.diagonal()
+        np.testing.assert_allclose(modes @ (modes.T @ x), want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
 
-    def test_without_orbits_the_modes_are_the_scaled_standard_ones(self):
-        # g = 1: one block, the scaled problem r A r itself, modes dense.
-        lm = assemble(build_level(4))
-        A = laplacian_dual(lm)
-        root = 1.0 / np.sqrt(lm.mass_s.diagonal())
-        w, psi = sla.eigh((sp.diags(root) @ A @ sp.diags(root)).toarray(), driver="evd")
-        pair = generalized_eig(A, lm.mass_s)
-        np.testing.assert_array_equal(pair.eigenvalues, w)
-        np.testing.assert_array_equal(pair.modes, psi * root[:, None])
-
-    def test_rejects_a_pencil_that_is_not_mirror_invariant(self):
-        lm = assemble(build_level(4))
-        A = laplacian_dual(lm).tolil()
-        i, j = A[0].nonzero()[1][-1], 0
-        A[i, j] = A[j, i] = A[i, j] * (1 + 1e-3)
-        with pytest.raises(PencilError, match="couples its symmetry blocks"):
-            generalized_eig(A.tocsr(), lm.mass_s, orbits=mirror_orbits(lm.mesh))
-
-    def test_rejects_a_mass_that_varies_on_an_orbit(self):
-        lm = assemble(build_level(4))
-        mass = lm.mass_s.diagonal().copy()
-        mass[0] *= 1.5
-        with pytest.raises(PencilError, match="not constant on the orbits"):
-            generalized_eig(laplacian_dual(lm), sp.diags(mass, format="csr"),
-                            orbits=mirror_orbits(lm.mesh))
-
-    def test_rejects_orbits_with_a_dense_mass_or_that_miss_rows(self):
-        lm = assemble(build_level(2))
-        orbits = mirror_orbits(lm.mesh)
-        with pytest.raises(PencilError, match="need a sparse diagonal mass"):
-            generalized_eig(laplacian_dual(lm), lm.mass_s.toarray(), orbits=orbits)
-        with pytest.raises(PencilError, match="do not partition"):
-            generalized_eig(laplacian_dual(lm), lm.mass_s, orbits=orbits[:, [0, 0, 2, 3]])
-
-    def test_memory_guard_counts_one_block_at_a_time(self, monkeypatch):
-        # n = 8: four blocks of 32; the modes (4 * 32^2) plus one eigensolve
-        # (3 * 32^2), against 4 * 128^2 without the split.
-        lm = assemble(build_level(8))
-        need = 8 * 7 * 32 * 32
-        monkeypatch.setattr(spectral, "available_memory", lambda: need - 1)
-        with pytest.raises(PencilError, match=f"dimension 128 in 4 blocks needs {need} bytes"):
-            generalized_eig(laplacian_dual(lm), lm.mass_s, orbits=mirror_orbits(lm.mesh))
-        monkeypatch.setattr(spectral, "available_memory", lambda: need)
-        assert generalized_eig(laplacian_dual(lm), lm.mass_s,
-                               orbits=mirror_orbits(lm.mesh)).dim == 128
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reflection_is_the_odd_fold(self, n):
+        # Macro-cell (q, p), local triangle 4b + 2a + c, is triangle c of
+        # cell (2p + a, 2q + b) of the 2n x 2n mesh.
+        modes = fourier_pair(assemble(build_level(n))).modes
+        tri, sign = odd_reflection_oracle(n)
+        q, p, b, a, c = np.meshgrid(*[np.arange(n)] * 2, *[np.arange(2)] * 3, indexing="ij")
+        torus = (2 * ((2 * q + b) * 2 * n + 2 * p + a) + c).reshape(n, n, 8)
+        np.testing.assert_array_equal(modes.reflect, tri[torus])
+        np.testing.assert_array_equal(np.sign(modes.signs), sign[torus])
+        np.testing.assert_allclose(np.abs(modes.signs), 2.0 * n * n, rtol=1e-15)
+        np.testing.assert_array_equal(modes.reflect.ravel()[modes.quadrant],
+                                      np.arange(2 * n * n))
+        assert (modes.signs.ravel()[modes.quadrant] > 0).all()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import fracprec
-from fracprec import spectral, tables, verify
+from fracprec import multigrid, spectral, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 ERROR_TYPES = ("TagError", "PencilError", "IndefinitenessError")
@@ -72,7 +72,7 @@ def test_every_traced_layer_resolves():
 
 
 def test_generalized_eig_is_bound_where_the_tracer_patches_it():
-    assert tables.generalized_eig is spectral.generalized_eig
+    assert multigrid.generalized_eig is spectral.generalized_eig
     assert verify.generalized_eig is spectral.generalized_eig
 
 

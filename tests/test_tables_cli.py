@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from fracprec import cli, spectral, tables
 from fracprec.auxiliary import exact_condition_number
 from fracprec.fem import assemble_all, laplacian_dual
 from fracprec.mesh import build_hierarchy
-from fracprec.spectral import BlockModes, generalized_eig
+from fracprec.spectral import FourierModes, generalized_eig
 
 
 class TestSizeResolution:
@@ -347,6 +348,15 @@ class TestCli:
             f"error: cannot write {target}: No such file or directory")
         assert not target.parent.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_onto_a_full_device_is_usage_error(self, capsys):
+        # Opening for appending succeeds; only the final write finds no space.
+        with pytest.raises(SystemExit) as err:
+            cli.main(["table2", "--sizes", "4", "--s-list=-0.5", "--out", "/dev/full"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(
+            "error: cannot write /dev/full: No space left on device")
+
     def test_table2_csv_is_labelled_exact(self, capsys):
         code = cli.main(["table2", "--sizes", "4", "--s-list=-0.5", "--format", "csv"])
         out = capsys.readouterr().out
@@ -403,9 +413,9 @@ class TestMemoryGuard:
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--sizes", "8"])
         assert err.value.code == 2
-        # 8 * (7*(128/4)^2 + 6*5^2 + 256*208) at n = 8 (four mirror blocks), n0 = 1
+        # 8 * (6*5^2 + 320*208) at n = 8, n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
-            "error: the dense reference at n=8 needs 484528 bytes, "
+            "error: the set-up at n=8 needs 533680 bytes, "
             "more than the 1000 bytes available")
 
     def test_largest_size_sets_the_estimate(self, monkeypatch):
@@ -419,23 +429,19 @@ class TestMemoryGuard:
         with pytest.raises(spectral.PencilError, match=f"n=32 needs {need} bytes"):
             tables.validate(cfg)
 
-    def test_odd_size_counts_two_mirror_blocks(self):
-        # 8 * (5*(98/2)^2 + 6*161^2 + 256*161) at n = n0 = 7: the half-turn
-        # alone maps an odd mesh onto itself.
-        assert dense_estimate(tables.default_config("3", sizes=(7,), levels=1)) == 1669976
-
     @pytest.mark.parametrize("table", ["1", "3"])
-    def test_fine_scalar_modes_stay_in_mirror_blocks(self, table):
+    def test_fine_scalar_modes_are_a_fourier_frame(self, table):
         setup = tables._HierarchySetup(16, tables.default_config(table, sizes=(16,)))
         modes = setup.op_pair.modes
-        assert isinstance(modes, BlockModes)
-        assert [b.shape for b in modes.blocks] == [(128, 128)] * 4
+        assert isinstance(modes, FourierModes)
+        assert modes.blocks.shape == (16, 9, 8, 8)
 
     @pytest.mark.parametrize("table", ["1", "3"])
     def test_estimate_bounds_what_the_setup_allocates(self, table):
-        # An upper bound at n = 8 and n = 16, and a tight one at n = 16.
-        for n in (8, 16):
-            cfg = tables.default_config(table, sizes=(n,))
+        # An upper bound at n = 8, 12 (3 levels), 16, 24 and 32, and a tight
+        # one at n = 32.
+        for n in (8, 12, 16, 24, 32):
+            cfg = tables.default_config(table, sizes=(n,), levels=3 if n == 12 else 4)
             need = dense_estimate(cfg)
             tracemalloc.start()
             try:
