@@ -120,8 +120,8 @@ def exact_condition_number(scalar_eigenvalues: np.ndarray, s: float) -> float:
     """Condition number of the exactly preconditioned scalar s-power,
     ``(r_max / r_min)^(1+s)`` with ``r = alpha / (1 + alpha)`` over the
     scalar pencil eigenvalues ``alpha``.  Only the extremes matter: the full
-    spectrum or any array that holds its smallest and largest value will do
-    (``spectral.scalar_extremes``)."""
+    spectrum or any array that holds its smallest and largest value will do,
+    such as the two ends of ``spectral.scalar_spectrum``."""
     _check_exponent(s)
     r = scalar_eigenvalues / (1.0 + scalar_eigenvalues)
     return float((r.max() / r.min()) ** (1.0 + s))

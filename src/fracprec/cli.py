@@ -5,6 +5,7 @@ Examples:
     fracprec table1                      # default sizes, markdown to stdout
     fracprec table3 --sizes 8,16 --format csv --out t3.csv
     fracprec table1 --sizes 64           # the large optional column, ~2 s, ~90 MiB
+    fracprec table2 --sizes 32768        # n = 128: the exact spectrum, under 1 s
     fracprec table1 --levels 1 --s-list 0          # exact coarse solve only
     fracprec props --trials 500
 """

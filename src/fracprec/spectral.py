@@ -41,9 +41,9 @@ eigenpair ``(1 + alpha, inv(mass_v) grad phi)``, so the forward power is
 which its ``forward_power`` evaluates from the scalar pair alone, with no
 flux eigensolve and no ``mass_v`` solve.
 
-When only the two extreme eigenvalues of the scalar pencil are needed,
-``scalar_extremes`` finds them by Lanczos on sparse factorizations, with no
-dense matrix and no full diagonalization.
+When only the eigenvalues of the scalar pencil are needed, ``scalar_spectrum``
+reads them off the same blocks restricted to odd functions, with no n x n
+mesh, no modes and no FFT.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ __all__ = [
     "solve_power",
     "apply_power",
     "inf_sup_constant",
-    "scalar_extremes",
+    "scalar_spectrum",
     "densify",
 ]
 
@@ -346,6 +346,30 @@ class FourierModes:
         return np.fft.irfft(np.fft.ifft(torus, axis=0), n, axis=1).ravel()[self.quadrant]
 
 
+def _symbol_rows(n: int, rows):
+    """For each ky in ``rows``, the Bloch symbols ``G(k)^H inv(M_V(k)) G(k)``
+    at k = (kx, ky), kx = 0, ..., n // 2, as one (n // 2 + 1, 8, 8) array,
+    unscaled by the triangle area: each edge of ``build_level(2)`` on x = 1
+    or y = 1 is folded onto the next macro-cell's edge with its Bloch phase."""
+    cell = assemble(build_level(2))
+    # Edge midpoints in quarters; an edge on x = 1 (y = 1) is the next
+    # macro-cell's edge on x = 0 (y = 0).
+    x, y = np.rint(2 * cell.mesh.vertices[cell.mesh.edges].sum(axis=1)).astype(int).T
+    owned = (x < 4) & (y < 4)
+    column = np.zeros((4, 4), dtype=int)
+    column[x[owned], y[owned]] = np.arange(owned.sum())
+    fold = (np.arange(x.size), column[x % 4, y % 4])
+    mass_v, grad = cell.mass_v.toarray(), cell.grad.toarray()
+    half = n // 2 + 1
+    bloch = np.zeros((half, x.size, owned.sum()), dtype=complex)
+    for ky in rows:
+        bloch[:, fold[0], fold[1]] = np.exp(
+            2j * np.pi / n * (np.outer(np.arange(half), x == 4) + ky * (y == 4)))
+        bloch_h = bloch.conj().transpose(0, 2, 1)
+        g = bloch_h @ grad
+        yield g.conj().transpose(0, 2, 1) @ np.linalg.solve(bloch_h @ mass_v @ bloch, g)
+
+
 def fourier_pair(lm: LevelMatrices) -> SpectralPair:
     """The scalar pencil ``(grad.T inv(mass_v) grad, mass_s)`` of a level of
     ``mesh.build_level``, diagonalized by the mesh's translations: the fast
@@ -359,9 +383,7 @@ def fourier_pair(lm: LevelMatrices) -> SpectralPair:
     the torus pencil, on which it is the pencil of the square, so every
     power of the square's pencil is the torus power read back on the
     quadrant.  The 2-D FFT over the macro-cells splits the torus pencil into
-    one Hermitian 8 x 8 block ``G(k)^H inv(M_V(k)) G(k)`` per wavenumber k,
-    assembled from ``fem.assemble(build_level(2))``: each edge on x = 1 or
-    y = 1 is folded onto the next macro-cell's edge with its Bloch phase.
+    one Hermitian 8 x 8 block per wavenumber (``_symbol_rows``).
     Lowest-order ``mass_v`` and ``grad`` do not depend on the cell size, so
     the triangle area scales the eigenvalues and nothing else.  The real FFT
     keeps n (n // 2 + 1) wavenumbers.  The torus constant, the one null mode,
@@ -372,25 +394,9 @@ def fourier_pair(lm: LevelMatrices) -> SpectralPair:
     with :class:`FourierModes` and the eigenvalues in their column order.
     """
     n = lm.mesh.n
-    area = 0.5 / n**2
-    cell = assemble(build_level(2))
-    # Edge midpoints in quarters; an edge on x = 1 (y = 1) is the next
-    # macro-cell's edge on x = 0 (y = 0).
-    x, y = np.rint(2 * cell.mesh.vertices[cell.mesh.edges].sum(axis=1)).astype(int).T
-    owned = (x < 4) & (y < 4)
-    column = np.zeros((4, 4), dtype=int)
-    column[x[owned], y[owned]] = np.arange(owned.sum())
-    fold = (np.arange(x.size), column[x % 4, y % 4])
-    mass_v, grad = cell.mass_v.toarray(), cell.grad.toarray()
-    half = n // 2 + 1
+    area, half = 0.5 / n**2, n // 2 + 1
     w, blocks = np.empty((n, half, 8)), np.empty((n, half, 8, 8), dtype=complex)
-    bloch = np.zeros((half, x.size, owned.sum()), dtype=complex)
-    for ky in range(n):  # one row of wavenumbers at a time: small temporaries
-        bloch[:, fold[0], fold[1]] = np.exp(
-            2j * np.pi / n * (np.outer(np.arange(half), x == 4) + ky * (y == 4)))
-        bloch_h = bloch.conj().transpose(0, 2, 1)
-        g = bloch_h @ grad
-        symbol = g.conj().transpose(0, 2, 1) @ np.linalg.solve(bloch_h @ mass_v @ bloch, g)
+    for ky, symbol in enumerate(_symbol_rows(n, range(n))):
         w[ky], blocks[ky] = np.linalg.eigh(symbol)
     blocks[0, 0, :, 0] = 0.0
     w[0, 0, 0] = area
@@ -412,6 +418,34 @@ def fourier_pair(lm: LevelMatrices) -> SpectralPair:
                          blocks.conj().transpose(0, 1, 3, 2).copy(), quadrant)
     return SpectralPair(eigenvalues=(w / area).ravel(), modes=modes, mass=lm.mass_s,
                         space="S", level=lm.index)
+
+
+def scalar_spectrum(n: int) -> np.ndarray:
+    """All 2 n^2 eigenvalues, ascending, of the scalar pencil
+    ``(grad.T inv(mass_v) grad, mass_s)`` of ``mesh.build_level(n)``: the
+    Bloch symbols of ``fourier_pair`` on the odd functions of the torus.
+
+    With ``w = exp(2 pi i / n)``, the FFT coefficients of a function odd in
+    x satisfy ``F(kx, ky) = -w**kx P_x F(-kx, ky)``, P_x flipping ii in the
+    local order 4 jj + 2 ii + c, and likewise in y, P_y flipping jj and c.
+    So each orbit {(+-kx, +-ky)}, kx, ky = 0, ..., n // 2, holds the
+    eigenvalues of one block, restricted to the -1 eigenspace of ``w**k P``
+    on each axis where k = -k (mod n): 2 n^2 in all, without the torus
+    constant, which is even."""
+    half, area, eye = n // 2 + 1, 0.5 / n**2, np.eye(8)
+    sign = {0: 1.0, n / 2: -1.0}  # w**k at each k = -k (mod n)
+
+    def odd(k, flip):  # the projector onto the coefficients odd under one mirror
+        return (eye - sign[k] * eye[np.arange(8) ^ flip]) / 2 if k in sign else eye
+
+    odd_x = np.array([odd(kx, 2) for kx in range(half)])  # P_x flips bit 1
+    parts = []
+    for ky, symbol in enumerate(_symbol_rows(n, range(half))):
+        proj = odd_x @ odd(ky, 5)  # P_y flips bits 2 and 0
+        # Positive odd eigenvalues above a 0 per even direction; trace(proj) counts them.
+        w = np.linalg.eigvalsh(proj @ symbol @ proj)
+        parts.append(w[np.arange(8) >= 8 - np.trace(proj, axis1=1, axis2=2)[:, None]])
+    return np.sort(np.concatenate(parts)) / area
 
 
 def solve_power(pair: SpectralPair, s: float, d):
@@ -444,40 +478,3 @@ def inf_sup_constant(lm: LevelMatrices) -> float:
     scaled = B0 / np.sqrt(np.outer(a, a))
     w = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
     return float(np.sqrt(w[0]))
-
-
-def scalar_extremes(lm: LevelMatrices) -> tuple[float, float]:
-    """The smallest and largest eigenvalues of the scalar pencil
-    (grad.T inv(mass_v) grad, mass_s), from sparse factorizations.
-
-    With ``mass_s`` diagonal, the pencil is the symmetric operator
-    ``K = D grad.T inv(mass_v) grad D``, ``D = mass_s^-1/2``.  Lanczos on K
-    (one LU of ``mass_v``) gives the largest eigenvalue; Lanczos on inv(K),
-    applied through one LU of the saddle matrix [[mass_v, grad], [grad.T, 0]],
-    gives the reciprocal of the smallest.  The start vector is a fixed
-    pseudo-random one, so the result is reproducible bit for bit; a symmetric
-    one such as all ones lies in an invariant subspace of the mesh's
-    symmetries, where Lanczos breaks down early and ARPACK restarts from a
-    random vector of its own.
-    """
-    nv, ns = lm.grad.shape
-    root = np.sqrt(lm.mass_s.diagonal())  # D^-1
-    grad = lm.grad.tocsc()
-    mass_lu = spla.splu(lm.mass_v.tocsc())
-    saddle_lu = spla.splu(sp.bmat([[lm.mass_v, grad], [grad.T, None]], format="csc"))
-
-    def forward(x):
-        return grad.T @ mass_lu.solve(grad @ (x / root)) / root
-
-    def inverse(y):
-        # [[M, G], [G.T, 0]] [u; p] = [0; -f] gives p = inv(G.T inv(M) G) f.
-        return root * saddle_lu.solve(np.concatenate([np.zeros(nv), -root * y]))[nv:]
-
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, ns)
-
-    def largest(apply):
-        op = spla.LinearOperator((ns, ns), matvec=apply, dtype=float)
-        return float(spla.eigsh(op, k=1, which="LA", tol=0, v0=start,
-                                return_eigenvectors=False)[0])
-
-    return 1.0 / largest(inverse), largest(forward)

@@ -10,16 +10,15 @@ Three grids are produced, mirroring the package's three headline results:
      powers (PCG + estimates).
 
 All three rest on the scalar pencil (grad.T inv(mass_v) grad, mass_s) of the
-finest mesh.  Grids 1 and 3 diagonalize it once per size by the mesh's
-translations (``spectral.fourier_pair``: one 8 x 8 block per wavenumber of
-the oddly reflected mesh), with no sparse operator and no dense modes.
-Grid 3 uses it as the operator, and grid 1 applies the flux operator's
-powers through it by the discrete Helmholtz split
-(``spectral.HelmholtzPair``).  Grid 2 does not diagonalize it: its exact
-condition numbers and the inf-sup constant depend only on the pencil's two
-extreme eigenvalues (closed form in ``auxiliary.exact_condition_number``),
-which ``spectral.scalar_extremes`` finds by Lanczos on sparse
-factorizations.  The only flux pencil ever diagonalized is the coarsest
+finest mesh, which the mesh's translations split into one 8 x 8 block per
+wavenumber of the oddly reflected mesh.  Grids 1 and 3 diagonalize it
+(``spectral.fourier_pair``): grid 3 uses it as the operator, and grid 1
+applies the flux operator's powers through it by the discrete Helmholtz
+split (``spectral.HelmholtzPair``).  Grid 2 needs only its two extreme
+eigenvalues, for the closed-form exact condition numbers and the inf-sup
+constant (``auxiliary.exact_condition_number``); it reads them off the
+blocks' eigenvalues on odd functions (``spectral.scalar_spectrum``) and
+builds no mesh.  The only flux pencil ever diagonalized is the coarsest
 mesh's, for the multilevel coarse solve.  Grids 1 and 3 build one
 ``multigrid.MultilevelSetup`` per size, with that coarse pencil and the
 patch eigensolves, and take every exponent's preconditioner from it.  Each
@@ -47,7 +46,7 @@ from .fem import assemble_all
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
 from .multigrid import AdditiveMultigrid, multilevel_setup
-from .spectral import HelmholtzPair, PencilError, fourier_pair, require_memory, scalar_extremes
+from .spectral import HelmholtzPair, PencilError, fourier_pair, require_memory, scalar_spectrum
 from .vectors import TaggedVector
 
 __all__ = [
@@ -135,7 +134,7 @@ def _distinct_sizes(sizes: tuple, table: str | None = None) -> tuple:
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check the settings the command reads; returns the config with -0.0
     exponents read as 0.0, so ``validate(validate(cfg)) == validate(cfg)``.
-    A grid 1 or 3 run too large for the available memory raises PencilError."""
+    A run too large for the available memory raises PencilError."""
     reads = SETTINGS[cfg.table]
     if "sizes" in reads:
         _distinct_sizes(cfg.sizes)
@@ -175,6 +174,11 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         n0 = n // step
         nv, nv0 = 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0
         require_memory(8 * (6 * nv0 ** 2 + 320 * nv), f"the set-up at n={n}")
+    if cfg.table == "2":
+        # ``scalar_spectrum`` at the largest size: 4 doubles per triangle, 2048 per
+        # wavenumber of a row, and 8192; tracemalloc measures 0.54 to 0.86 of it.
+        n = max(cfg.sizes)
+        require_memory(8 * (8 * n * n + 2048 * (n // 2 + 1) + 8192), f"the spectrum at n={n}")
     return cfg
 
 
@@ -325,15 +329,13 @@ def run_table2(cfg: ExperimentConfig | None = None) -> TableResult:
     result = TableResult("2", cfg, ())
     finest = max(cfg.sizes)
     for n in cfg.sizes:
-        lm = assemble_all(build_hierarchy(n, 1))[-1]
-        alpha_min, alpha_max = scalar_extremes(lm)
-        N = lm.mesh.num_triangles
+        extremes = scalar_spectrum(n)[[0, -1]]
+        N = 2 * n * n
         result.columns += (N,)
         for s in cfg.s_values:
-            cond = exact_condition_number(np.array([alpha_min, alpha_max]), s)
-            result.cells[(s, N)] = CellResult(s, N, None, cond, True)
+            result.cells[(s, N)] = CellResult(s, N, None, exact_condition_number(extremes, s), True)
         if n == finest:  # beta^2 = min alpha / (1 + alpha) on the finest mesh
-            beta_sq = alpha_min / (1.0 + alpha_min)
+            beta_sq = extremes[0] / (1.0 + extremes[0])
     result.reference = {s: beta_sq ** -(1.0 + s) for s in cfg.s_values}
     return result
 

@@ -1,7 +1,10 @@
 """Brute-force references shared by several test modules."""
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from fracprec.fem import LevelMatrices
 from fracprec.krylov import IndefinitenessError
 from fracprec import spectral
 from fracprec.spectral import generalized_eig
@@ -64,3 +67,43 @@ def multigrid_apply(setup, s: float, d: np.ndarray) -> np.ndarray:
     for P, pair, dual in zip(pros, pairs[1:], duals[1:]):
         acc = P @ acc + solve_power(pair, s, dual)
     return acc
+
+
+# The extremes of the scalar pencil as table 2 found them before it read the
+# exact spectrum: Lanczos (ARPACK) on two sparse factorizations.
+
+def scalar_extremes(lm: LevelMatrices) -> tuple[float, float]:
+    """The smallest and largest eigenvalues of the scalar pencil
+    (grad.T inv(mass_v) grad, mass_s), from sparse factorizations.
+
+    With ``mass_s`` diagonal, the pencil is the symmetric operator
+    ``K = D grad.T inv(mass_v) grad D``, ``D = mass_s^-1/2``.  Lanczos on K
+    (one LU of ``mass_v``) gives the largest eigenvalue; Lanczos on inv(K),
+    applied through one LU of the saddle matrix [[mass_v, grad], [grad.T, 0]],
+    gives the reciprocal of the smallest.  The start vector is a fixed
+    pseudo-random one, so the result is reproducible bit for bit; a symmetric
+    one such as all ones lies in an invariant subspace of the mesh's
+    symmetries, where Lanczos breaks down early and ARPACK restarts from a
+    random vector of its own.
+    """
+    nv, ns = lm.grad.shape
+    root = np.sqrt(lm.mass_s.diagonal())  # D^-1
+    grad = lm.grad.tocsc()
+    mass_lu = spla.splu(lm.mass_v.tocsc())
+    saddle_lu = spla.splu(sp.bmat([[lm.mass_v, grad], [grad.T, None]], format="csc"))
+
+    def forward(x):
+        return grad.T @ mass_lu.solve(grad @ (x / root)) / root
+
+    def inverse(y):
+        # [[M, G], [G.T, 0]] [u; p] = [0; -f] gives p = inv(G.T inv(M) G) f.
+        return root * saddle_lu.solve(np.concatenate([np.zeros(nv), -root * y]))[nv:]
+
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, ns)
+
+    def largest(apply):
+        op = spla.LinearOperator((ns, ns), matvec=apply, dtype=float)
+        return float(spla.eigsh(op, k=1, which="LA", tol=0, v0=start,
+                                return_eigenvectors=False)[0])
+
+    return 1.0 / largest(inverse), largest(forward)

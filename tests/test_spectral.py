@@ -15,10 +15,12 @@ from fracprec.spectral import (
     generalized_eig,
     inf_sup_constant,
     power_matrix,
-    scalar_extremes,
+    scalar_spectrum,
     solve_power,
 )
 from fracprec.vectors import TaggedVector, TagError
+
+from oracles import scalar_extremes
 
 
 def random_spd_pencil(rng, n):
@@ -230,13 +232,33 @@ class TestMeshPencils:
         pair = generalized_eig(0.5 * (B0 + B0.T), lm.mass_s.toarray())
         assert inf_sup_constant(lm) == pytest.approx(np.sqrt(pair.eigenvalues[0]), rel=1e-10)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
-    def test_scalar_extremes_match_dense_spectrum(self, n):
+
+class TestScalarSpectrum:
+    """The square's exact scalar spectrum read off the Bloch symbols
+    (``scalar_spectrum``) against the dense route and the Lanczos extremes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
+    def test_matches_the_dense_spectrum(self, n):
         lm = assemble(build_level(n))
-        dense = generalized_eig(laplacian_dual(lm), lm.mass_s).eigenvalues[[0, -1]]
-        got = scalar_extremes(lm)
-        np.testing.assert_allclose(got, dense, rtol=1e-10)
-        assert scalar_extremes(lm) == got  # fixed start vector: bit for bit
+        dense = generalized_eig(laplacian_dual(lm), lm.mass_s).eigenvalues
+        got = scalar_spectrum(n)
+        assert got.shape == (2 * n * n,) and (np.diff(got) >= 0).all()
+        np.testing.assert_allclose(got, dense, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 33])
+    def test_the_masked_torus_constant_stays_out(self, n):
+        # The lowest eigenvalue lies near 2 pi^2, well above the torus
+        # constant's masked 1 in fourier_pair.
+        got = scalar_spectrum(n)
+        assert got.size == 2 * n * n and got[0] > 19
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33, 48, 64, 100])
+    def test_largest_is_36_n_squared(self, n):
+        assert scalar_spectrum(n)[-1] == pytest.approx(36 * n * n, rel=1e-13, abs=0)
+
+    def test_extremes_match_lanczos(self):
+        lm = assemble(build_level(32))
+        np.testing.assert_allclose(scalar_spectrum(32)[[0, -1]], scalar_extremes(lm), rtol=1e-10)
 
 
 def odd_reflection_oracle(n):

@@ -58,6 +58,15 @@ def test_every_module_export_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_spectral_names():
+    # Table 2 reads the exact spectrum; the Lanczos extremes are gone.
+    assert set(spectral.__all__) == {
+        "SpectralPair", "PowerMap", "FourierModes", "HelmholtzPair", "PencilError",
+        "generalized_eig", "fourier_pair", "solve_power", "apply_power",
+        "inf_sup_constant", "scalar_spectrum", "densify"}
+    assert not hasattr(spectral, "scalar_extremes")
+
+
 def test_every_traced_layer_resolves():
     # Executed from source, so nothing is written next to the tracer.
     layers = runpy.run_path(str(ROOT / "bench" / "tracer.py"))["LAYERS"]

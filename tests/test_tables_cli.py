@@ -390,6 +390,143 @@ class TestCli:
         assert "8/8 checks passed" in out
 
 
+# ``fracprec table2`` output frozen when table 2 still took its two
+# eigenvalues by Lanczos on sparse factorizations.  At n = 1 and 2 every
+# wavenumber is its own conjugate, so these sizes pin the odd restriction
+# of ``spectral.scalar_spectrum``; n = 3 and 5 are odd.
+TABLE2_FROZEN = {
+    ("1,2,3,5", "markdown"): """\
+| s | N=2 | N=8 | N=18 | N=50 | beta^-2(1+s) |
+|---|---|---|---|---|---|
+| -1.0 | 1.000 | 1.000 | 1.000 | 1.000 | 1.000 |
+| -0.9 | 1.001 | 1.003 | 1.005 | 1.005 | 1.005 |
+| -0.8 | 1.003 | 1.007 | 1.009 | 1.010 | 1.010 |
+| -0.7 | 1.004 | 1.010 | 1.014 | 1.014 | 1.015 |
+| -0.6 | 1.005 | 1.014 | 1.018 | 1.019 | 1.020 |
+| -0.5 | 1.007 | 1.017 | 1.023 | 1.024 | 1.025 |
+| -0.4 | 1.008 | 1.021 | 1.028 | 1.029 | 1.030 |
+| -0.3 | 1.009 | 1.024 | 1.032 | 1.034 | 1.035 |
+| -0.2 | 1.011 | 1.027 | 1.037 | 1.039 | 1.040 |
+| -0.1 | 1.012 | 1.031 | 1.042 | 1.044 | 1.045 |
+| 0.0 | 1.014 | 1.034 | 1.046 | 1.049 | 1.050 |
+""",
+    ("1,2,3,5", "csv"): """\
+table,s,N,iters,cond,seed,tol
+2,-1.0,2,,1,7,exact
+2,-1.0,8,,1,7,exact
+2,-1.0,18,,1,7,exact
+2,-1.0,50,,1,7,exact
+2,-1.0,ref,,1,7,exact
+2,-0.9,2,,1.00134,7,exact
+2,-0.9,8,,1.0034,7,exact
+2,-0.9,18,,1.00454,7,exact
+2,-0.9,50,,1.00479,7,exact
+2,-0.9,ref,,1.00491,7,exact
+2,-0.8,2,,1.00269,7,exact
+2,-0.8,8,,1.0068,7,exact
+2,-0.8,18,,1.00909,7,exact
+2,-0.8,50,,1.00961,7,exact
+2,-0.8,ref,,1.00983,7,exact
+2,-0.7,2,,1.00404,7,exact
+2,-0.7,8,,1.01022,7,exact
+2,-0.7,18,,1.01367,7,exact
+2,-0.7,50,,1.01445,7,exact
+2,-0.7,ref,,1.01479,7,exact
+2,-0.6,2,,1.00538,7,exact
+2,-0.6,8,,1.01365,7,exact
+2,-0.6,18,,1.01826,7,exact
+2,-0.6,50,,1.01931,7,exact
+2,-0.6,ref,,1.01977,7,exact
+2,-0.5,2,,1.00673,7,exact
+2,-0.5,8,,1.0171,7,exact
+2,-0.5,18,,1.02288,7,exact
+2,-0.5,50,,1.0242,7,exact
+2,-0.5,ref,,1.02477,7,exact
+2,-0.4,2,,1.00809,7,exact
+2,-0.4,8,,1.02055,7,exact
+2,-0.4,18,,1.02752,7,exact
+2,-0.4,50,,1.02911,7,exact
+2,-0.4,ref,,1.0298,7,exact
+2,-0.3,2,,1.00944,7,exact
+2,-0.3,8,,1.02401,7,exact
+2,-0.3,18,,1.03218,7,exact
+2,-0.3,50,,1.03404,7,exact
+2,-0.3,ref,,1.03485,7,exact
+2,-0.2,2,,1.0108,7,exact
+2,-0.2,8,,1.02749,7,exact
+2,-0.2,18,,1.03686,7,exact
+2,-0.2,50,,1.039,7,exact
+2,-0.2,ref,,1.03992,7,exact
+2,-0.1,2,,1.01215,7,exact
+2,-0.1,8,,1.03098,7,exact
+2,-0.1,18,,1.04157,7,exact
+2,-0.1,50,,1.04398,7,exact
+2,-0.1,ref,,1.04503,7,exact
+2,0.0,2,,1.01351,7,exact
+2,0.0,8,,1.03448,7,exact
+2,0.0,18,,1.04629,7,exact
+2,0.0,50,,1.04899,7,exact
+2,0.0,ref,,1.05015,7,exact
+""",
+    ("4,8", "markdown"): """\
+| s | N=32 | N=128 | beta^-2(1+s) |
+|---|---|---|---|
+| -1.0 | 1.000 | 1.000 | 1.000 |
+| -0.9 | 1.005 | 1.005 | 1.005 |
+| -0.8 | 1.009 | 1.010 | 1.010 |
+| -0.7 | 1.014 | 1.015 | 1.015 |
+| -0.6 | 1.019 | 1.020 | 1.020 |
+| -0.5 | 1.024 | 1.025 | 1.025 |
+| -0.4 | 1.029 | 1.030 | 1.030 |
+| -0.3 | 1.033 | 1.035 | 1.035 |
+| -0.2 | 1.038 | 1.040 | 1.040 |
+| -0.1 | 1.043 | 1.045 | 1.045 |
+| 0.0 | 1.048 | 1.050 | 1.050 |
+""",
+    ("4,8", "csv"): """\
+table,s,N,iters,cond,seed,tol
+2,-1.0,32,,1,7,exact
+2,-1.0,128,,1,7,exact
+2,-1.0,ref,,1,7,exact
+2,-0.9,32,,1.00471,7,exact
+2,-0.9,128,,1.00489,7,exact
+2,-0.9,ref,,1.00493,7,exact
+2,-0.8,32,,1.00944,7,exact
+2,-0.8,128,,1.0098,7,exact
+2,-0.8,ref,,1.00989,7,exact
+2,-0.7,32,,1.01419,7,exact
+2,-0.7,128,,1.01474,7,exact
+2,-0.7,ref,,1.01488,7,exact
+2,-0.6,32,,1.01897,7,exact
+2,-0.6,128,,1.01971,7,exact
+2,-0.6,ref,,1.01988,7,exact
+2,-0.5,32,,1.02376,7,exact
+2,-0.5,128,,1.02469,7,exact
+2,-0.5,ref,,1.02491,7,exact
+2,-0.4,32,,1.02858,7,exact
+2,-0.4,128,,1.0297,7,exact
+2,-0.4,ref,,1.02997,7,exact
+2,-0.3,32,,1.03342,7,exact
+2,-0.3,128,,1.03474,7,exact
+2,-0.3,ref,,1.03505,7,exact
+2,-0.2,32,,1.03829,7,exact
+2,-0.2,128,,1.0398,7,exact
+2,-0.2,ref,,1.04016,7,exact
+2,-0.1,32,,1.04318,7,exact
+2,-0.1,128,,1.04488,7,exact
+2,-0.1,ref,,1.04529,7,exact
+2,0.0,32,,1.04809,7,exact
+2,0.0,128,,1.04999,7,exact
+2,0.0,ref,,1.05045,7,exact
+""",
+}
+
+
+@pytest.mark.parametrize("sizes, fmt", list(TABLE2_FROZEN))
+def test_table2_output_is_frozen(sizes, fmt, capsys):
+    assert cli.main(["table2", "--sizes", sizes, "--format", fmt]) == 0
+    assert capsys.readouterr().out == TABLE2_FROZEN[sizes, fmt]
+
 
 def dense_estimate(cfg):
     """The byte count ``validate`` hands to the memory guard."""
@@ -416,6 +553,20 @@ class TestMemoryGuard:
         # 8 * (6*5^2 + 320*208) at n = 8, n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
             "error: the set-up at n=8 needs 533680 bytes, "
+            "more than the 1000 bytes available")
+
+    def test_table2_too_large_for_memory_is_usage_error(self, monkeypatch, capsys):
+        def no_spectrum(n):
+            raise AssertionError("computed before the memory check")
+
+        monkeypatch.setattr(spectral, "available_memory", lambda: 1000)
+        monkeypatch.setattr(tables, "scalar_spectrum", no_spectrum)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["table2", "--sizes", "8,2000000"])
+        assert err.value.code == 2
+        # 8 * (8*1000^2 + 2048*501 + 8192) at n = 1000
+        assert capsys.readouterr().err.rstrip().endswith(
+            "error: the spectrum at n=1000 needs 72273920 bytes, "
             "more than the 1000 bytes available")
 
     def test_largest_size_sets_the_estimate(self, monkeypatch):
@@ -446,6 +597,20 @@ class TestMemoryGuard:
             tracemalloc.start()
             try:
                 tables._HierarchySetup(n, tables.validate(cfg))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= need
+        assert need / 2 <= peak
+
+    def test_table2_estimate_bounds_what_the_spectrum_allocates(self):
+        # An upper bound at n = 8, 12, 16, 24, 32 and 64, and a tight one at 64.
+        for n in (8, 12, 16, 24, 32, 64):
+            cfg = tables.validate(tables.default_config("2", sizes=(n,)))
+            need = dense_estimate(cfg)
+            tracemalloc.start()
+            try:
+                tables.run_table2(cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
