@@ -13,7 +13,7 @@ operator-inequality checks, and experiment-grid runners sit on top.
 
 The top level exports the names of the README's Library example plus the
 error types; everything else is reached through its module
-(``fracprec.spectral.HelmholtzPair``, ``fracprec.verify.check_jensen``, ...).
+(``fracprec.spectral.helmholtz_power``, ``fracprec.verify.check_jensen``, ...).
 """
 
 from .vectors import TagError, TaggedVector

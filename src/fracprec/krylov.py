@@ -44,16 +44,13 @@ def lanczos_condition(alphas, betas) -> float:
     preconditioned operator.
     """
     k = len(alphas)
-    if k == 0:
+    if k <= 1:
         return 1.0
-    diag = np.empty(k)
-    diag[0] = 1.0 / alphas[0]
-    for j in range(1, k):
-        diag[j] = 1.0 / alphas[j] + betas[j - 1] / alphas[j - 1]
-    if k == 1:
-        return 1.0
-    off = np.array([np.sqrt(betas[j]) / alphas[j] for j in range(k - 1)])
-    w = sla.eigh_tridiagonal(diag, off, eigvals_only=True)
+    # ``betas`` has k - 1 entries on convergence, k at the iteration cap.
+    a, b = np.asarray(alphas, dtype=float), np.asarray(betas[:k - 1], dtype=float)
+    diag = 1.0 / a
+    diag[1:] += b / a[:-1]
+    w = sla.eigh_tridiagonal(diag, np.sqrt(b) / a[:-1], eigvals_only=True)
     return float(w[-1] / w[0])
 
 

@@ -10,7 +10,7 @@ splits it by the mesh's translations into one 8 x 8 block per wavenumber of
 the oddly reflected mesh, and its modes are a frame applied by FFT
 (:class:`FourierModes`).
 Powers of the operator represented by the pencil are then diagonal in that
-basis.  Each pair type builds a fixed-exponent :class:`PowerMap` for either
+basis.  A pair builds a fixed-exponent :class:`PowerMap` for either
 orientation used throughout:
 
 - ``pair.inverse_power(s)``:  dual -> coefficient, ``modes @ diag(w**-s) @ modes.T @ d``
@@ -30,16 +30,16 @@ re-tagged with the opposite representation.  The inverse power also takes a
 pair with no mass whose modes are sparse and outnumber the dimension: the
 vertex-patch smoother of one ``multigrid`` level.
 
-A :class:`HelmholtzPair` stands for the flux pencil ``(hdiv, mass_v)`` of one
-level without diagonalizing it.  By the discrete Helmholtz split,
-rotated-gradient fields have eigenvalue 1 and each scalar eigenpair
-``(alpha, phi)`` of ``(grad.T inv(mass_v) grad, mass_s)`` gives the flux
-eigenpair ``(1 + alpha, inv(mass_v) grad phi)``, so the forward power is
+The flux pencil ``(hdiv, mass_v)`` of a level needs no eigensolve of its
+own.  By the discrete Helmholtz split, rotated-gradient fields have
+eigenvalue 1 and each scalar eigenpair ``(alpha, phi)`` of
+``(grad.T inv(mass_v) grad, mass_s)`` gives the flux eigenpair
+``(1 + alpha, inv(mass_v) grad phi)``, so the forward power is
 
     mass_v + grad @ Phi @ diag(((1 + alpha)**s - 1) / alpha) @ Phi.T @ grad.T,
 
-which its ``forward_power`` evaluates from the scalar pair alone, with no
-flux eigensolve and no ``mass_v`` solve.
+which ``helmholtz_power`` builds from the scalar pair alone, with no
+``mass_v`` solve.
 
 When only the eigenvalues of the scalar pencil are needed, ``scalar_spectrum``
 reads them off the same blocks restricted to odd functions, with no n x n
@@ -65,10 +65,10 @@ __all__ = [
     "SpectralPair",
     "PowerMap",
     "FourierModes",
-    "HelmholtzPair",
     "PencilError",
     "generalized_eig",
     "fourier_pair",
+    "helmholtz_power",
     "solve_power",
     "apply_power",
     "inf_sup_constant",
@@ -106,11 +106,11 @@ def require_memory(need: int, what: str) -> None:
 class PowerMap:
     """One pair's power at one fixed exponent, as a map between the two
     representations: ``SpectralPair.inverse_power``, ``.forward_power`` and
-    ``HelmholtzPair.forward_power`` build it.  It holds the exponent's
-    scaling, computed once; ``kernel`` is the pair's exponent-independent
-    product, which holds the transposed modes.  A tagged input must carry the
-    pair's space and level and the representation ``rep``; the output has
-    the other representation.
+    ``helmholtz_power`` build it.  It holds the exponent's scaling, computed
+    once; ``kernel`` is the pair's exponent-independent product, which holds
+    the transposed modes.  A tagged input must carry the pair's space and
+    level and the representation ``rep``; the output has the other
+    representation.
     """
 
     space: str | None
@@ -173,52 +173,18 @@ class SpectralPair:
         return PowerMap(self.space, self.level, "coefficient", self._forward, self.eigenvalues ** s)
 
 
-@dataclass(frozen=True)
-class HelmholtzPair:
-    """The flux pencil ``(hdiv, mass_v)`` of one level, held as its scalar
-    pencil ``(grad.T inv(mass_v) grad, mass_s)`` plus the level's ``grad``,
-    its stored transpose ``grad_t`` and ``mass_v``.
+def helmholtz_power(scalar: SpectralPair, lm: LevelMatrices, s: float) -> PowerMap:
+    """Coefficient -> dual map of the forward s-power of the flux pencil
+    ``(hdiv, mass_v)`` of level ``lm``, from its scalar pair ``scalar``:
+    ``mass_v + grad modes diag(gain) modes.T grad.T`` with the gain
+    ``((1 + alpha)**s - 1) / alpha`` on the scalar eigenvalues alpha."""
+    alpha = scalar.eigenvalues
+    gain = np.expm1(s * np.log1p(alpha)) / alpha
 
-    Has the forward power only.
-    """
+    def kernel(gain, c):
+        return lm.mass_v @ c + lm.grad @ scalar.sandwich(gain, lm.grad_t @ c)
 
-    scalar: SpectralPair
-    lm: LevelMatrices
-
-    space = "V"
-
-    @property
-    def level(self):
-        return self.scalar.level
-
-    @property
-    def modes(self):
-        return self.scalar.modes
-
-    @property
-    def grad(self):
-        return self.lm.grad
-
-    @property
-    def mass(self):
-        return self.lm.mass_v
-
-    @property
-    def dim(self) -> int:
-        return self.grad.shape[0]
-
-    def _forward(self, gain, c):
-        return self.mass @ c + self.grad @ self.scalar.sandwich(gain, self.lm.grad_t @ c)
-
-    def forward_power(self, s: float) -> PowerMap:
-        """Coefficient -> dual map of the forward s-power, with the gain
-        ``((1 + alpha)**s - 1) / alpha`` on the scalar eigenvalues alpha."""
-        alpha = self.scalar.eigenvalues
-        gain = np.expm1(s * np.log1p(alpha)) / alpha
-        return PowerMap(self.space, self.level, "coefficient", self._forward, gain)
-
-    def inverse_power(self, s: float):
-        raise TypeError("a HelmholtzPair supports the forward power only")
+    return PowerMap("V", scalar.level, "coefficient", kernel, gain)
 
 
 def densify(op) -> np.ndarray:
@@ -453,7 +419,7 @@ def solve_power(pair: SpectralPair, s: float, d):
     return pair.inverse_power(s)(d)
 
 
-def apply_power(pair: SpectralPair | HelmholtzPair, s: float, c):
+def apply_power(pair: SpectralPair, s: float, c):
     """Forward s-power applied to a coefficient vector; returns a dual vector."""
     return pair.forward_power(s)(c)
 

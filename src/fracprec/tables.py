@@ -14,7 +14,7 @@ finest mesh, which the mesh's translations split into one 8 x 8 block per
 wavenumber of the oddly reflected mesh.  Grids 1 and 3 diagonalize it
 (``spectral.fourier_pair``): grid 3 uses it as the operator, and grid 1
 applies the flux operator's powers through it by the discrete Helmholtz
-split (``spectral.HelmholtzPair``).  Grid 2 needs only its two extreme
+split (``spectral.helmholtz_power``).  Grid 2 needs only its two extreme
 eigenvalues, for the closed-form exact condition numbers and the inf-sup
 constant (``auxiliary.exact_condition_number``); it reads them off the
 blocks' eigenvalues on odd functions (``spectral.scalar_spectrum``) and
@@ -46,7 +46,7 @@ from .fem import assemble_all
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
 from .multigrid import AdditiveMultigrid, multilevel_setup
-from .spectral import HelmholtzPair, PencilError, fourier_pair, require_memory, scalar_spectrum
+from .spectral import PencilError, fourier_pair, helmholtz_power, require_memory, scalar_spectrum
 from .vectors import TaggedVector
 
 __all__ = [
@@ -272,46 +272,42 @@ def _cell_rng(seed: int, table_no: int, s: float, n: int):
 
 class _HierarchySetup:
     """Per-size state shared by every exponent: the multilevel setup
-    (``multigrid.multilevel_setup``) and the fine operator: the scalar pencil
-    itself (grid 3) or the flux pencil held through it (grid 1)."""
+    (``multigrid.multilevel_setup``) and the finest level's scalar pair
+    (``spectral.fourier_pair``)."""
 
     def __init__(self, n: int, cfg: ExperimentConfig):
-        n0 = n // 2 ** (cfg.levels - 1)
+        lms = assemble_all(build_hierarchy(n // 2 ** (cfg.levels - 1), cfg.levels))
         self.n = n
-        lms = assemble_all(build_hierarchy(n0, cfg.levels))
-        self.finest = cfg.levels - 1
         self.multilevel = multilevel_setup(lms)
-        fine = lms[-1]
-        scalar_pair = fourier_pair(fine)
-        self.op_pair = scalar_pair if cfg.table == "3" else HelmholtzPair(scalar_pair, fine)
-        self.dim = self.op_pair.dim
+        self.scalar = fourier_pair(lms[-1])
 
 
 def _run_krylov_cell(setup: _HierarchySetup, s: float, cfg: ExperimentConfig) -> CellResult:
+    # Table 1 solves for flux coefficients, table 3 for scalar duals.
+    fine = setup.multilevel.finest
+    space, rep, dim = (("V", "dual", fine.mesh.num_edges) if cfg.table == "1"
+                       else ("S", "coefficient", fine.mesh.num_triangles))
     rng = _cell_rng(cfg.seed, int(cfg.table), s, setup.n)
     try:
         if cfg.table == "1":
             precond = AdditiveMultigrid(setup.multilevel, s).apply
-            op = setup.op_pair.forward_power(s)
-            rhs = TaggedVector("V", setup.finest, "dual", rng.uniform(-1, 1, setup.dim))
-            x0 = TaggedVector("V", setup.finest, "coefficient", rng.uniform(-1, 1, setup.dim))
+            op = helmholtz_power(setup.scalar, fine, s)
         else:
             precond = build_multigrid(s, setup.multilevel).apply
-            op = setup.op_pair.inverse_power(-s)
-            rhs = TaggedVector("S", setup.finest, "coefficient", rng.uniform(-1, 1, setup.dim))
-            x0 = TaggedVector("S", setup.finest, "dual", rng.uniform(-1, 1, setup.dim))
+            op = setup.scalar.inverse_power(-s)
+        rhs = TaggedVector(space, fine.index, rep, rng.uniform(-1, 1, dim))
+        x0 = TaggedVector(space, fine.index, op.rep, rng.uniform(-1, 1, dim))
         _, report = pcg(op, precond, rhs, x0, tol=cfg.tol, maxit=cfg.maxit)
-        return CellResult(s, setup.dim, report.iterations, report.cond_estimate,
-                          report.converged)
+        return CellResult(s, dim, report.iterations, report.cond_estimate, report.converged)
     except (IndefinitenessError, PencilError) as err:
-        return CellResult(s, setup.dim, None, float("nan"), False, note=str(err))
+        return CellResult(s, dim, None, float("nan"), False, note=str(err))
 
 
 def _run_krylov_table(cfg: ExperimentConfig) -> TableResult:
     cfg = validate(cfg)
     setups = [_HierarchySetup(n, cfg) for n in cfg.sizes]
-    result = TableResult(cfg.table, cfg, tuple(s.dim for s in setups))
     cells = [_run_krylov_cell(setup, s, cfg) for setup in setups for s in cfg.s_values]
+    result = TableResult(cfg.table, cfg, tuple(dict.fromkeys(c.size for c in cells)))
     result.cells = {(c.s, c.size): c for c in sorted(cells, key=lambda c: (c.size, c.s))}
     return result
 

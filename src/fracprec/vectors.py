@@ -77,9 +77,6 @@ class TaggedVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self.with_values(-self.values)
-
 
 def pair(a: TaggedVector, b: TaggedVector) -> float:
     """Duality pairing; exactly one argument must be a coefficient vector."""

@@ -46,13 +46,13 @@ def solve_power(pair, s: float, d: np.ndarray) -> np.ndarray:
     return modes_product(pair.modes, scaled)
 
 
-def helmholtz_power(pair, s: float, c: np.ndarray) -> np.ndarray:
-    """Forward s-power of a HelmholtzPair:
+def helmholtz_power(scalar, lm, s: float, c: np.ndarray) -> np.ndarray:
+    """Forward s-power of the flux pencil of ``lm`` from its scalar pair:
     ``mass_v + grad Phi diag(((1 + alpha)**s - 1) / alpha) Phi.T grad.T``."""
-    alpha = pair.scalar.eigenvalues
+    alpha = scalar.eigenvalues
     gain = np.expm1(s * np.log1p(alpha)) / alpha
-    inner = gain * modes_product(pair.modes, pair.grad.T @ c, transposed=True)
-    return pair.mass @ c + pair.grad @ modes_product(pair.modes, inner)
+    inner = gain * modes_product(scalar.modes, lm.grad.T @ c, transposed=True)
+    return lm.mass_v @ c + lm.grad @ modes_product(scalar.modes, inner)
 
 
 def multigrid_apply(setup, s: float, d: np.ndarray) -> np.ndarray:

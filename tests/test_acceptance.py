@@ -5,6 +5,7 @@ failure) and asserts its criterion at the stated tolerance.  The reference
 grids below are frozen; the experiment runners must keep reproducing them.
 """
 
+import hashlib
 import os
 import time
 
@@ -63,6 +64,11 @@ SCALAR_GRID_REFERENCE = {  # columns N = 128, 512, 2048, 8192
     0.0: ((22, 5.8), (27, 6.2), (28, 7.4), (30, 8.3)),
 }
 
+# sha256 of the default grids' markdown at seed 7: the runners must keep
+# writing these bytes.
+FLUX_GRID_SHA256 = "b5b0253d5a77989c7d319657abd5b3902c40c180b32d4cb6e1b12e2bee8967ab"
+SCALAR_GRID_SHA256 = "1f654ebe72033ee9e79796b04d04a0c8d2973ad0f910055e26bf9cebc107bd7e"
+
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}: {detail}")
@@ -110,6 +116,11 @@ def test_criterion_2_flux_grid_reproduction(flux_grid):
     ok = worst_iters <= 3 and worst_cond <= 0.10
     _report(2, ok, f"33 cells: iterations within +-{worst_iters} (tol 3), "
                    f"condition within {100 * worst_cond:.1f}% (tol 10%)")
+
+
+def test_default_grids_are_byte_identical(flux_grid, scalar_grid):
+    for grid, want in ((flux_grid, FLUX_GRID_SHA256), (scalar_grid, SCALAR_GRID_SHA256)):
+        assert hashlib.sha256(grid.to_markdown().encode()).hexdigest() == want
 
 
 @pytest.mark.skipif(not os.environ.get("FRACPREC_LARGE"),

@@ -16,11 +16,10 @@ from fracprec.auxiliary import (
 from fracprec.fem import assemble_all, laplacian_dual
 from fracprec.mesh import build_hierarchy
 from fracprec.spectral import (
-    HelmholtzPair,
     apply_power,
     generalized_eig,
+    helmholtz_power,
     inf_sup_constant,
-    solve_power,
 )
 from fracprec.tables import NEGATIVE_S
 from fracprec.vectors import TaggedVector, TagError
@@ -37,12 +36,12 @@ def level(request):
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
 def test_forward_power_matches_flux_pencil(level, s):
     lm, flux_pair, scalar_pair = level
-    reduced = HelmholtzPair(scalar_pair, lm)
+    reduced = helmholtz_power(scalar_pair, lm, s)
     rng = np.random.default_rng(40)
     for _ in range(3):
         c = rng.uniform(-1, 1, lm.mesh.num_edges)
         dense = apply_power(flux_pair, s, c)
-        got = apply_power(reduced, s, c)
+        got = reduced(c)
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -65,15 +64,12 @@ def test_smallest_ratio_is_inf_sup_squared(level):
 
 def test_reduced_pair_tags(level):
     lm, _, scalar_pair = level
-    reduced = HelmholtzPair(scalar_pair, lm)
+    reduced = helmholtz_power(scalar_pair, lm, 0.5)
     ne = lm.mesh.num_edges
-    assert reduced.dim == ne and reduced.modes is scalar_pair.modes
-    out = apply_power(reduced, 0.5, TaggedVector("V", 0, "coefficient", np.ones(ne)))
+    out = reduced(TaggedVector("V", 0, "coefficient", np.ones(ne)))
     assert (out.space, out.level, out.rep) == ("V", 0, "dual")
     for bad in (TaggedVector("V", 0, "dual", np.ones(ne)),
                 TaggedVector("V", 1, "coefficient", np.ones(ne)),
                 TaggedVector("S", 0, "coefficient", np.ones(lm.mesh.num_triangles))):
         with pytest.raises(TagError):
-            apply_power(reduced, 0.5, bad)
-    with pytest.raises(TypeError):
-        solve_power(reduced, 0.5, TaggedVector("V", 0, "dual", np.ones(ne)))
+            reduced(bad)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fracprec.krylov import IndefinitenessError, lanczos_condition, pcg
 from fracprec.vectors import TaggedVector
@@ -133,7 +134,30 @@ class TestPcg:
         assert not report.converged and report.iterations == 5
 
 
+def lanczos_condition_loop(alphas, betas) -> float:
+    """The tridiagonal built entry by entry."""
+    k = len(alphas)
+    if k <= 1:
+        return 1.0
+    diag = np.empty(k)
+    diag[0] = 1.0 / alphas[0]
+    for j in range(1, k):
+        diag[j] = 1.0 / alphas[j] + betas[j - 1] / alphas[j - 1]
+    off = np.array([np.sqrt(betas[j]) / alphas[j] for j in range(k - 1)])
+    w = sla.eigh_tridiagonal(diag, off, eigvals_only=True)
+    return float(w[-1] / w[0])
+
+
 class TestLanczosCondition:
+    @pytest.mark.parametrize("extra", [0, 1], ids=["converged", "capped"])
+    def test_matches_the_entrywise_loop(self, extra):
+        # betas has k - 1 entries when PCG converges and k at the iteration cap.
+        rng = np.random.default_rng(extra)
+        for k in range(2, 40):
+            alphas = list(rng.uniform(0.01, 2.0, k))
+            betas = list(rng.uniform(0.0, 1.0, k - 1 + extra))
+            assert lanczos_condition(alphas, betas) == lanczos_condition_loop(alphas, betas)
+
     def test_no_steps_and_single_step(self):
         assert lanczos_condition([], []) == 1.0
         assert lanczos_condition([0.5], []) == 1.0

@@ -8,11 +8,11 @@ from fracprec.fem import assemble, laplacian_dual
 from fracprec.mesh import build_level
 from fracprec.spectral import (
     FourierModes,
-    HelmholtzPair,
     PencilError,
     apply_power,
     fourier_pair,
     generalized_eig,
+    helmholtz_power,
     inf_sup_constant,
     power_matrix,
     scalar_spectrum,
@@ -297,8 +297,8 @@ class TestFourierPair:
         for s in (0.0, 0.3, 1.0):
             for got, want in ((solve_power(pair, s, x), solve_power(dense, s, x)),
                               (apply_power(pair, s, x), apply_power(dense, s, x)),
-                              (apply_power(HelmholtzPair(pair, lm), s, c),
-                               apply_power(HelmholtzPair(dense, lm), s, c))):
+                              (helmholtz_power(pair, lm, s)(c),
+                               helmholtz_power(dense, lm, s)(c))):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("n", [1, 3, 4])

@@ -583,7 +583,7 @@ class TestMemoryGuard:
     @pytest.mark.parametrize("table", ["1", "3"])
     def test_fine_scalar_modes_are_a_fourier_frame(self, table):
         setup = tables._HierarchySetup(16, tables.default_config(table, sizes=(16,)))
-        modes = setup.op_pair.modes
+        modes = setup.scalar.modes
         assert isinstance(modes, FourierModes)
         assert modes.blocks.shape == (16, 9, 8, 8)
 
