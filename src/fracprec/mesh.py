@@ -161,8 +161,7 @@ def vertex_patches(level: MeshLevel) -> list:
     otherwise; corners and boundary vertices have fewer.  Every edge of the
     mesh belongs to exactly two patches — one per endpoint.
     """
-    edge_of = [[] for _ in range(level.num_vertices)]
-    for e, (a, b) in enumerate(level.edges):
-        edge_of[a].append(e)
-        edge_of[b].append(e)
-    return [np.asarray(sorted(ids), dtype=np.int64) for ids in edge_of]
+    ends = level.edges.ravel()
+    # A stable sort keeps each vertex's edge ids ascending.
+    edge_of = np.argsort(ends, kind="stable") // 2
+    return np.split(edge_of, np.cumsum(np.bincount(ends, minlength=level.num_vertices))[:-1])

@@ -21,7 +21,8 @@ blocks' eigenvalues on odd functions (``spectral.scalar_spectrum``) and
 builds no mesh.  The only flux pencil ever diagonalized is the coarsest
 mesh's, for the multilevel coarse solve.  Grids 1 and 3 build one
 ``multigrid.MultilevelSetup`` per size, with that coarse pencil and the
-patch eigensolves, and take every exponent's preconditioner from it.  Each
+patch eigensolves, take every exponent's preconditioner from it and drop it
+before the next size's is built.  Each
 cell builds its operator and preconditioner once, as fixed-exponent maps
 (``spectral.PowerMap``), before its PCG starts.
 
@@ -46,7 +47,7 @@ from .fem import assemble_all
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
 from .multigrid import AdditiveMultigrid, multilevel_setup
-from .spectral import PencilError, fourier_pair, helmholtz_power, require_memory, scalar_spectrum
+from .spectral import fourier_pair, helmholtz_power, require_memory, scalar_spectrum
 from .vectors import TaggedVector
 
 __all__ = [
@@ -299,16 +300,20 @@ def _run_krylov_cell(setup: _HierarchySetup, s: float, cfg: ExperimentConfig) ->
         x0 = TaggedVector(space, fine.index, op.rep, rng.uniform(-1, 1, dim))
         _, report = pcg(op, precond, rhs, x0, tol=cfg.tol, maxit=cfg.maxit)
         return CellResult(s, dim, report.iterations, report.cond_estimate, report.converged)
-    except (IndefinitenessError, PencilError) as err:
+    except IndefinitenessError as err:
         return CellResult(s, dim, None, float("nan"), False, note=str(err))
 
 
 def _run_krylov_table(cfg: ExperimentConfig) -> TableResult:
     cfg = validate(cfg)
-    setups = [_HierarchySetup(n, cfg) for n in cfg.sizes]
-    cells = [_run_krylov_cell(setup, s, cfg) for setup in setups for s in cfg.s_values]
-    result = TableResult(cfg.table, cfg, tuple(dict.fromkeys(c.size for c in cells)))
-    result.cells = {(c.s, c.size): c for c in sorted(cells, key=lambda c: (c.size, c.s))}
+    result = TableResult(cfg.table, cfg, ())
+    for n in cfg.sizes:
+        setup = _HierarchySetup(n, cfg)
+        for s in cfg.s_values:
+            cell = _run_krylov_cell(setup, s, cfg)
+            result.cells[(s, cell.size)] = cell
+        result.columns += (cell.size,)
+        del setup  # one size's set-up alive at a time, as ``validate`` counts
     return result
 
 

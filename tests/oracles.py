@@ -107,3 +107,15 @@ def scalar_extremes(lm: LevelMatrices) -> tuple[float, float]:
                                 return_eigenvectors=False)[0])
 
     return 1.0 / largest(inverse), largest(forward)
+
+
+# The vertex patches as ``mesh.vertex_patches`` built them before it sorted
+# the edge ends: one Python list per vertex, filled edge by edge.
+
+def vertex_patches(level) -> list:
+    """Sorted int64 edge ids of each vertex's star, in ascending vertex order."""
+    edge_of = [[] for _ in range(level.num_vertices)]
+    for e, (a, b) in enumerate(level.edges):
+        edge_of[a].append(e)
+        edge_of[b].append(e)
+    return [np.asarray(sorted(ids), dtype=np.int64) for ids in edge_of]

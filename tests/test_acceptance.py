@@ -6,7 +6,6 @@ grids below are frozen; the experiment runners must keep reproducing them.
 """
 
 import hashlib
-import os
 import time
 
 import numpy as np
@@ -123,8 +122,6 @@ def test_default_grids_are_byte_identical(flux_grid, scalar_grid):
         assert hashlib.sha256(grid.to_markdown().encode()).hexdigest() == want
 
 
-@pytest.mark.skipif(not os.environ.get("FRACPREC_LARGE"),
-                    reason="large fourth column only with FRACPREC_LARGE=1")
 def test_criterion_2_optional_large_column():
     cfg = tables.default_config("1", sizes=(12416,))
     result = tables.run_table1(cfg)

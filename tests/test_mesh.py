@@ -3,6 +3,8 @@ import pytest
 
 from fracprec.mesh import build_hierarchy, build_level, vertex_patches
 
+import oracles
+
 
 def parent_triangles(coarse, fine):
     """Coarse triangle containing each fine triangle's centroid (barycentric
@@ -193,6 +195,14 @@ class TestVertexPatches:
         assert sizes[6] == (2, 3)          # corner (0, 1)
         assert sizes[8] == (2, 3)          # corner (1, 1)
         assert sizes[1] == (2, 3)          # boundary midpoint (1/2, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 128])
+    def test_matches_the_edge_loop(self, n):
+        lvl = build_level(n)
+        got, want = vertex_patches(lvl), oracles.vertex_patches(lvl)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_each_edge_in_exactly_two_patches(self):
         lvl = build_level(4)

@@ -224,13 +224,17 @@ class TestMeshPencils:
         assert 0.9 < beta <= 1.0 + 1e-12
 
     def test_inf_sup_matches_pencil_route(self):
+        # beta**2 as the smallest eigenvalue of (grad.T inv(hdiv) grad, mass_s),
+        # by one SuperLU factorization of hdiv and a dense solve.
         import scipy.sparse.linalg as spla
 
-        lm = assemble(build_level(2))
-        lu = spla.splu(lm.hdiv.tocsc())
-        B0 = lm.grad.T @ lu.solve(lm.grad.toarray())
-        pair = generalized_eig(0.5 * (B0 + B0.T), lm.mass_s.toarray())
-        assert inf_sup_constant(lm) == pytest.approx(np.sqrt(pair.eigenvalues[0]), rel=1e-10)
+        for n in (1, 2, 4, 8, 16):
+            lm = assemble(build_level(n))
+            lu = spla.splu(lm.hdiv.tocsc())
+            B0 = lm.grad.T @ lu.solve(lm.grad.toarray())
+            pair = generalized_eig(0.5 * (B0 + B0.T), lm.mass_s.toarray())
+            want = np.sqrt(pair.eigenvalues[0])
+            assert inf_sup_constant(lm) == pytest.approx(want, rel=1e-12), n
 
 
 class TestScalarSpectrum:

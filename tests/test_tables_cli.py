@@ -603,6 +603,20 @@ class TestMemoryGuard:
             assert peak <= need
         assert need / 2 <= peak
 
+    def test_one_set_up_alive_at_a_time(self):
+        # The estimate counts the largest size alone, so a smaller size run
+        # first must leave nothing behind that the largest one adds to.
+        peaks = []
+        for sizes in ((16, 32), (32,)):
+            cfg = tables.default_config("1", sizes=sizes, s_values=(0.5,))
+            tracemalloc.start()
+            try:
+                tables.run_table1(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.05 * peaks[1]
+
     def test_table2_estimate_bounds_what_the_spectrum_allocates(self):
         # An upper bound at n = 8, 12, 16, 24, 32 and 64, and a tight one at 64.
         for n in (8, 12, 16, 24, 32, 64):
