@@ -282,7 +282,8 @@ class FourierModes:
     complex, eight per wavenumber, and outnumber the triangles.  The signs
     carry the inverse triangle area, so ``modes @ (modes.T @ x)`` is
     ``x / area``, as for the mass-orthonormal modes of the pencil.  Both
-    products take vectors only.
+    products take only vectors of the frame's width: any other shape is a
+    ``ValueError``.
     """
 
     reflect: np.ndarray  # (n, n, 8) triangle at each torus position
@@ -302,6 +303,8 @@ class FourierModes:
         return replace(self, transposed=not self.transposed)
 
     def __matmul__(self, x):
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"frame of shape {self.shape} cannot take shape {x.shape}")
         # The 2-D FFTs as two 1-D ones: the same transform, less overhead per call.
         if self.transposed:
             torus = np.fft.fft(np.fft.rfft(x[self.reflect] * self.signs, axis=1), axis=0)

@@ -302,11 +302,8 @@ def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     rests on; we require it not to collapse between consecutive levels
     (finer/coarser ratio above 1/2).  The largest eigenvalue is the
     splitting constant C2, only conjectured to be level-independent and so
-    reported, not asserted.  Both are taken on ``sla.orth(I - P P_s)``,
-    whose rank cut falls among roundoff singular values: on level 3 (208
-    edges, 152 in the exact complement) it keeps 152, 183, 190, 193, 196,
-    199, 200, 200, 201, 202 and 176 columns for s = 0, 0.1, ..., 1, so at
-    s = 1, 24 of the kept directions are roundoff.
+    reported, not asserted.  Both are taken on ``ker P_s = ker(P' Ff)``, as
+    the coarse s-power form in ``P_s = inv(Fc) P' Ff`` is invertible.
     """
     decay_floor = 0.5
     C2 = 0.0
@@ -315,18 +312,14 @@ def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     worst = np.inf
     for s in s_grid:
         prev = None
-        Fc = ops.dual_form(0, s)
         for k in range(1, ops.num_levels):
             Ff = ops.dual_form(k, s)
             Rinv = np.linalg.inv(ops.smoother_matrix(k, s))
-            Ps = _fractional_projection(Fc, Ff, ops.embeddings[k - 1])
-            comp = np.eye(Rinv.shape[0]) - ops.embeddings[k - 1] @ Ps
-            Z = sla.orth(comp)
+            Z = sla.null_space(ops.embeddings[k - 1].T @ Ff)
             w = generalized_eig(
                 Z.T @ (0.5 * (Rinv + Rinv.T)) @ Z,
                 Z.T @ Ff @ Z,
             ).eigenvalues
-            Fc = Ff
             C2 = max(C2, w[-1])
             lam_min = min(lam_min, w[0])
             if prev is not None:
@@ -339,7 +332,7 @@ def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     )
 
 
-def run_all(trials=200, s_grid=DEFAULT_GRID, seed=20, tol=1e-9):
+def run_all(trials=200, s_grid=DEFAULT_GRID, seed=7, tol=1e-9):
     """Run every check; returns the list of reports in a fixed order."""
     ops = MeshOperators()
     return [

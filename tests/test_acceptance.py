@@ -6,6 +6,7 @@ grids below are frozen; the experiment runners must keep reproducing them.
 """
 
 import hashlib
+import io
 import time
 
 import numpy as np
@@ -67,6 +68,10 @@ SCALAR_GRID_REFERENCE = {  # columns N = 128, 512, 2048, 8192
 # writing these bytes.
 FLUX_GRID_SHA256 = "b5b0253d5a77989c7d319657abd5b3902c40c180b32d4cb6e1b12e2bee8967ab"
 SCALAR_GRID_SHA256 = "1f654ebe72033ee9e79796b04d04a0c8d2973ad0f910055e26bf9cebc107bd7e"
+# ... and of the default property suite's text and csv, as `fracprec props`
+# writes them.
+PROPS_TEXT_SHA256 = "f6bd77fd420203a54ddd743355535a3f4d99b74edbc2b0455f5b02218b972459"
+PROPS_CSV_SHA256 = "0761255b210589f752e448d513c58e21f7a125fb02cac68f66f660f3766035a7"
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -157,6 +162,11 @@ def test_criterion_5_operator_inequalities():
     ok = not failed
     _report(5, ok, f"{len(reports) - len(failed)}/{len(reports)} checks at 200 trials, "
                    f"worst margin {worst:+.2e}" + (f"; failed: {failed}" if failed else ""))
+    text = verify.report_text(reports) + "\n"
+    buf = io.StringIO()
+    verify.report_csv(reports, buf)
+    assert hashlib.sha256(text.encode()).hexdigest() == PROPS_TEXT_SHA256
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PROPS_CSV_SHA256
 
 
 def test_criterion_6_power_calculus_identities():

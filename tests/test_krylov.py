@@ -126,6 +126,28 @@ class TestPcg:
         with pytest.raises(IndefinitenessError):
             pcg(op, flipped, rhs, x0, tol=1e-9)
 
+    @pytest.mark.parametrize("flip, raises", [(1e-20, False), (1e-6, True)])
+    def test_negative_preconditioner_form_after_the_start(self, flip, raises):
+        # The identity on the first residual, then its negative scaled by
+        # ``flip``: a negative form within 1e-14 of the first one is
+        # roundoff, read as zero (converged); beyond that it raises.
+        rng = np.random.default_rng(16)
+        A, _ = random_spd(rng, 5)
+        op, rhs, x0, _ = tagged_system(rng, A)
+        calls = []
+
+        def precond(r):
+            calls.append(r)
+            return identity_precond(r) * (1.0 if len(calls) == 1 else -flip)
+
+        if raises:
+            with pytest.raises(IndefinitenessError, match="preconditioner form negative:"):
+                pcg(op, precond, rhs, x0, tol=1e-9)
+        else:
+            _, report = pcg(op, precond, rhs, x0, tol=1e-9)
+            assert report.converged and report.iterations == 1
+            assert report.residual_history[-1] == 0.0
+
     def test_maxit_reached_reports_unconverged(self):
         rng = np.random.default_rng(17)
         A, _ = random_spd(rng, 50, spread=1e6)

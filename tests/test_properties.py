@@ -87,6 +87,18 @@ def test_mismatched_tags_raise(tag_a, tag_b, values):
         a + b
     with pytest.raises(TagError):
         a - b
+    with pytest.raises(TagError, match="cannot combine TaggedVector with ndarray"):
+        a + b.values
+
+
+@pytest.mark.parametrize("space, rep, values, message", [
+    ("W", "dual", [1.0], "unknown space"),
+    ("S", "primal", [1.0], "unknown representation"),
+    ("S", "dual", [[1.0, 2.0]], "tagged vectors are 1-d"),
+])
+def test_malformed_vectors_raise(space, rep, values, message):
+    with pytest.raises(TagError, match=message):
+        TaggedVector(space, 0, rep, values)
 
 
 def random_spd(rng, dim):

@@ -75,6 +75,13 @@ class TestGeneralizedEig:
             with pytest.raises(PencilError, match="mass matrix is not positive definite"):
                 generalized_eig(np.eye(2), mass)
 
+    def test_rejects_singular_operator(self):
+        # A positive definite mass, dense (generalized route) and sparse
+        # diagonal (standard route), against a singular left matrix.
+        for mass in (np.eye(2), sp.eye(2, format="csr")):
+            with pytest.raises(PencilError, match="pencil is not positive definite"):
+                generalized_eig(np.diag([1.0, 0.0]), mass)
+
     def test_memory_guard(self, monkeypatch):
         # Budget injected, nothing large allocated: eigh's four 40 x 40 arrays,
         # plus one dense copy per sparse operand on the generalized route; a
@@ -319,6 +326,17 @@ class TestFourierPair:
         want = x / lm.mass_s.diagonal()
         np.testing.assert_allclose(modes @ (modes.T @ x), want, rtol=0,
                                    atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("extra", [3, -1], ids=["too-long", "too-short"])
+    def test_rejects_a_vector_of_the_wrong_length(self, extra):
+        # As the dense and sparse pairs do: not a silent truncation, not an
+        # IndexError from the gather.
+        pair = fourier_pair(assemble(build_level(4)))
+        with pytest.raises(ValueError):
+            pair.inverse_power(0.5)(np.ones(pair.dim + extra))
+        for modes in (pair.modes, pair.modes.T):
+            with pytest.raises(ValueError, match="cannot take shape"):
+                modes @ np.ones(modes.shape[1] + extra)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reflection_is_the_odd_fold(self, n):

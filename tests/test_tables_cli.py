@@ -10,6 +10,7 @@ import pytest
 from fracprec import cli, spectral, tables
 from fracprec.auxiliary import exact_condition_number
 from fracprec.fem import assemble_all, laplacian_dual
+from fracprec.krylov import IndefinitenessError
 from fracprec.mesh import build_hierarchy
 from fracprec.spectral import FourierModes, generalized_eig
 
@@ -370,6 +371,18 @@ class TestCli:
                          "--s-list", "0.5", "--maxit", "1"])
         assert code == 1
         assert "*" in capsys.readouterr().out
+
+    def test_indefinite_cell_renders_error_and_exits_1(self, monkeypatch, capsys):
+        def indefinite(*args, **kwargs):
+            raise IndefinitenessError("operator form nonpositive: -1.000e+00")
+
+        monkeypatch.setattr(tables, "pcg", indefinite)
+        code = cli.main(["table1", "--sizes", "4", "--levels", "2", "--s-list", "0.5"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[2] == "| 0.5 | error* |"
+        assert lines[-1] == ("`*` did not converge within the iteration cap; "
+                             "operator form nonpositive: -1.000e+00")
 
     @pytest.mark.parametrize("argv", [
         ["table1", "--sizes", "4", "--levels", "2", "--s-list", "0.5"],

@@ -98,6 +98,13 @@ class TestIndividualChecks:
         b = verify.check_jensen(trials=10, seed=99)
         assert a.worst == b.worst
 
+    def test_stable_decomposition_takes_the_exact_complement(self, ops, monkeypatch):
+        # ker P_s = ker(P' Ff) has NV_k - NV_(k-1) columns at every exponent.
+        calls = counting(monkeypatch, verify, "generalized_eig")
+        grid = (0.0, 0.5, 1.0)
+        verify.check_stable_decomposition(ops, grid)
+        assert [a.shape for a, _ in calls] == [(m, m) for m in (11, 40, 152)] * len(grid)
+
     def test_aux_bounds_custom_grid(self, ops):
         r = verify.check_aux_bounds(ops, t_grid=(0.0, 0.5, 1.0))
         assert r.passed and r.grid == (0.0, 0.5, 1.0)
