@@ -4,8 +4,10 @@ Every check phrases its inequality as an eigenvalue statement about a
 difference or quotient pencil — no per-vector sampling — and reports the
 worst (most negative) margin found over its parameter grid, normalized by
 the spectral radius of the operator involved.  A report passes when that
-margin is no worse than ``-tol``.  Each check decomposes each matrix, and
-builds each dense form, once for its whole exponent grid.
+margin is no worse than ``-tol``.  Each check decomposes each matrix once
+for its whole exponent grid.  The two smoother checks work in each level's
+flux eigenbasis, where the exponent enters only through diagonal scalings of
+two products built once per level.
 
 The matrix-level checks (operator Jensen, Loewner-Heinz) run hundreds of
 randomized trials on dense matrices of dimension at most 40.  The mesh-level
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -133,12 +136,13 @@ class MeshOperators:
     """Dense level operators on the hierarchy n = 1, 2, 4, 8, shared by the
     mesh checks.
 
-    Holds, per level: the flux pencil eigendecomposition, dual-form and
-    inverse-power matrices for any exponent, the dense patch-smoother matrix
-    of every level but the coarsest, and the embedding (prolongation)
-    matrices between consecutive levels.  ``lms`` are the assembled levels,
-    coarsest first; the coarse pencil, the patch pairs of the smoothers and
-    the embeddings come from their ``multigrid.MultilevelSetup``.
+    Holds, per level: the flux pencil eigendecomposition, the dual-form
+    matrix for any exponent, and the embedding (prolongation) matrices
+    between consecutive levels; the flux-eigenbasis products of the smoother
+    checks are built on first use (``eigenbasis``).  ``lms`` are the
+    assembled levels, coarsest first; the coarse pencil, the patch pairs of
+    the smoothers and the embeddings come from their
+    ``multigrid.MultilevelSetup``.
     """
 
     def __init__(self):
@@ -157,13 +161,29 @@ class MeshOperators:
     def dual_form(self, k: int, s: float) -> np.ndarray:
         return power_matrix(self.pairs[k], s, dual_form=True)
 
-    def solve_form(self, k: int, s: float) -> np.ndarray:
-        return power_matrix(self.pairs[k], s)
+    @cached_property
+    def eigenbasis(self) -> dict:
+        """Level k >= 1 -> ``(G, K)``, the exponent-independent products in
+        the level's M-orthonormal flux modes V: ``G = V' M Q`` holds the
+        patch modes Q of the smoother in that basis, and
+        ``K = null_space(P' M V)`` spans the coordinates y whose dual
+        ``M V y`` restricts to zero on level k - 1."""
+        products = {}
+        for k in range(1, self.num_levels):
+            mass_modes = self.pairs[k].mass @ self.pairs[k].modes
+            products[k] = ((self.setup.level_pairs[k].modes.T @ mass_modes).T,
+                           sla.null_space(self.embeddings[k - 1].T @ mass_modes))
+        return products
 
-    def smoother_matrix(self, k: int, s: float) -> np.ndarray:
-        """Dense dual-to-coefficient matrix of the level-k patch smoother."""
-        R = power_matrix(self.setup.level_pairs[k], s)
-        return 0.5 * (R + R.T)  # symmetric up to roundoff by construction
+    def smoother_gram(self, k: int, s: float) -> np.ndarray:
+        """``C_s = D^(s/2) G diag(lam^-s) G' D^(s/2)`` of level k >= 1, with D
+        the flux eigenvalues and lam the patch eigenvalues: the level-k patch
+        smoother ``R_s`` in the flux eigenbasis, scaled on both sides by
+        ``D^(s/2)``, so its eigenvalues are those of the pencil
+        ``(R_s, inv F_s)``."""
+        G, _ = self.eigenbasis[k]
+        scaled = G * (self.pairs[k].eigenvalues ** (0.5 * s))[:, None]
+        return (scaled * self.setup.level_pairs[k].eigenvalues ** -s) @ scaled.T
 
 
 def _fractional_projection(Fc: np.ndarray, Ff: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -273,11 +293,19 @@ def check_smoother_bound(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-8):
     """Patch-smoother upper bound: the smoother form is dominated by a
     constant times the inverse s-power form, with the constant interpolating
     the endpoint constants K0 (mass solve) and K1 (full solve) as
-    K0^(1-s) K1^s."""
+    K0^(1-s) K1^s.
+
+    The constants are the eigenvalues of the pencil ``(R_s, inv F_s)`` of the
+    smoother ``R_s`` and the s-power form ``F_s``.  With ``x = M V z`` and
+    ``z = D^(s/2) y`` in the level's M-orthonormal flux modes V (eigenvalues
+    D), it is the symmetric ``C_s = D^(s/2) G diag(lam^-s) G' D^(s/2)``, with
+    ``G = V' M Q`` the patch modes (eigenvalues lam): one eigenvalue-only
+    solve per level and exponent.
+    """
     K0 = K1 = C1 = c = 0.0
     worst = np.inf
     for k in range(1, ops.num_levels):
-        spectra = {s: generalized_eig(ops.smoother_matrix(k, s), ops.solve_form(k, s)).eigenvalues
+        spectra = {s: sla.eigh(ops.smoother_gram(k, s), eigvals_only=True)
                    for s in {0.0, 1.0, *s_grid}}
         w0, w1 = spectra[0.0], spectra[1.0]
         K0 = max(K0, w0[-1])
@@ -302,8 +330,15 @@ def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     rests on; we require it not to collapse between consecutive levels
     (finer/coarser ratio above 1/2).  The largest eigenvalue is the
     splitting constant C2, only conjectured to be level-independent and so
-    reported, not asserted.  Both are taken on ``ker P_s = ker(P' Ff)``, as
-    the coarse s-power form in ``P_s = inv(Fc) P' Ff`` is invertible.
+    reported, not asserted.  Both are taken on ``ker P_s = ker(P' F_s)``, as
+    the coarse s-power form in ``P_s = inv(F_c) P' F_s`` is invertible.
+
+    In the level's flux modes, ``x = V y``: ``P' F_s x = P' M V D^s y``, so
+    ``ker P_s`` is spanned by ``V D^-s K``, ``K = null_space(P' M V)``.
+    With ``J = D^(-s/2) K`` the pencil is ``(J' inv(C_s) J, J' J)``, ``C_s``
+    as in ``check_smoother_bound``: one Cholesky factorization of ``C_s`` and
+    one eigenvalue-only solve of the complement's order per level and
+    exponent.
     """
     decay_floor = 0.5
     C2 = 0.0
@@ -313,13 +348,11 @@ def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     for s in s_grid:
         prev = None
         for k in range(1, ops.num_levels):
-            Ff = ops.dual_form(k, s)
-            Rinv = np.linalg.inv(ops.smoother_matrix(k, s))
-            Z = sla.null_space(ops.embeddings[k - 1].T @ Ff)
-            w = generalized_eig(
-                Z.T @ (0.5 * (Rinv + Rinv.T)) @ Z,
-                Z.T @ Ff @ Z,
-            ).eigenvalues
+            _, K = ops.eigenbasis[k]
+            J = K * (ops.pairs[k].eigenvalues ** (-0.5 * s))[:, None]
+            W = sla.solve_triangular(sla.cholesky(ops.smoother_gram(k, s), lower=True),
+                                     J, lower=True)
+            w = sla.eigh(W.T @ W, J.T @ J, eigvals_only=True)
             C2 = max(C2, w[-1])
             lam_min = min(lam_min, w[0])
             if prev is not None:
@@ -333,7 +366,20 @@ def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
 
 
 def run_all(trials=200, s_grid=DEFAULT_GRID, seed=7, tol=1e-9):
-    """Run every check; returns the list of reports in a fixed order."""
+    """Run every check; returns the list of reports in a fixed order.
+
+    Raises ValueError, before any work, for fewer than one trial, an empty
+    exponent grid, an exponent outside [0, 1] or a tolerance outside (0, 1).
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if len(s_grid) == 0:
+        raise ValueError("no exponents given")
+    for s in s_grid:
+        if not 0.0 <= s <= 1.0:  # also rejects nan
+            raise ValueError(f"exponent {s} outside [0, 1]")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must be strictly between 0 and 1, got {tol}")
     ops = MeshOperators()
     return [
         check_jensen(trials, s_grid, seed, tol),

@@ -1,13 +1,14 @@
 """Brute-force references shared by several test modules."""
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracprec.fem import LevelMatrices
 from fracprec.krylov import IndefinitenessError
-from fracprec import spectral
-from fracprec.spectral import generalized_eig
+from fracprec import spectral, verify
+from fracprec.spectral import generalized_eig, power_matrix
 
 
 def densify(op, dim: int | None = None) -> np.ndarray:
@@ -119,3 +120,64 @@ def vertex_patches(level) -> list:
         edge_of[a].append(e)
         edge_of[b].append(e)
     return [np.asarray(sorted(ids), dtype=np.int64) for ids in edge_of]
+
+
+# The smoother-bound and stable-decomposition checks as they were computed
+# before they moved to each level's flux eigenbasis: the dense pencils of the
+# smoother matrix, the inverse s-power and the s-power dual form.
+
+def _smoother_matrix(ops, k: int, s: float) -> np.ndarray:
+    """Dense dual-to-coefficient matrix of the level-k patch smoother."""
+    R = power_matrix(ops.setup.level_pairs[k], s)
+    return 0.5 * (R + R.T)
+
+
+def check_smoother_bound(ops, s_grid=verify.DEFAULT_GRID, tol=1e-8):
+    """``verify.check_smoother_bound`` on the pencils
+    ``(smoother matrix, inverse s-power)``, one ``generalized_eig`` each."""
+    K0 = K1 = C1 = c = 0.0
+    worst = np.inf
+    for k in range(1, ops.num_levels):
+        spectra = {s: generalized_eig(_smoother_matrix(ops, k, s),
+                                      power_matrix(ops.pairs[k], s)).eigenvalues
+                   for s in {0.0, 1.0, *s_grid}}
+        w0, w1 = spectra[0.0], spectra[1.0]
+        K0 = max(K0, w0[-1])
+        K1 = max(K1, w1[-1])
+        c = max(c, 1.0 / w0[0])
+        for s in s_grid:
+            top = spectra[s][-1]
+            C1 = max(C1, top)
+            bound = w0[-1] ** (1.0 - s) * w1[-1] ** s
+            worst = min(worst, (bound - top) / bound)
+    return verify.InequalityReport(
+        "smoother-upper-bound", tuple(s_grid), worst, tol,
+        {"K0": K0, "K1": K1, "C1": C1, "c": c},
+    )
+
+
+def check_stable_decomposition(ops, s_grid=verify.DEFAULT_GRID, tol=1e-9):
+    """``verify.check_stable_decomposition`` on the dense pencil of the
+    inverted smoother matrix against the s-power dual form ``Ff``, restricted
+    to ``null_space(P' Ff)``."""
+    C2 = 0.0
+    growth = 1.0
+    lam_min = np.inf
+    worst = np.inf
+    for s in s_grid:
+        prev = None
+        for k in range(1, ops.num_levels):
+            Ff = ops.dual_form(k, s)
+            Rinv = np.linalg.inv(_smoother_matrix(ops, k, s))
+            Z = sla.null_space(ops.embeddings[k - 1].T @ Ff)
+            w = generalized_eig(Z.T @ (0.5 * (Rinv + Rinv.T)) @ Z, Z.T @ Ff @ Z).eigenvalues
+            C2 = max(C2, w[-1])
+            lam_min = min(lam_min, w[0])
+            if prev is not None:
+                worst = min(worst, w[0] / prev[0] - 0.5)
+                growth = max(growth, w[-1] / prev[-1])
+            prev = w
+    return verify.InequalityReport(
+        "stable-decomposition", tuple(s_grid), worst, tol,
+        {"C2": C2, "C2_growth": growth, "lambda_min": lam_min},
+    )

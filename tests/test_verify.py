@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+import oracles
 from fracprec import verify
 from fracprec.fem import assemble_all
 from fracprec.mesh import build_hierarchy
@@ -99,8 +100,9 @@ class TestIndividualChecks:
         assert a.worst == b.worst
 
     def test_stable_decomposition_takes_the_exact_complement(self, ops, monkeypatch):
-        # ker P_s = ker(P' Ff) has NV_k - NV_(k-1) columns at every exponent.
-        calls = counting(monkeypatch, verify, "generalized_eig")
+        # ker P_s = ker(P' Ff) has NV_k - NV_(k-1) columns at every exponent:
+        # the one eigensolve per level and exponent has that order.
+        calls = counting(monkeypatch, verify.sla, "eigh")
         grid = (0.0, 0.5, 1.0)
         verify.check_stable_decomposition(ops, grid)
         assert [a.shape for a, _ in calls] == [(m, m) for m in (11, 40, 152)] * len(grid)
@@ -142,7 +144,7 @@ class TestOnceOnlyWork:
         assert len(calls) == 3 * (2 + len(self.GRID))
 
     def test_smoother_bound_solves_each_pencil_once(self, ops, monkeypatch):
-        calls = counting(monkeypatch, verify, "generalized_eig")
+        calls = counting(monkeypatch, verify.sla, "eigh")
         verify.check_smoother_bound(ops, self.GRID)
         assert len(calls) == (ops.num_levels - 1) * len(self.GRID)
 
@@ -172,6 +174,40 @@ class TestOtherGrids:
                                ("projection_defect_s=0", "projection_defect_s=1")}
 
 
+@pytest.mark.parametrize("grid", [verify.DEFAULT_GRID, (0.3, 0.7)], ids=["default", "0.3,0.7"])
+@pytest.mark.parametrize("name", ["check_smoother_bound", "check_stable_decomposition"])
+def test_eigenbasis_checks_match_the_dense_pencils(ops, name, grid):
+    fast = getattr(verify, name)(ops, grid)
+    dense = getattr(oracles, name)(ops, grid)
+    assert fast.worst == pytest.approx(dense.worst, rel=1e-10)
+    assert fast.constants.keys() == dense.constants.keys()
+    for key, value in dense.constants.items():
+        assert fast.constants[key] == pytest.approx(value, rel=1e-10), key
+
+
+class TestRunAllInput:
+    """Invalid input is refused before any check runs or any operator is built."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": 0}, "trials"),
+        ({"trials": -3}, "trials"),
+        ({"s_grid": ()}, "no exponents"),
+        ({"s_grid": (1.5,)}, r"outside \[0, 1\]"),
+        ({"s_grid": (0.5, -0.1)}, r"outside \[0, 1\]"),
+        ({"s_grid": (float("nan"),)}, r"outside \[0, 1\]"),
+        ({"tol": 0.0}, "tolerance"),
+        ({"tol": 1.0}, "tolerance"),
+        ({"tol": float("nan")}, "tolerance"),
+    ])
+    def test_refused_before_any_work(self, kwargs, message, monkeypatch):
+        started = []
+        for name in ("MeshOperators", "check_jensen"):
+            monkeypatch.setattr(verify, name, lambda *a, **k: started.append(a))
+        with pytest.raises(ValueError, match=message):
+            verify.run_all(**kwargs)
+        assert started == []
+
+
 class TestSharedFixture:
     """``run_all`` builds one ``MeshOperators`` for all six mesh checks; its
     levels are the operators the checks would build for themselves."""
@@ -196,6 +232,14 @@ class TestSharedFixture:
         verify.run_all(trials=1, s_grid=(0.5,))
         assert len(built) == 1
         assert assembled == [[1, 2, 4, 8]]
+
+    def test_eigenbasis_is_built_on_first_use(self):
+        # The constructor is the whole set-up of a run; the flux-eigenbasis
+        # products belong to the two smoother checks that read them.
+        ops = verify.MeshOperators()
+        assert "eigenbasis" not in vars(ops)
+        verify.check_smoother_bound(ops, (0.5,))
+        assert sorted(vars(ops)["eigenbasis"]) == [1, 2, 3]
 
     @staticmethod
     def assert_pairs_equal(a, b):
