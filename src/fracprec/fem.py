@@ -28,8 +28,9 @@ so the assembled list is the hierarchy from then on.  Beyond the level
 matrices the module builds the rotated-gradient pairing
 ``assemble_curl`` (NV, NC), ``<rot of the hat function, psi_e>``, where it is
 read; the sparse dual scalar operator ``laplacian_dual``, a cell-centred
-stencil of at most five entries per row; and the flux embedding from one
-level into its uniform refinement (``assemble_prolongation``).
+stencil of at most five entries per row, which no other module reads (only
+the tests and ``bench/tracer.py`` do); and the flux embedding from one level
+into its uniform refinement (``assemble_prolongation``).
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 For a pencil (A, M) with A symmetric positive semi-definite and M symmetric
 positive definite, ``generalized_eig`` computes all eigenpairs
-``A @ modes == M @ modes @ diag(eigenvalues)`` with M-orthonormal modes.  A
-sparse diagonal M, such as the triangle masses, is scaled away first, so the
-pencil is diagonalized as a standard symmetric problem.  The scalar pencil
+``A @ modes == M @ modes @ diag(eigenvalues)`` with M-orthonormal modes,
+by one dense generalized symmetric eigensolve.  The scalar pencil
 of a whole structured mesh needs no dense eigensolve: ``fourier_pair``
 splits it by the mesh's translations into one 8 x 8 block per wavenumber of
 the oddly reflected mesh, and its modes are a frame applied by FFT
@@ -201,74 +200,38 @@ def _symmetric(mat) -> bool:
     return np.abs(mat - mat.T).max() <= 1e-10 * max(1.0, np.abs(mat).max())
 
 
-def _diagonal(mat) -> np.ndarray | None:
-    """The diagonal of a sparse matrix with no off-diagonal entries, else None."""
-    if sp.issparse(mat):
-        diag = mat.diagonal()
-        if mat.count_nonzero() == np.count_nonzero(diag):
-            return diag
-    return None
-
-
 def generalized_eig(a_mat, m_mat, space: str | None = None,
                     level: int | None = None) -> SpectralPair:
-    """All eigenpairs of (a_mat, m_mat), M-orthonormal, ascending.
-
-    A sparse ``m_mat`` with no off-diagonal entries, such as ``mass_s``, is
-    scaled away: with ``r = diag(m)^-1/2`` the standard problem ``r A r`` is
-    diagonalized and the modes are ``r psi``.  Any other mass goes to the
-    generalized solver.
+    """All eigenpairs of (a_mat, m_mat), M-orthonormal, ascending, from one
+    dense generalized solve (``scipy.linalg.eigh``, driver ``gvd``).
 
     The decomposition is validated column by column: the residual
-    ``A phi - lambda M phi`` must stay below ``RESIDUAL_TOL * max |lambda|``;
-    if it does not, the modes are re-orthonormalized in the M inner product
-    and checked once more.
+    ``A phi - lambda M phi`` must stay below ``RESIDUAL_TOL * max |lambda|``,
+    else PencilError.
 
     Refused before any allocation if the dense arrays exceed the available
-    memory.  Measured with tracemalloc, both routes peak at four n x n
-    arrays, which is what is counted: on the generalized route the matrices
-    eigh factors and twice n^2 of workspace, plus a dense copy of each
-    sparse operand; on the standard route the scaled operator, the modes and
-    the eigensolve's workspace, and then the modes and the residual check's
-    three products.  A sparse copy of ``r A r`` comes on top.
+    memory.  Measured with tracemalloc (n = 208 and 800), the call peaks at
+    four n x n arrays, the matrices eigh factors and twice n^2 of workspace,
+    plus a dense copy of each sparse operand, which is what is counted.
     """
     n = a_mat.shape[0]
-    diag = _diagonal(m_mat)
-    copies = 0 if diag is not None else sp.issparse(a_mat) + sp.issparse(m_mat)
+    copies = sp.issparse(a_mat) + sp.issparse(m_mat)
     require_memory(8 * n * n * (4 + copies), f"the dense eigensolve of dimension {n}")
     if not _symmetric(a_mat):
         raise PencilError("left matrix is not symmetric")
     if not _symmetric(m_mat):
         raise PencilError("mass matrix is not symmetric")
     mass_op = sp.csr_matrix(m_mat) if sp.issparse(m_mat) else densify(m_mat)
-    if diag is not None:
-        if not (diag > 0).all():
-            raise PencilError("mass matrix is not positive definite: "
-                              f"diagonal entry {diag.min():.3e}")
-        root = 1.0 / np.sqrt(diag)
-        r_mat = sp.diags(root)
-        w, phi = sla.eigh(densify(r_mat @ a_mat @ r_mat), driver="evd")
-        phi *= root[:, None]
-    else:
-        try:
-            w, phi = sla.eigh(densify(a_mat), densify(mass_op), driver="gvd")
-        except sla.LinAlgError as err:
-            raise PencilError(f"mass matrix is not positive definite: {err}") from err
+    try:
+        w, phi = sla.eigh(densify(a_mat), densify(mass_op), driver="gvd")
+    except sla.LinAlgError as err:
+        raise PencilError(f"mass matrix is not positive definite: {err}") from err
     if w.min() <= 0:
         raise PencilError(f"pencil is not positive definite (min eigenvalue {w.min():.3e})")
-    scale = RESIDUAL_TOL * np.abs(w).max()
-    if _residual(a_mat, mass_op, phi, w) > scale:
-        # Fix up M-orthonormality and try once more.
-        gram = phi.T @ (mass_op @ phi)
-        phi = phi @ np.linalg.inv(np.linalg.cholesky(gram).T)
-        if _residual(a_mat, mass_op, phi, w) > scale:
-            raise PencilError("eigen residual exceeds tolerance after re-orthonormalization")
+    residual = np.linalg.norm(a_mat @ phi - (mass_op @ phi) * w, axis=0).max()
+    if residual > RESIDUAL_TOL * np.abs(w).max():
+        raise PencilError("eigen residual exceeds tolerance")
     return SpectralPair(eigenvalues=w, modes=phi, mass=mass_op, space=space, level=level)
-
-
-def _residual(a_mat, mass_op, phi: np.ndarray, w: np.ndarray) -> float:
-    """The largest column norm of ``A phi - M phi diag(w)``."""
-    return np.linalg.norm(a_mat @ phi - (mass_op @ phi) * w, axis=0).max()
 
 
 @dataclass(frozen=True)
@@ -426,15 +389,11 @@ def apply_power(pair: SpectralPair, s: float, c):
     return pair.forward_power(s)(c)
 
 
-def power_matrix(pair: SpectralPair, s: float, dual_form: bool = False) -> np.ndarray:
-    """Dense matrix of the s-power: dual->coefficient by default, or the
-    coefficient->dual (forward) form, which needs the pair's mass."""
-    modes = densify(pair.modes)
-    if dual_form:
-        core = (modes * pair.eigenvalues**s) @ modes.T
-        m = densify(pair.mass)
-        return m @ core @ m
-    return (modes * pair.eigenvalues ** (-s)) @ modes.T
+def power_matrix(pair: SpectralPair, s: float) -> np.ndarray:
+    """Dense coefficient -> dual matrix of the forward s-power
+    ``M modes diag(eigenvalues**s) modes.T M``."""
+    modes, m = densify(pair.modes), densify(pair.mass)
+    return m @ ((modes * pair.eigenvalues**s) @ modes.T) @ m
 
 
 def inf_sup_constant(lm: LevelMatrices) -> float:

@@ -4,10 +4,12 @@ Every check phrases its inequality as an eigenvalue statement about a
 difference or quotient pencil — no per-vector sampling — and reports the
 worst (most negative) margin found over its parameter grid, normalized by
 the spectral radius of the operator involved.  A report passes when that
-margin is no worse than ``-tol``.  Each check decomposes each matrix once
-for its whole exponent grid.  The two smoother checks work in each level's
-flux eigenbasis, where the exponent enters only through diagonal scalings of
-two products built once per level.
+margin is no worse than ``-tol``.  An empty grid, an exponent outside
+[0, 1], a tolerance outside (0, 1) or no trials is refused with ValueError
+before any work.  Each check decomposes each matrix once for its whole
+exponent grid.  The two smoother checks work in each level's flux
+eigenbasis, where the exponent enters only through diagonal scalings of two
+products built once per level.
 
 The matrix-level checks (operator Jensen, Loewner-Heinz) run hundreds of
 randomized trials on dense matrices of dimension at most 40.  The mesh-level
@@ -38,7 +40,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .fem import assemble_all, assemble_curl, laplacian_dual
+from .fem import assemble_all, assemble_curl
 from .mesh import build_hierarchy
 from .multigrid import multilevel_setup
 from .spectral import generalized_eig, inf_sup_constant, power_matrix, scalar_spectrum
@@ -82,6 +84,20 @@ class InequalityReport:
         return f"{status}  {self.name}: worst margin {self.worst:+.3e} (tol {self.tol:g}){extra}"
 
 
+def _refuse_bad_input(s_grid, tol, trials=1) -> None:
+    """Raise ValueError for fewer than one trial, an empty exponent grid, an
+    exponent outside [0, 1] or a tolerance outside (0, 1)."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if len(s_grid) == 0:
+        raise ValueError("no exponents given")
+    for s in s_grid:
+        if not 0.0 <= s <= 1.0:  # also rejects nan
+            raise ValueError(f"exponent {s} outside [0, 1]")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must be strictly between 0 and 1, got {tol}")
+
+
 def _min_eig(sym: np.ndarray) -> float:
     return float(sla.eigh(0.5 * (sym + sym.T), eigvals_only=True)[0])
 
@@ -96,6 +112,7 @@ def _powers(symmetric: np.ndarray, s_grid) -> list:
 
 def check_jensen(trials=200, s_grid=DEFAULT_GRID, seed=20, tol=1e-9):
     """T' A^s T <= (T' A T)^s for contractions T and symmetric PSD A."""
+    _refuse_bad_input(s_grid, tol, trials)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
@@ -118,6 +135,7 @@ def check_jensen(trials=200, s_grid=DEFAULT_GRID, seed=20, tol=1e-9):
 
 def check_loewner_heinz(trials=200, s_grid=DEFAULT_GRID, seed=21, tol=1e-9):
     """A <= B implies A^s <= B^s for s in [0, 1]."""
+    _refuse_bad_input(s_grid, tol, trials)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
@@ -159,7 +177,7 @@ class MeshOperators:
         return len(self.lms)
 
     def dual_form(self, k: int, s: float) -> np.ndarray:
-        return power_matrix(self.pairs[k], s, dual_form=True)
+        return power_matrix(self.pairs[k], s)
 
     @cached_property
     def eigenbasis(self) -> dict:
@@ -198,6 +216,7 @@ def check_noninheritance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9):
     the coarse s-power form dominates the restricted fine one.  Also checks
     the adjoint form and that the fractional coarse projection composed with
     the embedding is the identity only at s in {0, 1}."""
+    _refuse_bad_input(s_grid, tol)
     worst = np.inf
     defects = {}
     for s in s_grid:
@@ -230,6 +249,7 @@ def check_projection_identity(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-10
     """(level power) o (fractional projection chain) equals
     (dual restriction chain) o (finest power), level by level, on the three
     coarsest levels (n = 1, 2, 4)."""
+    _refuse_bad_input(s_grid, tol)
     J = 3
     worst = np.inf
     for s in s_grid:
@@ -249,9 +269,13 @@ def check_projection_identity(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-10
 
 def check_aux_bounds(ops: MeshOperators, t_grid=DEFAULT_GRID, tol=1e-9):
     """Eigenvalues of the gradient-sandwich pencil lie in [beta^(2(1-t)), 1]:
-    grad' (flux -(1-t)-power) grad against the scalar t-power dual form."""
+    grad' (flux -(1-t)-power) grad against the scalar t-power dual form.  With
+    the flux pair's M-orthonormal modes V, ``V V' = inv(M)``, so the scalar
+    operator ``grad' inv(M) grad`` is ``E' E``, ``E = V' grad``."""
+    _refuse_bad_input(t_grid, tol)
     lm, flux_pair = ops.lms[-1], ops.pairs[-1]
-    scalar_pair = generalized_eig(laplacian_dual(lm), lm.mass_s, space="S", level=lm.index)
+    E = flux_pair.modes.T @ lm.grad
+    scalar_pair = generalized_eig(E.T @ E, lm.mass_s, space="S", level=lm.index)
     ctx = make_aux_spectrum_context(lm, flux_pair, scalar_pair)
     beta_sq = inf_sup_constant(lm) ** 2
     worst = np.inf
@@ -269,6 +293,7 @@ def check_helmholtz_invariance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     rotated-gradient fields are fixed vectors (eigenvalue 1 for every s),
     gradient fields stay gradient fields, and on them the s-power acts with
     eigenvalues (1 + scalar eigenvalue)^s."""
+    _refuse_bad_input(s_grid, tol)
     lm, vpair = ops.lms[-1], ops.pairs[-1]
     M = lm.mass_v.toarray()
     Minv_grad = np.linalg.solve(M, lm.grad.toarray())  # gradient fields, coefficients
@@ -278,7 +303,7 @@ def check_helmholtz_invariance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     alpha = scalar_spectrum(lm.mesh.n)
     worst = np.inf
     for s in s_grid:
-        Fs = power_matrix(vpair, s, dual_form=True)
+        Fs = power_matrix(vpair, s)
         curl_image = Fs @ Minv_curl
         worst = min(worst, -np.abs(curl_image - curl).max() / np.abs(curl).max())
         cross = Minv_grad.T @ curl_image
@@ -302,6 +327,7 @@ def check_smoother_bound(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-8):
     ``G = V' M Q`` the patch modes (eigenvalues lam): one eigenvalue-only
     solve per level and exponent.
     """
+    _refuse_bad_input(s_grid, tol)
     K0 = K1 = C1 = c = 0.0
     worst = np.inf
     for k in range(1, ops.num_levels):
@@ -340,6 +366,7 @@ def check_stable_decomposition(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     one eigenvalue-only solve of the complement's order per level and
     exponent.
     """
+    _refuse_bad_input(s_grid, tol)
     decay_floor = 0.5
     C2 = 0.0
     growth = 1.0
@@ -371,15 +398,7 @@ def run_all(trials=200, s_grid=DEFAULT_GRID, seed=7, tol=1e-9):
     Raises ValueError, before any work, for fewer than one trial, an empty
     exponent grid, an exponent outside [0, 1] or a tolerance outside (0, 1).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if len(s_grid) == 0:
-        raise ValueError("no exponents given")
-    for s in s_grid:
-        if not 0.0 <= s <= 1.0:  # also rejects nan
-            raise ValueError(f"exponent {s} outside [0, 1]")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must be strictly between 0 and 1, got {tol}")
+    _refuse_bad_input(s_grid, tol, trials)
     ops = MeshOperators()
     return [
         check_jensen(trials, s_grid, seed, tol),

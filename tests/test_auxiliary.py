@@ -144,7 +144,7 @@ class TestSpectrum:
         dim = lm.mesh.num_triangles
         for s in (-0.5, -0.2):
             B = dense(build_exact(s, lm, flux_pair))
-            op_inverse = power_matrix(scalar_pair, -s, dual_form=True)
+            op_inverse = power_matrix(scalar_pair, -s)
             brute = pencil_condition(B, op_inverse, dim)
             assert brute == pytest.approx(exact_condition_number(alpha, s), rel=1e-8)
 

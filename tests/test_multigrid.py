@@ -99,7 +99,7 @@ class TestPreconditioner:
         lms = three_level
         mg = AdditiveMultigrid(multilevel_setup(lms), s)
         pair = generalized_eig(lms[-1].hdiv, lms[-1].mass_v)
-        F = power_matrix(pair, s, dual_form=True)
+        F = power_matrix(pair, s)
         B = densify(mg.apply, mg.dim)
         w = sla.eigh(F, np.linalg.inv(0.5 * (B + B.T)), eigvals_only=True)
         assert w.min() > 0

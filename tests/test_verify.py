@@ -1,13 +1,14 @@
 import csv
 import io
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oracles
 from fracprec import verify
-from fracprec.fem import assemble_all
-from fracprec.mesh import build_hierarchy
+from fracprec.fem import assemble, assemble_all, laplacian_dual
+from fracprec.mesh import build_hierarchy, build_level
 from fracprec.multigrid import multilevel_setup
 from fracprec.spectral import generalized_eig
 
@@ -111,6 +112,15 @@ class TestIndividualChecks:
         r = verify.check_aux_bounds(ops, t_grid=(0.0, 0.5, 1.0))
         assert r.passed and r.grid == (0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_flux_modes_give_the_scalar_operator(self, n):
+        # What check_aux_bounds reads: with M-orthonormal flux modes V,
+        # V V' = inv(M), so (V' grad)' (V' grad) = grad' inv(M) grad.
+        lm = assemble(build_level(n))
+        E = generalized_eig(lm.hdiv, lm.mass_v).modes.T @ lm.grad
+        A = laplacian_dual(lm).toarray()
+        np.testing.assert_allclose(E.T @ E, A, rtol=0, atol=1e-14 * np.abs(A).max())
+
 
 @pytest.fixture(scope="module")
 def ops():
@@ -186,7 +196,12 @@ def test_eigenbasis_checks_match_the_dense_pencils(ops, name, grid):
 
 
 class TestRunAllInput:
-    """Invalid input is refused before any check runs or any operator is built."""
+    """Invalid input is refused before any check runs or any operator is
+    built, by ``run_all`` and by each check called on its own."""
+
+    MESH_CHECKS = ("check_noninheritance", "check_projection_identity", "check_aux_bounds",
+                   "check_helmholtz_invariance", "check_smoother_bound",
+                   "check_stable_decomposition")
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"trials": 0}, "trials"),
@@ -200,12 +215,22 @@ class TestRunAllInput:
         ({"tol": float("nan")}, "tolerance"),
     ])
     def test_refused_before_any_work(self, kwargs, message, monkeypatch):
+        # The mesh checks take no trials, and get no operators: any work
+        # before the refusal would fail on them.
+        grid, tol = kwargs.get("s_grid", verify.DEFAULT_GRID), kwargs.get("tol", 1e-9)
+        calls = [partial(getattr(verify, name), **kwargs)
+                 for name in ("check_jensen", "check_loewner_heinz")]
+        if "trials" not in kwargs:
+            calls += [partial(getattr(verify, name), None, grid, tol) for name in self.MESH_CHECKS]
         started = []
         for name in ("MeshOperators", "check_jensen"):
             monkeypatch.setattr(verify, name, lambda *a, **k: started.append(a))
         with pytest.raises(ValueError, match=message):
             verify.run_all(**kwargs)
         assert started == []
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestSharedFixture:
