@@ -1,6 +1,8 @@
 import io
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -401,6 +403,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "8/8 checks passed" in out
+
+    def test_props_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # One process per count: OpenBLAS reads the variable when it loads.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "fracprec.cli", "props", "--trials", "2",
+                 "--s-list", "0.5"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert "8/8 checks passed" in outs[0]
+        assert outs[0] == outs[1]
 
 
 # ``fracprec table2`` output frozen when table 2 still took its two

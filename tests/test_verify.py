@@ -274,22 +274,85 @@ class TestSharedFixture:
     def test_levels_equal_the_operators_built_alone(self):
         ops = verify.MeshOperators()
         # Finest level: what the gradient-sandwich and Helmholtz checks read.
+        # The references are built on the fixture's one BLAS thread, so the
+        # comparison can stay bitwise.
         fine = assemble_all(build_hierarchy(8, 1))[-1]
         for name in self.MATRICES:
             assert np.array_equal(getattr(ops.lms[-1], name).toarray(),
                                   getattr(fine, name).toarray()), name
-        self.assert_pairs_equal(ops.pairs[-1],
-                                generalized_eig(fine.hdiv, fine.mass_v, space="V", level=0))
+        with verify._one_blas_thread():
+            fine_pair = generalized_eig(fine.hdiv, fine.mass_v, space="V", level=0)
+        self.assert_pairs_equal(ops.pairs[-1], fine_pair)
         # Three coarsest levels: what the projection identity reads.
         lms = assemble_all(build_hierarchy(1, 3))
-        setup = multilevel_setup(lms)
-        pairs = [setup.level_pairs[0]] + [
-            generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index) for lm in lms[1:]
-        ]
+        with verify._one_blas_thread():
+            setup = multilevel_setup(lms)
+            pairs = [setup.level_pairs[0]] + [
+                generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index)
+                for lm in lms[1:]
+            ]
         for k in range(3):
             self.assert_pairs_equal(ops.pairs[k], pairs[k])
         for k in range(2):
             assert np.array_equal(ops.embeddings[k], setup.prolongations[k].toarray())
+
+
+class TestOneBlasThread:
+    """The set-up and every check run on one OpenBLAS thread, and hand each
+    pool back with the thread count it had."""
+
+    @pytest.fixture
+    def pools(self):
+        # Two threads outside, so that one inside is the limiter's doing.
+        pools = verify._openblas_pools()
+        before = self.counts(pools)
+        for _, put in pools:
+            put(2)
+        yield pools
+        for (_, put), count in zip(pools, before):
+            put(count)
+
+    @staticmethod
+    def counts(pools):
+        return [get() for get, _ in pools]
+
+    def probe_eigh(self, monkeypatch, pools):
+        seen, eigh = [], verify.sla.eigh
+
+        def probe(*args, **kwargs):
+            seen.append(self.counts(pools))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(verify.sla, "eigh", probe)
+        return seen
+
+    def test_checks_compute_on_one_thread_and_restore_the_count(self, pools, monkeypatch):
+        assert pools  # the numpy and scipy wheels each bundle an OpenBLAS
+        seen = self.probe_eigh(monkeypatch, pools)
+        ops = verify.MeshOperators()
+        set_up = len(seen)
+        assert set_up > 0
+        verify.check_jensen(trials=2, s_grid=(0.5,))
+        verify.check_helmholtz_invariance(ops, (0.5,))
+        verify.check_stable_decomposition(ops, (0.5,))
+        assert len(seen) > set_up
+        assert all(counts == [1] * len(pools) for counts in seen)
+        assert self.counts(pools) == [2] * len(pools)
+
+    def test_a_refused_call_restores_the_count(self, pools):
+        with pytest.raises(ValueError, match="trials"):
+            verify.check_jensen(trials=0)
+        with pytest.raises(ValueError, match="no exponents"):
+            verify.check_smoother_bound(None, ())
+        assert self.counts(pools) == [2] * len(pools)
+
+    def test_without_openblas_the_checks_still_run(self, pools, monkeypatch):
+        monkeypatch.setattr(verify, "_openblas_pools", lambda: ())
+        seen = self.probe_eigh(monkeypatch, pools)
+        reports = verify.run_all(trials=1, s_grid=(0.5,))
+        assert all(r.passed for r in reports)
+        # Nothing found, nothing set: the pools keep their two threads.
+        assert seen and all(counts == [2] * len(pools) for counts in seen)
 
 
 class TestRendering:
