@@ -187,3 +187,56 @@ def check_stable_decomposition(ops, s_grid=verify.DEFAULT_GRID, tol=1e-9):
         "stable-decomposition", tuple(s_grid), worst, tol,
         {"C2": C2, "C2_growth": growth, "lambda_min": lam_min},
     )
+
+
+# The operator-Jensen and Loewner-Heinz checks as they were computed before
+# each trial took its whole exponent grid at once: one power, and one
+# smallest eigenvalue of a difference, per exponent.  Each returns the drawn
+# matrix pairs and the normalized smallest eigenvalue of every trial (rows)
+# and exponent (columns).
+
+def _powers(symmetric: np.ndarray, s_grid) -> list:
+    """``symmetric**s`` for every s of the grid, from one eigendecomposition
+    (symmetrized, negative roundoff eigenvalues clipped to zero)."""
+    w, V = sla.eigh(0.5 * (symmetric + symmetric.T))
+    w = np.clip(w, 0.0, None)
+    return [(V * w**s) @ V.T for s in s_grid]
+
+
+def check_jensen(trials=200, s_grid=verify.DEFAULT_GRID, seed=20):
+    """``(T' A T)^s - T' A^s T`` for contractions T and PSD A."""
+    rng = np.random.default_rng(seed)
+    pairs, margins = [], []
+    for _ in range(trials):
+        m = int(rng.integers(2, verify._LARGEST_TRIAL_DIM + 1))
+        k = int(rng.integers(1, m + 1))
+        T = rng.standard_normal((m, k))
+        norm = np.linalg.norm(T, 2)
+        if norm > 1.0:
+            T /= norm * (1.0 + 1e-12)
+        C = rng.standard_normal((m, m))
+        A = C.T @ C
+        w, V = sla.eigh(A)
+        w = np.clip(w, 0.0, None)
+        scale = max(w[-1], 1.0)
+        pairs.append((T, A))
+        margins.append([verify._min_eig(rhs - T.T @ ((V * w**s) @ V.T) @ T) / scale**s
+                        for s, rhs in zip(s_grid, _powers(T.T @ A @ T, s_grid))])
+    return pairs, np.array(margins)
+
+
+def check_loewner_heinz(trials=200, s_grid=verify.DEFAULT_GRID, seed=21):
+    """``B^s - A^s`` for PSD A <= B."""
+    rng = np.random.default_rng(seed)
+    pairs, margins = [], []
+    for _ in range(trials):
+        m = int(rng.integers(2, verify._LARGEST_TRIAL_DIM + 1))
+        C = rng.standard_normal((m, m))
+        A = C.T @ C
+        D = rng.standard_normal((int(rng.integers(1, m + 1)), m))
+        B = A + D.T @ D
+        scale = max(np.linalg.norm(B, 2), 1.0)
+        pairs.append((A, B))
+        margins.append([verify._min_eig(Bs - As) / scale**s for s, Bs, As
+                        in zip(s_grid, _powers(B, s_grid), _powers(A, s_grid))])
+    return pairs, np.array(margins)

@@ -410,8 +410,8 @@ class TestCli:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outs = [
             subprocess.run(
-                [sys.executable, "-m", "fracprec.cli", "props", "--trials", "2",
-                 "--s-list", "0.5"],
+                [sys.executable, "-m", "fracprec.cli", "props", "--trials", "5",
+                 "--s-list", "0,0.5,1"],
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
                 capture_output=True, text=True, check=True,
             ).stdout

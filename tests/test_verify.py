@@ -148,10 +148,15 @@ class TestOnceOnlyWork:
     @pytest.mark.parametrize("check", [verify.check_jensen, verify.check_loewner_heinz])
     def test_matrix_checks_make_one_eigh_per_matrix(self, check, monkeypatch):
         # Per trial: one decomposition of each of two matrices for the whole
-        # grid, plus the smallest eigenvalue of one difference per exponent.
-        calls = counting(monkeypatch, verify.sla, "eigh")
+        # grid, plus one eigenvalue-only call on the stack of the differences,
+        # one per exponent.
+        scipy_calls = counting(monkeypatch, verify.sla, "eigh")
+        decompositions = counting(monkeypatch, verify.np.linalg, "eigh")
+        stacks = counting(monkeypatch, verify.np.linalg, "eigvalsh")
         check(trials=3, s_grid=self.GRID)
-        assert len(calls) == 3 * (2 + len(self.GRID))
+        assert scipy_calls == []
+        assert len(decompositions) == 3 * 2
+        assert [args[0].shape[0] for args in stacks] == [len(self.GRID)] * 3
 
     def test_smoother_bound_solves_each_pencil_once(self, ops, monkeypatch):
         calls = counting(monkeypatch, verify.sla, "eigh")
@@ -193,6 +198,57 @@ def test_eigenbasis_checks_match_the_dense_pencils(ops, name, grid):
     assert fast.constants.keys() == dense.constants.keys()
     for key, value in dense.constants.items():
         assert fast.constants[key] == pytest.approx(value, rel=1e-10), key
+
+
+@pytest.mark.parametrize("grid", [verify.DEFAULT_GRID, (0.3, 0.7)], ids=["default", "0.3,0.7"])
+@pytest.mark.parametrize("name, seed, draw, margins, atol", [
+    # T' A T can be nearly singular: on two of these Jensen trials its
+    # smallest eigenvalue is 1e-7 of its norm.  There syevr (the loop) and
+    # syevd (the stack) round that eigenvalue differently, x^s for small s
+    # magnifies the difference, and the routes part by up to 2.5e-11 (at
+    # s = 0.2).  Against 40-digit margins of the same matrices, on those two
+    # trials and s = 0.1 to 0.4, the loop is off by up to 2.6e-11 and the
+    # stack by up to 5.2e-12.
+    ("check_jensen", 7, verify._jensen_trials, verify._jensen_margins, 1e-10),
+    ("check_loewner_heinz", 8, verify._loewner_heinz_trials, verify._loewner_heinz_margins,
+     1e-12),
+], ids=["jensen", "loewner-heinz"])
+def test_stacked_matrix_checks_match_the_exponent_loop(name, seed, draw, margins, atol, grid):
+    # The seeds are those of run_all, so these are the trials props prints.
+    pairs, loop = getattr(oracles, name)(200, grid, seed)
+    drawn = list(draw(200, seed))
+    assert len(drawn) == len(pairs)
+    for got, want in zip(drawn, pairs):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    with verify._one_blas_thread():
+        stacked = np.array([margins(*pair, np.asarray(grid)) for pair in drawn])
+    np.testing.assert_allclose(stacked, loop, rtol=0, atol=atol)
+    assert getattr(verify, name)(200, grid, seed).worst == stacked.min()
+
+
+class TestViolationsAreCaught:
+    """Past s = 1 both inequalities can fail, and the stacked margins go
+    negative on the failing exponent only.  The public checks refuse s > 1,
+    so the margins are taken directly."""
+
+    S = np.array([1.0, 2.0])
+
+    def test_loewner_heinz_at_two(self):
+        A = np.array([[1.0, 1.0], [1.0, 1.0]])
+        B = np.array([[2.0, 1.0], [1.0, 1.0]])  # B - A = diag(1, 0)
+        margins = verify._loewner_heinz_margins(A, B, self.S)
+        # B^2 - A^2 = [[3, 1], [1, 0]], and ||B|| = (3 + sqrt 5) / 2.
+        assert abs(margins[0]) < 1e-14
+        expected = (3.0 - np.sqrt(13.0)) / 2.0 / ((3.0 + np.sqrt(5.0)) / 2.0) ** 2
+        assert margins[1] == pytest.approx(expected, rel=1e-12)
+
+    def test_jensen_at_two(self):
+        T = np.array([[1.0], [0.0]])  # the contraction onto the first coordinate
+        A = np.array([[1.0, 1.0], [1.0, 1.0]])
+        margins = verify._jensen_margins(T, A, self.S)
+        # (T' A T)^2 - T' A^2 T = 1 - 2, and ||A|| = 2.
+        assert abs(margins[0]) < 1e-14
+        assert margins[1] == pytest.approx(-0.25, rel=1e-12)
 
 
 class TestRunAllInput:
@@ -317,13 +373,23 @@ class TestOneBlasThread:
         return [get() for get, _ in pools]
 
     def probe_eigh(self, monkeypatch, pools):
-        seen, eigh = [], verify.sla.eigh
+        """Record ``(routine, thread counts)`` at each symmetric eigensolve
+        that ``verify`` calls: scipy's ``eigh`` and numpy's ``eigh`` and
+        ``eigvalsh``."""
+        seen = []
 
-        def probe(*args, **kwargs):
-            seen.append(self.counts(pools))
-            return eigh(*args, **kwargs)
+        def probe(owner, name):
+            inner, routine = getattr(owner, name), f"{owner.__name__}.{name}"
 
-        monkeypatch.setattr(verify.sla, "eigh", probe)
+            def wrapper(*args, **kwargs):
+                seen.append((routine, self.counts(pools)))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        probe(verify.sla, "eigh")
+        probe(verify.np.linalg, "eigh")
+        probe(verify.np.linalg, "eigvalsh")
         return seen
 
     def test_checks_compute_on_one_thread_and_restore_the_count(self, pools, monkeypatch):
@@ -333,10 +399,13 @@ class TestOneBlasThread:
         set_up = len(seen)
         assert set_up > 0
         verify.check_jensen(trials=2, s_grid=(0.5,))
+        assert {routine for routine, _ in seen[set_up:]} == {"numpy.linalg.eigh",
+                                                             "numpy.linalg.eigvalsh"}
+        jensen = len(seen)
         verify.check_helmholtz_invariance(ops, (0.5,))
         verify.check_stable_decomposition(ops, (0.5,))
-        assert len(seen) > set_up
-        assert all(counts == [1] * len(pools) for counts in seen)
+        assert len(seen) > jensen
+        assert all(counts == [1] * len(pools) for _, counts in seen)
         assert self.counts(pools) == [2] * len(pools)
 
     def test_a_refused_call_restores_the_count(self, pools):
@@ -352,7 +421,7 @@ class TestOneBlasThread:
         reports = verify.run_all(trials=1, s_grid=(0.5,))
         assert all(r.passed for r in reports)
         # Nothing found, nothing set: the pools keep their two threads.
-        assert seen and all(counts == [2] * len(pools) for counts in seen)
+        assert seen and all(counts == [2] * len(pools) for _, counts in seen)
 
 
 class TestRendering:
