@@ -43,15 +43,30 @@ which ``helmholtz_power`` builds from the scalar pair alone, with no
 When only the eigenvalues of the scalar pencil are needed, as for table 2 and
 ``inf_sup_constant``, ``scalar_spectrum`` reads them off the same blocks
 restricted to odd functions, with no n x n mesh, no modes and no FFT.
+
+Every command computes on one thread of numpy's and scipy's bundled
+OpenBLAS: ``tables.run_table1``, ``run_table2`` and ``run_table3`` and each
+``verify`` check wrap themselves in ``_one_blas_thread``, which sets every
+pool to one thread and gives it its previous count back on return.  The
+dense matrices on these paths are small, and a second thread costs more
+than the work: on 2 vCPUs the 56-dimensional coarse ``generalized_eig`` of
+the default grids took 0.8 to 1.3 ms on one thread against 1.3 to 8.0 ms on
+two, in five fresh processes each.  The roundoff of a threaded BLAS call
+depends on the thread count; on one thread the bytes of every command do
+not.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Callable
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 
@@ -98,6 +113,43 @@ def require_memory(need: int, what: str) -> None:
     """Raise PencilError, naming both byte counts, if ``need`` exceeds ``available_memory()``."""
     if need > (have := available_memory()):
         raise PencilError(f"{what} needs {need} bytes, more than the {have} bytes available")
+
+
+@cache
+def _openblas_pools() -> tuple:
+    """``(get, set)`` thread-count entry points of each OpenBLAS that numpy and
+    scipy bundle (numpy's is the 64-bit-integer build); empty where neither
+    ships one."""
+    pools = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libdir.glob("libscipy_openblas*.so*")):
+            handle = ctypes.CDLL(str(lib))
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+                    break
+    return tuple(pools)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body (or, as a decorator, each call) on one OpenBLAS thread,
+    restoring every pool's previous count on the way out (why: see the
+    module docstring)."""
+    pools = _openblas_pools()
+    before = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, before):
+            put(count)
 
 
 @dataclass(frozen=True)

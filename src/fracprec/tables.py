@@ -26,11 +26,19 @@ before the next size's is built.  Each
 cell builds its operator and preconditioner once, as fixed-exponent maps
 (``spectral.PowerMap``), before its PCG starts.
 
+Each run computes on one thread of numpy's and scipy's bundled OpenBLAS
+(``spectral._one_blas_thread``, set once per run and restored on return,
+also when the run is refused).  Every dense matrix of the default grids is
+small enough that a second thread costs more than the work: on 2 vCPUs the
+n = 32 set-up took 40 to 55 ms on one thread against 44 to 93 ms on two.
+Only a large coarse eigensolve gains from threads: at n = 256 its 3136 rows
+take 7.7 s on one thread against 4.5 s on two.
+
 Cells are seeded individually from (seed, table, exponent, size), so a grid
 is reproducible cell by cell no matter which subset or order is run, and
-re-running a configuration writes byte-identical output.  The table column
-label ``N`` is the system dimension: edge count for grid 1, triangle count
-for grids 2 and 3.
+re-running a configuration writes byte-identical output, whatever
+``OPENBLAS_NUM_THREADS`` is.  The table column label ``N`` is the system
+dimension: edge count for grid 1, triangle count for grids 2 and 3.
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ from .fem import assemble_all
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
 from .multigrid import AdditiveMultigrid, multilevel_setup
-from .spectral import fourier_pair, helmholtz_power, require_memory, scalar_spectrum
+from .spectral import (_one_blas_thread, fourier_pair, helmholtz_power, require_memory,
+                       scalar_spectrum)
 from .vectors import TaggedVector
 
 __all__ = [
@@ -317,14 +326,17 @@ def _run_krylov_table(cfg: ExperimentConfig) -> TableResult:
     return result
 
 
+@_one_blas_thread()
 def run_table1(cfg: ExperimentConfig | None = None) -> TableResult:
     return _run_krylov_table(cfg or default_config("1"))
 
 
+@_one_blas_thread()
 def run_table3(cfg: ExperimentConfig | None = None) -> TableResult:
     return _run_krylov_table(cfg or default_config("3"))
 
 
+@_one_blas_thread()
 def run_table2(cfg: ExperimentConfig | None = None) -> TableResult:
     cfg = validate(cfg or default_config("2"))
     result = TableResult("2", cfg, ())

@@ -36,7 +36,8 @@ The last two double as measurements: the constants they estimate (K0, K1,
 C1, C2, the splitting stability c) are reported alongside the pass flag.
 
 Every check, and the ``MeshOperators`` set-up, computes on one thread of
-numpy's and scipy's bundled OpenBLAS and gives each pool its previous thread
+numpy's and scipy's bundled OpenBLAS through ``spectral._one_blas_thread``,
+the limiter the table runners share, and gives each pool its previous thread
 count back on return.  At these sizes (at most 208 rows) a second thread
 costs more than the work: on 2 vCPUs, two threads against one,
 ``check_helmholtz_invariance`` took 0.43 s against 0.09 s,
@@ -48,21 +49,18 @@ and so the bytes of ``fracprec props``, do not.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
-import scipy
 import scipy.linalg as sla
 
 from .fem import assemble_all, assemble_curl
 from .mesh import build_hierarchy
 from .multigrid import multilevel_setup
-from .spectral import generalized_eig, inf_sup_constant, power_matrix, scalar_spectrum
+from .spectral import (_one_blas_thread, generalized_eig, inf_sup_constant, power_matrix,
+                       scalar_spectrum)
 from .auxiliary import aux_pencil_eigenvalues, make_aux_spectrum_context
 
 __all__ = [
@@ -101,43 +99,6 @@ class InequalityReport:
         status = "pass" if self.passed else "FAIL"
         extra = "".join(f"  {k}={v:.4g}" for k, v in sorted(self.constants.items()))
         return f"{status}  {self.name}: worst margin {self.worst:+.3e} (tol {self.tol:g}){extra}"
-
-
-@cache
-def _openblas_pools() -> tuple:
-    """``(get, set)`` thread-count entry points of each OpenBLAS that numpy and
-    scipy bundle (numpy's is the 64-bit-integer build); empty where neither
-    ships one."""
-    pools = []
-    for pkg in (np, scipy):
-        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for lib in sorted(libdir.glob("libscipy_openblas*.so*")):
-            handle = ctypes.CDLL(str(lib))
-            for suffix in ("64_", ""):
-                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
-                put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    pools.append((get, put))
-                    break
-    return tuple(pools)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body (or, as a decorator, each call) on one OpenBLAS thread,
-    restoring every pool's previous count on the way out (why: see the
-    module docstring)."""
-    pools = _openblas_pools()
-    before = [get() for get, _ in pools]
-    for _, put in pools:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(pools, before):
-            put(count)
 
 
 def _refuse_bad_input(s_grid, tol, trials=1) -> None:

@@ -157,6 +157,50 @@ class TestTableRuns:
         assert "*" in text and "did not converge" in text
 
 
+class TestOneBlasThread:
+    """Each run computes on one OpenBLAS thread and hands each pool back with
+    the thread count it had, also when it is refused."""
+
+    @staticmethod
+    def counts(pools):
+        return [get() for get, _ in pools]
+
+    @pytest.mark.parametrize("run, cfg, routines", [
+        (tables.run_table1, dict(table="1", sizes=(8,), levels=2, s_values=(0.5,)),
+         {"scipy.linalg.eigh", "numpy.linalg.eigh"}),
+        (tables.run_table2, dict(table="2", sizes=(8,), s_values=(-0.5,)),
+         {"numpy.linalg.eigvalsh"}),
+        (tables.run_table3, dict(table="3", sizes=(8,), levels=2, s_values=(-0.5,)),
+         {"scipy.linalg.eigh", "numpy.linalg.eigh"}),
+    ], ids=["table1", "table2", "table3"])
+    def test_runs_compute_on_one_thread_and_restore_the_count(self, pools, monkeypatch,
+                                                              run, cfg, routines):
+        assert pools  # the numpy and scipy wheels each bundle an OpenBLAS
+        seen = []
+        for owner, name in ((spectral.sla, "eigh"), (np.linalg, "eigh"),
+                            (np.linalg, "eigvalsh")):
+            def probe(*args, inner=getattr(owner, name),
+                      routine=f"{owner.__name__}.{name}", **kwargs):
+                seen.append((routine, self.counts(pools)))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, probe)
+        run(tables.default_config(**cfg))
+        assert {routine for routine, _ in seen} == routines
+        assert all(counts == [1] * len(pools) for _, counts in seen)
+        assert self.counts(pools) == [2] * len(pools)
+
+    def test_a_refused_run_restores_the_count(self, pools, monkeypatch):
+        with pytest.raises(ValueError, match="does not refine down"):
+            tables.run_table1(tables.default_config("1", sizes=(8,), levels=5))
+        monkeypatch.setattr(spectral, "available_memory", lambda: 1000)
+        with pytest.raises(spectral.PencilError, match="more than the 1000 bytes"):
+            tables.run_table3(tables.default_config("3", sizes=(8,)))
+        with pytest.raises(spectral.PencilError, match="more than the 1000 bytes"):
+            tables.run_table2(tables.default_config("2", sizes=(8,)))
+        assert self.counts(pools) == [2] * len(pools)
+
+
 class TestExponentKeys:
     def test_off_grid_exponents_get_their_own_row_and_stream(self):
         cfg = tables.default_config("3", sizes=(4,), levels=2, s_values=(-0.2, -0.25))
@@ -404,20 +448,33 @@ class TestCli:
         assert code == 0
         assert "8/8 checks passed" in out
 
-    def test_props_bytes_do_not_depend_on_the_blas_thread_count(self):
-        # One process per count: OpenBLAS reads the variable when it loads.
+    @staticmethod
+    def stdout_per_thread_count(argv):
+        """The command's stdout under OPENBLAS_NUM_THREADS 1 and 2, one
+        process per count: OpenBLAS reads the variable when it loads."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outs = [
+        return [
             subprocess.run(
-                [sys.executable, "-m", "fracprec.cli", "props", "--trials", "5",
-                 "--s-list", "0,0.5,1"],
+                [sys.executable, "-m", "fracprec.cli", *argv],
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
                 capture_output=True, text=True, check=True,
             ).stdout
             for threads in ("1", "2")
         ]
+
+    def test_props_bytes_do_not_depend_on_the_blas_thread_count(self):
+        outs = self.stdout_per_thread_count(["props", "--trials", "5", "--s-list", "0,0.5,1"])
         assert "8/8 checks passed" in outs[0]
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--sizes", "8", "--s-list", "0,0.5,1"],
+        ["table3", "--sizes", "8", "--s-list=-1,-0.5,0"],
+    ], ids=["table1", "table3"])
+    def test_table_bytes_do_not_depend_on_the_blas_thread_count(self, argv):
+        outs = self.stdout_per_thread_count(argv + ["--format", "csv"])
+        assert len(outs[0].splitlines()) == 1 + 3  # header and three cells
         assert outs[0] == outs[1]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fracprec import verify
+from fracprec import spectral, verify
 from fracprec.fem import assemble, assemble_all, laplacian_dual
 from fracprec.mesh import build_hierarchy, build_level
 from fracprec.multigrid import multilevel_setup
@@ -220,7 +220,7 @@ def test_stacked_matrix_checks_match_the_exponent_loop(name, seed, draw, margins
     assert len(drawn) == len(pairs)
     for got, want in zip(drawn, pairs):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    with verify._one_blas_thread():
+    with spectral._one_blas_thread():
         stacked = np.array([margins(*pair, np.asarray(grid)) for pair in drawn])
     np.testing.assert_allclose(stacked, loop, rtol=0, atol=atol)
     assert getattr(verify, name)(200, grid, seed).worst == stacked.min()
@@ -336,12 +336,12 @@ class TestSharedFixture:
         for name in self.MATRICES:
             assert np.array_equal(getattr(ops.lms[-1], name).toarray(),
                                   getattr(fine, name).toarray()), name
-        with verify._one_blas_thread():
+        with spectral._one_blas_thread():
             fine_pair = generalized_eig(fine.hdiv, fine.mass_v, space="V", level=0)
         self.assert_pairs_equal(ops.pairs[-1], fine_pair)
         # Three coarsest levels: what the projection identity reads.
         lms = assemble_all(build_hierarchy(1, 3))
-        with verify._one_blas_thread():
+        with spectral._one_blas_thread():
             setup = multilevel_setup(lms)
             pairs = [setup.level_pairs[0]] + [
                 generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index)
@@ -356,17 +356,6 @@ class TestSharedFixture:
 class TestOneBlasThread:
     """The set-up and every check run on one OpenBLAS thread, and hand each
     pool back with the thread count it had."""
-
-    @pytest.fixture
-    def pools(self):
-        # Two threads outside, so that one inside is the limiter's doing.
-        pools = verify._openblas_pools()
-        before = self.counts(pools)
-        for _, put in pools:
-            put(2)
-        yield pools
-        for (_, put), count in zip(pools, before):
-            put(count)
 
     @staticmethod
     def counts(pools):
@@ -416,7 +405,7 @@ class TestOneBlasThread:
         assert self.counts(pools) == [2] * len(pools)
 
     def test_without_openblas_the_checks_still_run(self, pools, monkeypatch):
-        monkeypatch.setattr(verify, "_openblas_pools", lambda: ())
+        monkeypatch.setattr(spectral, "_openblas_pools", lambda: ())
         seen = self.probe_eigh(monkeypatch, pools)
         reports = verify.run_all(trials=1, s_grid=(0.5,))
         assert all(r.passed for r in reports)
