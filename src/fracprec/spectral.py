@@ -5,9 +5,9 @@ positive definite, ``generalized_eig`` computes all eigenpairs
 ``A @ modes == M @ modes @ diag(eigenvalues)`` with M-orthonormal modes,
 by one dense generalized symmetric eigensolve.  The scalar pencil
 of a whole structured mesh needs no dense eigensolve: ``fourier_pair``
-splits it by the mesh's translations into one 8 x 8 block per wavenumber of
-the oddly reflected mesh, and its modes are a frame applied by FFT
-(:class:`FourierModes`).
+splits it by sine transforms into one real block of at most 8 x 8 per orbit
+of wavenumbers, and its modes are a square basis applied by two dense
+DST-II products and the batched blocks (:class:`FourierModes`).
 Powers of the operator represented by the pencil are then diagonal in that
 basis.  A pair builds a fixed-exponent :class:`PowerMap` for either
 orientation used throughout:
@@ -41,8 +41,8 @@ which ``helmholtz_power`` builds from the scalar pair alone, with no
 ``mass_v`` solve.
 
 When only the eigenvalues of the scalar pencil are needed, as for table 2 and
-``inf_sup_constant``, ``scalar_spectrum`` reads them off the same blocks
-restricted to odd functions, with no n x n mesh, no modes and no FFT.
+``inf_sup_constant``, ``scalar_spectrum`` reads them off the Bloch symbols
+restricted to odd functions, with no n x n mesh and no modes.
 
 Every command computes on one thread of numpy's and scipy's bundled
 OpenBLAS: ``tables.run_table1``, ``run_table2`` and ``run_table3`` and each
@@ -181,10 +181,10 @@ class SpectralPair:
     ``modes diag(eigenvalues**-s) modes.T``.
 
     ``generalized_eig`` returns the full, square decomposition of a pencil
-    with its mass and dense modes.  The modes may also have more columns
-    than rows: the sparse patch modes of a multilevel smoother, whose pair
-    has no mass (``None``) and is used only for the inverse power, and the
-    :class:`FourierModes` frame of ``fourier_pair``.
+    with its mass and dense modes, and ``fourier_pair`` the square
+    :class:`FourierModes` basis.  The modes may also have more columns than
+    rows: the sparse patch modes of a multilevel smoother, whose pair has no
+    mass (``None``) and is used only for the inverse power.
 
     The transposed modes are built with the pair (CSR for sparse modes), so
     no apply builds one.
@@ -288,45 +288,57 @@ def generalized_eig(a_mat, m_mat, space: str | None = None,
 
 @dataclass(frozen=True)
 class FourierModes:
-    """The modes of ``fourier_pair`` as a frame over the doubled torus.
+    """The modes of ``fourier_pair``: a real, square basis of sine products
+    times one eigenblock per frequency orbit.
 
-    ``.T @ x`` reflects x oddly onto the torus, takes the real 2-D FFT over
-    its n x n macro-cells and applies each wavenumber's conjugate-transposed
-    block eigenvectors; ``@ c`` applies the block eigenvectors, the inverse
-    FFT and reads the unit square's quadrant back.  The coefficients are
-    complex, eight per wavenumber, and outnumber the triangles.  The signs
-    carry the inverse triangle area, so ``modes @ (modes.T @ x)`` is
-    ``x / area``, as for the mass-orthonormal modes of the pencil.  Both
-    products take only vectors of the frame's width: any other shape is a
-    ``ValueError``.
+    ``.T @ x`` takes the orthonormal DST-II of x over the cells of each row
+    and over the triangles of each column (``sy @ x @ sx.T``, x as 2n rows
+    of n cells), gathers the sine coefficients orbit by orbit (``order``)
+    and applies each orbit's transposed block; ``@ c`` applies the blocks,
+    scatters and takes the transposed sine transforms.  The blocks carry
+    the inverse square root of the triangle area, so ``modes @ (modes.T @
+    x)`` is ``x / area``, as for the mass-orthonormal modes of the pencil.
+    Both products take only vectors of the basis's length: any other shape
+    is a ``ValueError``.
     """
 
-    reflect: np.ndarray  # (n, n, 8) triangle at each torus position
-    signs: np.ndarray  # (n, n, 8) the odd reflection's signs over the triangle area
-    blocks: np.ndarray  # (n, n // 2 + 1, 8, 8) eigenvectors per wavenumber
-    blocks_h: np.ndarray  # their conjugate transposes
-    quadrant: np.ndarray  # (NS,) flat torus position of each triangle
+    sx: np.ndarray  # (n, n) orthonormal DST-II over the cells of a row
+    sy: np.ndarray  # (2n, 2n) orthonormal DST-II over the triangles of a column
+    order: np.ndarray  # (NS,) flat sine index (my - 1) n + mx - 1 of each coefficient slot
+    blocks: tuple  # per orbit size: (orbits, size, size) eigenvectors over sqrt(area)
     transposed: bool = False
 
     @property
     def shape(self) -> tuple:
-        shape = (self.quadrant.size, self.blocks.size // 8)
-        return shape[::-1] if self.transposed else shape
+        return (self.order.size, self.order.size)
 
     @property
     def T(self) -> FourierModes:
         return replace(self, transposed=not self.transposed)
 
     def __matmul__(self, x):
-        if x.shape != (self.shape[1],):
-            raise ValueError(f"frame of shape {self.shape} cannot take shape {x.shape}")
-        # The 2-D FFTs as two 1-D ones: the same transform, less overhead per call.
+        if x.shape != (self.order.size,):
+            raise ValueError(f"basis of shape {self.shape} cannot take shape {x.shape}")
+        n, out = self.sx.shape[0], np.empty(x.size)
+        # Triangle 2 (j n + i) + c is row t = 2 j + c, column i of the sine grid.
         if self.transposed:
-            torus = np.fft.fft(np.fft.rfft(x[self.reflect] * self.signs, axis=1), axis=0)
-            return (self.blocks_h @ torus[..., None]).ravel()
-        torus = (self.blocks @ x.reshape(*self.blocks.shape[:-1], 1))[..., 0]
-        n = self.reflect.shape[1]
-        return np.fft.irfft(np.fft.ifft(torus, axis=0), n, axis=1).ravel()[self.quadrant]
+            grid = self.sy @ x.reshape(n, n, 2).transpose(0, 2, 1).reshape(2 * n, n) @ self.sx.T
+            sine, start = grid.ravel()[self.order], 0
+            for q in self.blocks:  # q.T @ c as (c.T @ q).T: one copy of each block
+                stop = start + q.shape[0] * q.shape[1]
+                np.matmul(sine[start:stop].reshape(-1, 1, q.shape[1]), q,
+                          out=out[start:stop].reshape(-1, 1, q.shape[1]))
+                start = stop
+            return out
+        sine, start = np.empty(x.size), 0
+        for q in self.blocks:
+            stop = start + q.shape[0] * q.shape[1]
+            np.matmul(q, x[start:stop].reshape(-1, q.shape[1], 1),
+                      out=sine[start:stop].reshape(-1, q.shape[1], 1))
+            start = stop
+        out[self.order] = sine
+        grid = self.sy.T @ out.reshape(2 * n, n) @ self.sx
+        return grid.reshape(n, 2, n).transpose(0, 2, 1).ravel()
 
 
 def _symbol_rows(n: int, rows):
@@ -353,53 +365,79 @@ def _symbol_rows(n: int, rows):
         yield g.conj().transpose(0, 2, 1) @ np.linalg.solve(bloch_h @ mass_v @ bloch, g)
 
 
+def _sine_orbits(n: int, length: int):
+    """The orthonormal DST-II ``sin(pi m (t + 1/2) / length)``, m = 1, ...,
+    ``length`` (n over the cells of a row, 2n over the triangles of a
+    column), and its rows grouped by orbit.  Row m, extended by the same
+    formula, is ``(e^{i theta} - e^{-i theta}) / 2i``: over macro-cells of
+    2 length / n positions it lives at the wavenumbers +-m (mod n).  For
+    each orbit size, returns the orbits' wavenumbers k = min(m, -m) (mod n),
+    their members m and each member's normalized component at k over one
+    macro-cell, all with the same phase."""
+    m = np.arange(1, length + 1)
+    rep = np.minimum(m % n, -m % n)
+    by_rep = m[np.argsort(rep, kind="stable")]
+    size = np.bincount(rep)[rep[by_rep - 1]]
+    classes = []
+    for d in np.unique(size):
+        members = by_rep[size == d].reshape(-1, d)
+        k = rep[members[:, 0] - 1, None]
+        theta = np.pi / length * members[..., None] * (np.arange(2 * length // n) + 0.5)
+        comp = (((members - k) % n == 0)[..., None] * np.exp(1j * theta)
+                - ((members + k) % n == 0)[..., None] * np.exp(-1j * theta))
+        classes.append((k[:, 0], members, comp / np.linalg.norm(comp, axis=-1, keepdims=True)))
+    sine = np.sin(np.pi / length * m[:, None] * (np.arange(length) + 0.5))
+    return sine / np.linalg.norm(sine, axis=1, keepdims=True), classes
+
+
 def fourier_pair(lm: LevelMatrices) -> SpectralPair:
     """The scalar pencil ``(grad.T inv(mass_v) grad, mass_s)`` of a level of
-    ``mesh.build_level``, diagonalized by the mesh's translations: the fast
-    diagonalization of Lynch, Rice & Thomas (Numer. Math. 1964) in the form
-    local Fourier analysis uses it.
+    ``mesh.build_level``, diagonalized by sine transforms and one small
+    block per frequency orbit: the fast diagonalization of Lynch, Rice &
+    Thomas (Numer. Math. 1964) in its sine form.
 
     Reflected oddly in x = 1 and y = 1, the n x n mesh becomes the torus
     [0, 2]^2 of 2n x 2n cells, whose alternating diagonals repeat with
     period two: it is n x n translates of one macro-cell of 2 x 2 cells,
     8 triangles and 12 edges.  Odd functions form an invariant subspace of
-    the torus pencil, on which it is the pencil of the square, so every
-    power of the square's pencil is the torus power read back on the
-    quadrant.  The 2-D FFT over the macro-cells splits the torus pencil into
-    one Hermitian 8 x 8 block per wavenumber (``_symbol_rows``).
-    Lowest-order ``mass_v`` and ``grad`` do not depend on the cell size, so
-    the triangle area scales the eigenvalues and nothing else.  The real FFT
-    keeps n (n // 2 + 1) wavenumbers.  The torus constant, the one null mode,
-    is orthogonal to every odd function: its eigenvector is zeroed and its
-    eigenvalue set to 1.
+    the torus pencil, on which it is the pencil of the square, and the
+    torus pencil is one Hermitian 8 x 8 Bloch symbol per wavenumber
+    (``_symbol_rows``).  A product of DST-II rows over the cells of a row
+    (``sin(pi mx (i + 1/2) / n)``) and over the triangles t = 2j + c of a
+    column (``sin(pi my (t + 1/2) / 2n)``) is odd and lives at the
+    wavenumbers (+-mx, +-my) (mod n), so the sine basis splits the square's
+    pencil into one real block per orbit (kx, ky), kx, ky = 0, ..., n // 2:
+    ``scalar_spectrum``'s wavenumbers, with 8, 4 or 2 members.  Each block
+    is the symbol at (kx, ky) in the members' Bloch components
+    (``_sine_orbits``); the other wavenumbers of the orbit are its mirror
+    images and add the same real part.  Lowest-order ``mass_v`` and
+    ``grad`` do not depend on the cell size, so the triangle area scales
+    the eigenvalues and nothing else.
 
     Returns a SpectralPair on the level's ``mass_s``, space "S" and index,
     with :class:`FourierModes` and the eigenvalues in their column order.
     """
     n = lm.mesh.n
-    area, half = 0.5 / n**2, n // 2 + 1
-    w, blocks = np.empty((n, half, 8)), np.empty((n, half, 8, 8), dtype=complex)
-    for ky, symbol in enumerate(_symbol_rows(n, range(n))):
-        w[ky], blocks[ky] = np.linalg.eigh(symbol)
-    blocks[0, 0, :, 0] = 0.0
-    w[0, 0, 0] = area
-
-    # Torus cell (i, j) is cell (i, j) of the square, mirrored in x = 1 for
-    # i >= n and in y = 1 for j >= n, with one minus sign per mirror; the
-    # y-mirror swaps a cell's bottom and top triangles.
-    j, i, c = np.meshgrid(np.arange(2 * n), np.arange(2 * n), [0, 1], indexing="ij")
-    flip_x, flip_y = i >= n, j >= n
-    tri = 2 * (np.where(flip_y, 2 * n - 1 - j, j) * n + np.where(flip_x, 2 * n - 1 - i, i))
-
-    def macro(torus):  # (2n, 2n, 2) -> (n, n, 8): macro-cell row, column, local triangle
-        return torus.reshape(n, 2, n, 2, 2).transpose(0, 2, 1, 3, 4).reshape(n, n, 8)
-
-    reflect, first = macro(tri + (c ^ flip_y)), macro(~(flip_x | flip_y))
-    quadrant = np.empty(2 * n * n, dtype=np.int64)
-    quadrant[reflect[first]] = np.flatnonzero(first)
-    modes = FourierModes(reflect, macro(np.where(flip_x ^ flip_y, -1.0, 1.0) / area), blocks,
-                         blocks.conj().transpose(0, 1, 3, 2).copy(), quadrant)
-    return SpectralPair(eigenvalues=(w / area).ravel(), modes=modes, mass=lm.mass_s,
+    area = 0.5 / n**2
+    sy, y_classes = _sine_orbits(n, 2 * n)
+    sx, x_classes = _sine_orbits(n, n)
+    row = {ky: (my, cy) for ks, mys, cys in y_classes for ky, my, cy in zip(ks, mys, cys)}
+    parts = {}  # orbit size -> (eigenvalues, eigenvectors, sine indices) per row and class
+    for ky, symbol in enumerate(_symbol_rows(n, range(n // 2 + 1))):
+        my, cy = row[ky]
+        for kx, mx, cx in x_classes:
+            # The members' components over the local triangles 4b + 2a + c,
+            # column (jy, jx): cy at 2b + c times cx at a.
+            v = np.einsum("jbc,xia->xbacji", cy.reshape(-1, 2, 2), cx).reshape(kx.size, 8, -1)
+            w, q = np.linalg.eigh((v.conj().transpose(0, 2, 1) @ symbol[kx] @ v).real)
+            parts.setdefault(q.shape[-1], []).append((w, q, (my[:, None] - 1) * n + mx[:, None] - 1))
+    w, blocks, order = [], [], []
+    for size in sorted(parts, reverse=True):
+        w += [p[0].ravel() for p in parts[size]]
+        blocks.append(np.concatenate([p[1] for p in parts[size]]) / np.sqrt(area))
+        order += [p[2].ravel() for p in parts[size]]
+    modes = FourierModes(sx, sy, np.concatenate(order), tuple(blocks))
+    return SpectralPair(eigenvalues=np.concatenate(w) / area, modes=modes, mass=lm.mass_s,
                         space="S", level=lm.index)
 
 

@@ -11,7 +11,8 @@ Three grids are produced, mirroring the package's three headline results:
 
 All three rest on the scalar pencil (grad.T inv(mass_v) grad, mass_s) of the
 finest mesh, which the mesh's translations split into one 8 x 8 block per
-wavenumber of the oddly reflected mesh.  Grids 1 and 3 diagonalize it
+wavenumber of the oddly reflected mesh.  Grids 1 and 3 diagonalize it in a
+sine basis, one real block per orbit of wavenumbers
 (``spectral.fourier_pair``): grid 3 uses it as the operator, and grid 1
 applies the flux operator's powers through it by the discrete Helmholtz
 split (``spectral.helmholtz_power``).  Grid 2 needs only its two extreme
@@ -29,10 +30,12 @@ cell builds its operator and preconditioner once, as fixed-exponent maps
 Each run computes on one thread of numpy's and scipy's bundled OpenBLAS
 (``spectral._one_blas_thread``, set once per run and restored on return,
 also when the run is refused).  Every dense matrix of the default grids is
-small enough that a second thread costs more than the work: on 2 vCPUs the
-n = 32 set-up took 40 to 55 ms on one thread against 44 to 93 ms on two.
-Only a large coarse eigensolve gains from threads: at n = 256 its 3136 rows
-take 7.7 s on one thread against 4.5 s on two.
+small enough that a second thread buys nothing and can cost more than the
+work: on 2 vCPUs the n = 32 set-up took 47 to 63 ms on one thread against
+39 to 113 ms on two (medians of five calls, in eight fresh processes each),
+of which ``fourier_pair`` is about 10 ms.  Only a large coarse eigensolve
+gains from threads: at n = 256 its 3136 rows take 7.7 s on one thread
+against 4.5 s on two.
 
 Cells are seeded individually from (seed, table, exponent, size), so a grid
 is reproducible cell by cell no matter which subset or order is run, and
@@ -176,10 +179,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         # Bytes at the largest size, checked last: the coarse flux pencil's
         # eigensolve as ``generalized_eig`` counts it, six NV0 x NV0 arrays,
         # plus what the set-up holds besides it (the levels' sparse matrices
-        # and stored transposes, the patch eigenpairs, the Fourier blocks of
-        # the fine scalar pencil and their temporaries).  tracemalloc
-        # measures at most 289 doubles per fine edge at n = 8 and 236 at
-        # n = 12 to 64, counted as 320.
+        # and stored transposes, the patch eigenpairs and their temporaries,
+        # then the sine basis of the fine scalar pencil).  tracemalloc
+        # measures at most 264 doubles per fine edge at n = 8, 220 to 235 at
+        # n = 12 to 64 and 256 at n = 128, counted as 320.  The peak falls in
+        # the multilevel set-up: ``fourier_pair`` keeps about 8 doubles per
+        # edge and peaks 21 above what the multilevel set-up keeps.
         n = max(cfg.sizes)
         n0 = n // step
         nv, nv0 = 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0

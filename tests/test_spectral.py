@@ -241,8 +241,8 @@ class TestScalarSpectrum:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 33])
     def test_the_masked_torus_constant_stays_out(self, n):
-        # The lowest eigenvalue lies near 2 pi^2, well above the torus
-        # constant's masked 1 in fourier_pair.
+        # The lowest eigenvalue lies near 2 pi^2: the torus constant, which is
+        # even, stays out.
         got = scalar_spectrum(n)
         assert got.size == 2 * n * n and got[0] > 19
 
@@ -255,22 +255,20 @@ class TestScalarSpectrum:
         np.testing.assert_allclose(scalar_spectrum(32)[[0, -1]], scalar_extremes(lm), rtol=1e-10)
 
 
-def odd_reflection_oracle(n):
-    """Triangle of the n x n mesh and sign at each triangle of the 2n x 2n
-    mesh of [0, 2]^2, by vertex sets: coordinates past 1 mirrored in 1, one
-    minus sign per mirror."""
-    square, torus = build_level(n), build_level(2 * n)
-    grid = np.rint(square.vertices * n).astype(int)
-    ids = {frozenset(map(tuple, grid[t])): k for k, t in enumerate(square.triangles)}
-    torus_grid = np.rint(torus.vertices * 2 * n).astype(int)
-    tri, sign = [], []
-    for t in torus.triangles:
-        x, y = torus_grid[t].T
-        flip_x, flip_y = x.max() > n, y.max() > n
-        x, y = (2 * n - x if flip_x else x), (2 * n - y if flip_y else y)
-        tri.append(ids[frozenset(zip(x, y))])  # KeyError if the image is no triangle
-        sign.append(-1.0 if flip_x != flip_y else 1.0)
-    return np.array(tri), np.array(sign)
+def sine_orbit(n):
+    """Orbit (kx, ky) of each flat sine index (my - 1) n + mx - 1, mx = 1, ...,
+    n and my = 1, ..., 2n: each wavenumber folded into [0, n // 2]."""
+    my, mx = np.divmod(np.arange(2 * n * n), n)
+    return tuple(np.minimum((m + 1) % n, (n - m - 1) % n) for m in (mx, my))
+
+
+def sine_basis(modes):
+    """Dense (triangle, sine index) matrix of the sine products: triangle
+    2 (j n + i) + c takes sy at row t = 2j + c times sx at column i."""
+    n = modes.sx.shape[0]
+    j, i, c = np.meshgrid(np.arange(n), np.arange(n), [0, 1], indexing="ij")
+    t, i = (2 * j + c).ravel(), i.ravel()
+    return np.einsum("yt,xt->tyx", modes.sy[:, t], modes.sx[:, i]).reshape(2 * n * n, -1)
 
 
 class TestFourierPair:
@@ -295,20 +293,58 @@ class TestFourierPair:
                                helmholtz_power(dense, lm, s)(c))):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
-    @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_modes_are_a_frame(self, n):
-        # More columns than rows, eight per kept wavenumber, and the
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_sine_factors_are_orthonormal_dst2(self, n):
+        modes = fourier_pair(assemble(build_level(n))).modes
+        for sine, length in ((modes.sx, n), (modes.sy, 2 * n)):
+            np.testing.assert_allclose(sine @ sine.T, np.eye(length), rtol=0, atol=1e-14)
+            m, t = np.arange(1, length + 1)[:, None], np.arange(length) + 0.5
+            np.testing.assert_allclose(sine / sine[:, :1], np.sin(np.pi * m * t / length)
+                                       / np.sin(np.pi * m * 0.5 / length), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 6])
+    def test_modes_are_a_square_basis(self, n):
+        # One coefficient per triangle, every sine index once, and the
         # synthesis undoes the analysis up to the mass.
         lm = assemble(build_level(n))
         pair = fourier_pair(lm)
         modes, ns = pair.modes, lm.mesh.num_triangles
-        assert modes.shape == modes.T.shape[::-1] == (ns, 8 * n * (n // 2 + 1))
-        assert modes.shape[1] > ns and pair.eigenvalues.shape == (modes.shape[1],)
-        assert pair.eigenvalues.min() > 0  # the torus constant is masked
+        assert modes.shape == modes.T.shape == (ns, ns) == (ns, pair.eigenvalues.size)
+        np.testing.assert_array_equal(np.sort(modes.order), np.arange(ns))
+        assert pair.eigenvalues.min() > 19  # no torus constant to mask
         x = np.random.default_rng(n).uniform(-1, 1, ns)
         want = x / lm.mass_s.diagonal()
         np.testing.assert_allclose(modes @ (modes.T @ x), want, rtol=0,
                                    atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_sine_basis_splits_the_dense_pencil_by_orbit(self, n):
+        lm = assemble(build_level(n))
+        grad = lm.grad.toarray()
+        phi = sine_basis(fourier_pair(lm).modes)
+        coupling = phi.T @ grad.T @ np.linalg.solve(lm.mass_v.toarray(), grad) @ phi
+        kx, ky = sine_orbit(n)
+        other = (kx[:, None] != kx) | (ky[:, None] != ky)
+        assert np.abs(coupling).max() == pytest.approx(18, rel=1e-12)
+        assert np.abs(coupling[other]).max(initial=0) <= 1e-12 * 18
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_each_orbit_has_scalar_spectrums_eigenvalues(self, n, monkeypatch):
+        # scalar_spectrum on symbols zeroed but at one orbit's wavenumber
+        # returns that orbit's eigenvalues among zeros.
+        pair = fourier_pair(assemble(build_level(n)))
+        kx, ky = (k[pair.modes.order] for k in sine_orbit(n))
+        rows = spectral._symbol_rows
+        for orbit in sorted(set(zip(kx, ky))):
+            def one_orbit(n, kys, orbit=orbit):
+                for k, symbol in zip(kys, rows(n, kys)):
+                    keep = (np.arange(len(symbol)) == orbit[0]) & (k == orbit[1])
+                    yield symbol * keep[:, None, None]
+            monkeypatch.setattr(spectral, "_symbol_rows", one_orbit)
+            want = scalar_spectrum(n)
+            got = np.sort(pair.eigenvalues[(kx == orbit[0]) & (ky == orbit[1])])
+            assert got.size in (2, 4, 8)
+            np.testing.assert_allclose(got, want[want > 0], rtol=1e-12)
 
     @pytest.mark.parametrize("extra", [3, -1], ids=["too-long", "too-short"])
     def test_rejects_a_vector_of_the_wrong_length(self, extra):
@@ -321,17 +357,3 @@ class TestFourierPair:
             with pytest.raises(ValueError, match="cannot take shape"):
                 modes @ np.ones(modes.shape[1] + extra)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_reflection_is_the_odd_fold(self, n):
-        # Macro-cell (q, p), local triangle 4b + 2a + c, is triangle c of
-        # cell (2p + a, 2q + b) of the 2n x 2n mesh.
-        modes = fourier_pair(assemble(build_level(n))).modes
-        tri, sign = odd_reflection_oracle(n)
-        q, p, b, a, c = np.meshgrid(*[np.arange(n)] * 2, *[np.arange(2)] * 3, indexing="ij")
-        torus = (2 * ((2 * q + b) * 2 * n + 2 * p + a) + c).reshape(n, n, 8)
-        np.testing.assert_array_equal(modes.reflect, tri[torus])
-        np.testing.assert_array_equal(np.sign(modes.signs), sign[torus])
-        np.testing.assert_allclose(np.abs(modes.signs), 2.0 * n * n, rtol=1e-15)
-        np.testing.assert_array_equal(modes.reflect.ravel()[modes.quadrant],
-                                      np.arange(2 * n * n))
-        assert (modes.signs.ravel()[modes.quadrant] > 0).all()

@@ -11,10 +11,10 @@ import pytest
 
 from fracprec import cli, spectral, tables
 from fracprec.auxiliary import exact_condition_number
-from fracprec.fem import assemble_all, laplacian_dual
+from fracprec.fem import assemble, assemble_all, laplacian_dual
 from fracprec.krylov import IndefinitenessError
-from fracprec.mesh import build_hierarchy
-from fracprec.spectral import FourierModes, generalized_eig
+from fracprec.mesh import build_hierarchy, build_level
+from fracprec.spectral import FourierModes, fourier_pair, generalized_eig
 
 
 class TestSizeResolution:
@@ -616,6 +616,35 @@ def test_table2_output_is_frozen(sizes, fmt, capsys):
     assert capsys.readouterr().out == TABLE2_FROZEN[sizes, fmt]
 
 
+# Tables 1 and 3 on sizes whose sine orbits have 2 and 4 members as well as
+# 8: n = 5 is odd and n = 6 not a power of two.  Frozen when the fine scalar
+# pencil was still split on the doubled torus by FFT.
+SMALL_GRIDS_FROZEN = {
+    "table1 --levels 1 --sizes 5 --s-list 0,1": """\
+| s | N=85 |
+|---|---|
+| 0.0 | 1(1.0) |
+| 1.0 | 1(1.0) |
+""",
+    "table3 --levels 1 --sizes 5 --s-list=-1,0 --format csv": """\
+table,s,N,iters,cond,seed,tol
+3,-1.0,50,1,1,7,1e-10
+3,0.0,50,5,1.04861,7,1e-10
+""",
+    "table1 --levels 2 --sizes 6 --s-list 0.5": """\
+| s | N=120 |
+|---|---|
+| 0.5 | 21(5.1) |
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(SMALL_GRIDS_FROZEN))
+def test_odd_and_non_power_of_two_sizes_are_frozen(argv, capsys):
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == SMALL_GRIDS_FROZEN[argv]
+
+
 def dense_estimate(cfg):
     """The byte count ``validate`` hands to the memory guard."""
     needs = []
@@ -669,11 +698,26 @@ class TestMemoryGuard:
             tables.validate(cfg)
 
     @pytest.mark.parametrize("table", ["1", "3"])
-    def test_fine_scalar_modes_are_a_fourier_frame(self, table):
+    def test_fine_scalar_modes_are_a_sine_basis(self, table):
+        # At n = 16: 7 x 7 orbits of 8 sine products, 2 x 7 + 7 x 2 of 4
+        # and 2 x 2 of 2, one coefficient per triangle.
         setup = tables._HierarchySetup(16, tables.default_config(table, sizes=(16,)))
         modes = setup.scalar.modes
-        assert isinstance(modes, FourierModes)
-        assert modes.blocks.shape == (16, 9, 8, 8)
+        assert isinstance(modes, FourierModes) and modes.shape == (512, 512)
+        assert (modes.sx.shape, modes.sy.shape) == ((16, 16), (32, 32))
+        assert [q.shape for q in modes.blocks] == [(49, 8, 8), (28, 4, 4), (4, 2, 2)]
+
+    def test_fourier_pair_allocates_no_dense_pencil(self):
+        # At n = 128 one NS x NS array alone would be 32768 doubles per
+        # triangle; the set-up stays below 64.
+        lm = assemble(build_level(128))
+        tracemalloc.start()
+        try:
+            fourier_pair(lm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 64 * lm.mesh.num_triangles
 
     @pytest.mark.parametrize("table", ["1", "3"])
     def test_estimate_bounds_what_the_setup_allocates(self, table):
