@@ -41,8 +41,8 @@ which ``helmholtz_power`` builds from the scalar pair alone, with no
 ``mass_v`` solve.
 
 When only the eigenvalues of the scalar pencil are needed, as for table 2 and
-``inf_sup_constant``, ``scalar_spectrum`` reads them off the Bloch symbols
-restricted to odd functions, with no n x n mesh and no modes.
+``inf_sup_constant``, ``scalar_spectrum`` reads them off the same orbit
+blocks, with no n x n mesh, no modes and no sine transform.
 
 Every command computes on one thread of numpy's and scipy's bundled
 OpenBLAS: ``tables.run_table1``, ``run_table2`` and ``run_table3`` and each
@@ -341,23 +341,28 @@ class FourierModes:
         return grid.reshape(n, 2, n).transpose(0, 2, 1).ravel()
 
 
-def _symbol_rows(n: int, rows):
-    """For each ky in ``rows``, the Bloch symbols ``G(k)^H inv(M_V(k)) G(k)``
-    at k = (kx, ky), kx = 0, ..., n // 2, as one (n // 2 + 1, 8, 8) array,
-    unscaled by the triangle area: each edge of ``build_level(2)`` on x = 1
-    or y = 1 is folded onto the next macro-cell's edge with its Bloch phase."""
+@cache
+def _macro_cell() -> tuple:
+    """Edge midpoints ``x``, ``y`` of ``build_level(2)`` in quarters, the
+    ``fold`` of each edge on x = 1 (y = 1) onto the next macro-cell's edge on
+    x = 0 (y = 0), and dense ``mass_v`` and ``grad``; the same for every n."""
     cell = assemble(build_level(2))
-    # Edge midpoints in quarters; an edge on x = 1 (y = 1) is the next
-    # macro-cell's edge on x = 0 (y = 0).
     x, y = np.rint(2 * cell.mesh.vertices[cell.mesh.edges].sum(axis=1)).astype(int).T
     owned = (x < 4) & (y < 4)
     column = np.zeros((4, 4), dtype=int)
     column[x[owned], y[owned]] = np.arange(owned.sum())
     fold = (np.arange(x.size), column[x % 4, y % 4])
-    mass_v, grad = cell.mass_v.toarray(), cell.grad.toarray()
+    return x, y, fold, cell.mass_v.toarray(), cell.grad.toarray()
+
+
+def _symbol_rows(n: int):
+    """For each ky = 0, ..., n // 2, the Bloch symbols ``G(k)^H inv(M_V(k))
+    G(k)`` at k = (kx, ky), kx = 0, ..., n // 2, as one (n // 2 + 1, 8, 8)
+    array, unscaled by the triangle area, each folded edge with its phase."""
+    x, y, fold, mass_v, grad = _macro_cell()
     half = n // 2 + 1
-    bloch = np.zeros((half, x.size, owned.sum()), dtype=complex)
-    for ky in rows:
+    bloch = np.zeros((half, x.size, fold[1].max() + 1), dtype=complex)
+    for ky in range(half):
         bloch[:, fold[0], fold[1]] = np.exp(
             2j * np.pi / n * (np.outer(np.arange(half), x == 4) + ky * (y == 4)))
         bloch_h = bloch.conj().transpose(0, 2, 1)
@@ -365,12 +370,17 @@ def _symbol_rows(n: int, rows):
         yield g.conj().transpose(0, 2, 1) @ np.linalg.solve(bloch_h @ mass_v @ bloch, g)
 
 
-def _sine_orbits(n: int, length: int):
-    """The orthonormal DST-II ``sin(pi m (t + 1/2) / length)``, m = 1, ...,
-    ``length`` (n over the cells of a row, 2n over the triangles of a
-    column), and its rows grouped by orbit.  Row m, extended by the same
-    formula, is ``(e^{i theta} - e^{-i theta}) / 2i``: over macro-cells of
-    2 length / n positions it lives at the wavenumbers +-m (mod n).  For
+def _dst2(length: int) -> np.ndarray:
+    """The orthonormal DST-II ``sin(pi m (t + 1/2) / length)``, m = 1..length."""
+    m = np.arange(1, length + 1)
+    sine = np.sin(np.pi / length * m[:, None] * (np.arange(length) + 0.5))
+    return sine / np.linalg.norm(sine, axis=1, keepdims=True)
+
+
+def _sine_orbits(n: int, length: int) -> list:
+    """The rows of ``_dst2(length)`` grouped by orbit.  Row m, extended by the
+    same formula, is ``(e^{i theta} - e^{-i theta}) / 2i``: over macro-cells
+    of 2 length / n positions it lives at the wavenumbers +-m (mod n).  For
     each orbit size, returns the orbits' wavenumbers k = min(m, -m) (mod n),
     their members m and each member's normalized component at k over one
     macro-cell, all with the same phase."""
@@ -386,8 +396,24 @@ def _sine_orbits(n: int, length: int):
         comp = (((members - k) % n == 0)[..., None] * np.exp(1j * theta)
                 - ((members + k) % n == 0)[..., None] * np.exp(-1j * theta))
         classes.append((k[:, 0], members, comp / np.linalg.norm(comp, axis=-1, keepdims=True)))
-    sine = np.sin(np.pi / length * m[:, None] * (np.arange(length) + 0.5))
-    return sine / np.linalg.norm(sine, axis=1, keepdims=True), classes
+    return classes
+
+
+def _orbit_blocks(n: int):
+    """The square's scalar pencil in the sine basis, unscaled by the area: for
+    each row ky = 0, ..., n // 2 and orbit size, the real blocks of the orbits
+    (kx, ky) as (orbits, size, size) and the flat sine index (my - 1) n + mx - 1
+    of each block row.  Each block is the symbol at (kx, ky) in the members'
+    components on the triangles 4b + 2a + c: y's at 2b + c times x's at a."""
+    row = {ky: (my, cy) for ks, mys, cys in _sine_orbits(n, 2 * n)
+           for ky, my, cy in zip(ks, mys, cys)}
+    x_classes = _sine_orbits(n, n)
+    for ky, symbol in enumerate(_symbol_rows(n)):
+        my, cy = row[ky]
+        for kx, mx, cx in x_classes:
+            v = np.einsum("jbc,xia->xbacji", cy.reshape(-1, 2, 2), cx).reshape(kx.size, 8, -1)
+            yield ((v.conj().transpose(0, 2, 1) @ symbol[kx] @ v).real,
+                   (my[:, None] - 1) * n + mx[:, None] - 1)
 
 
 def fourier_pair(lm: LevelMatrices) -> SpectralPair:
@@ -406,67 +432,39 @@ def fourier_pair(lm: LevelMatrices) -> SpectralPair:
     (``sin(pi mx (i + 1/2) / n)``) and over the triangles t = 2j + c of a
     column (``sin(pi my (t + 1/2) / 2n)``) is odd and lives at the
     wavenumbers (+-mx, +-my) (mod n), so the sine basis splits the square's
-    pencil into one real block per orbit (kx, ky), kx, ky = 0, ..., n // 2:
-    ``scalar_spectrum``'s wavenumbers, with 8, 4 or 2 members.  Each block
-    is the symbol at (kx, ky) in the members' Bloch components
-    (``_sine_orbits``); the other wavenumbers of the orbit are its mirror
-    images and add the same real part.  Lowest-order ``mass_v`` and
-    ``grad`` do not depend on the cell size, so the triangle area scales
-    the eigenvalues and nothing else.
+    pencil into one real block per orbit (kx, ky), kx, ky = 0, ..., n // 2,
+    with 8, 4 or 2 members (``_orbit_blocks``).  Each block is the symbol at
+    (kx, ky) in the members' Bloch components (``_sine_orbits``); the other
+    wavenumbers of the orbit are its mirror images and add the same real
+    part.  Lowest-order ``mass_v`` and ``grad`` do not depend on the cell
+    size, so the triangle area scales the eigenvalues and nothing else.
 
     Returns a SpectralPair on the level's ``mass_s``, space "S" and index,
     with :class:`FourierModes` and the eigenvalues in their column order.
     """
     n = lm.mesh.n
     area = 0.5 / n**2
-    sy, y_classes = _sine_orbits(n, 2 * n)
-    sx, x_classes = _sine_orbits(n, n)
-    row = {ky: (my, cy) for ks, mys, cys in y_classes for ky, my, cy in zip(ks, mys, cys)}
     parts = {}  # orbit size -> (eigenvalues, eigenvectors, sine indices) per row and class
-    for ky, symbol in enumerate(_symbol_rows(n, range(n // 2 + 1))):
-        my, cy = row[ky]
-        for kx, mx, cx in x_classes:
-            # The members' components over the local triangles 4b + 2a + c,
-            # column (jy, jx): cy at 2b + c times cx at a.
-            v = np.einsum("jbc,xia->xbacji", cy.reshape(-1, 2, 2), cx).reshape(kx.size, 8, -1)
-            w, q = np.linalg.eigh((v.conj().transpose(0, 2, 1) @ symbol[kx] @ v).real)
-            parts.setdefault(q.shape[-1], []).append((w, q, (my[:, None] - 1) * n + mx[:, None] - 1))
+    for block, index in _orbit_blocks(n):
+        w, q = np.linalg.eigh(block)
+        parts.setdefault(q.shape[-1], []).append((w, q, index))
     w, blocks, order = [], [], []
     for size in sorted(parts, reverse=True):
         w += [p[0].ravel() for p in parts[size]]
         blocks.append(np.concatenate([p[1] for p in parts[size]]) / np.sqrt(area))
         order += [p[2].ravel() for p in parts[size]]
-    modes = FourierModes(sx, sy, np.concatenate(order), tuple(blocks))
+    modes = FourierModes(_dst2(n), _dst2(2 * n), np.concatenate(order), tuple(blocks))
     return SpectralPair(eigenvalues=np.concatenate(w) / area, modes=modes, mass=lm.mass_s,
                         space="S", level=lm.index)
 
 
 def scalar_spectrum(n: int) -> np.ndarray:
     """All 2 n^2 eigenvalues, ascending, of the scalar pencil
-    ``(grad.T inv(mass_v) grad, mass_s)`` of ``mesh.build_level(n)``: the
-    Bloch symbols of ``fourier_pair`` on the odd functions of the torus.
-
-    With ``w = exp(2 pi i / n)``, the FFT coefficients of a function odd in
-    x satisfy ``F(kx, ky) = -w**kx P_x F(-kx, ky)``, P_x flipping ii in the
-    local order 4 jj + 2 ii + c, and likewise in y, P_y flipping jj and c.
-    So each orbit {(+-kx, +-ky)}, kx, ky = 0, ..., n // 2, holds the
-    eigenvalues of one block, restricted to the -1 eigenspace of ``w**k P``
-    on each axis where k = -k (mod n): 2 n^2 in all, without the torus
-    constant, which is even."""
-    half, area, eye = n // 2 + 1, 0.5 / n**2, np.eye(8)
-    sign = {0: 1.0, n / 2: -1.0}  # w**k at each k = -k (mod n)
-
-    def odd(k, flip):  # the projector onto the coefficients odd under one mirror
-        return (eye - sign[k] * eye[np.arange(8) ^ flip]) / 2 if k in sign else eye
-
-    odd_x = np.array([odd(kx, 2) for kx in range(half)])  # P_x flips bit 1
-    parts = []
-    for ky, symbol in enumerate(_symbol_rows(n, range(half))):
-        proj = odd_x @ odd(ky, 5)  # P_y flips bits 2 and 0
-        # Positive odd eigenvalues above a 0 per even direction; trace(proj) counts them.
-        w = np.linalg.eigvalsh(proj @ symbol @ proj)
-        parts.append(w[np.arange(8) >= 8 - np.trace(proj, axis1=1, axis2=2)[:, None]])
-    return np.sort(np.concatenate(parts)) / area
+    ``(grad.T inv(mass_v) grad, mass_s)`` of ``mesh.build_level(n)``: those
+    of ``fourier_pair``'s orbit blocks, with no mesh, no modes and no sine
+    transform."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block).ravel()
+                                   for block, _ in _orbit_blocks(n)])) / (0.5 / n**2)
 
 
 def solve_power(pair: SpectralPair, s: float, d):

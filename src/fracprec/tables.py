@@ -18,8 +18,8 @@ applies the flux operator's powers through it by the discrete Helmholtz
 split (``spectral.helmholtz_power``).  Grid 2 needs only its two extreme
 eigenvalues, for the closed-form exact condition numbers and the inf-sup
 constant (``auxiliary.exact_condition_number``); it reads them off the
-blocks' eigenvalues on odd functions (``spectral.scalar_spectrum``) and
-builds no mesh.  The only flux pencil ever diagonalized is the coarsest
+same orbit blocks' eigenvalues (``spectral.scalar_spectrum``) and builds
+no mesh.  The only flux pencil ever diagonalized is the coarsest
 mesh's, for the multilevel coarse solve.  Grids 1 and 3 build one
 ``multigrid.MultilevelSetup`` per size, with that coarse pencil and the
 patch eigensolves, take every exponent's preconditioner from it and drop it
@@ -191,7 +191,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         require_memory(8 * (6 * nv0 ** 2 + 320 * nv), f"the set-up at n={n}")
     if cfg.table == "2":
         # ``scalar_spectrum`` at the largest size: 4 doubles per triangle, 2048 per
-        # wavenumber of a row, and 8192; tracemalloc measures 0.54 to 0.86 of it.
+        # wavenumber of a row, and 8192; tracemalloc measures 0.43 to 0.90 of it
+        # in fresh processes, n = 1 to 512, and the whole table 0.43 to 0.94.
         n = max(cfg.sizes)
         require_memory(8 * (8 * n * n + 2048 * (n // 2 + 1) + 8192), f"the spectrum at n={n}")
     return cfg

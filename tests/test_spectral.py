@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from fracprec import spectral
@@ -228,8 +229,9 @@ class TestMeshPencils:
 
 
 class TestScalarSpectrum:
-    """The square's exact scalar spectrum read off the Bloch symbols
-    (``scalar_spectrum``) against the dense route and the Lanczos extremes."""
+    """The square's exact scalar spectrum read off the sine-basis orbit
+    blocks (``scalar_spectrum``) against the dense route and the Lanczos
+    extremes."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
     def test_matches_the_dense_spectrum(self, n):
@@ -329,22 +331,22 @@ class TestFourierPair:
         assert np.abs(coupling[other]).max(initial=0) <= 1e-12 * 18
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12])
-    def test_each_orbit_has_scalar_spectrums_eigenvalues(self, n, monkeypatch):
-        # scalar_spectrum on symbols zeroed but at one orbit's wavenumber
-        # returns that orbit's eigenvalues among zeros.
-        pair = fourier_pair(assemble(build_level(n)))
-        kx, ky = (k[pair.modes.order] for k in sine_orbit(n))
-        rows = spectral._symbol_rows
+    def test_each_orbit_has_the_dense_pencils_eigenvalues(self, n):
+        # The dense pencil restricted to one orbit's sine products has the
+        # eigenvalues fourier_pair gives that orbit's block.
+        lm = assemble(build_level(n))
+        pair = fourier_pair(lm)
+        grad, mass_s = lm.grad.toarray(), lm.mass_s.toarray()
+        stiff = grad.T @ np.linalg.solve(lm.mass_v.toarray(), grad)
+        phi = sine_basis(pair.modes)
+        kx, ky = sine_orbit(n)
+        slot_kx, slot_ky = kx[pair.modes.order], ky[pair.modes.order]
         for orbit in sorted(set(zip(kx, ky))):
-            def one_orbit(n, kys, orbit=orbit):
-                for k, symbol in zip(kys, rows(n, kys)):
-                    keep = (np.arange(len(symbol)) == orbit[0]) & (k == orbit[1])
-                    yield symbol * keep[:, None, None]
-            monkeypatch.setattr(spectral, "_symbol_rows", one_orbit)
-            want = scalar_spectrum(n)
-            got = np.sort(pair.eigenvalues[(kx == orbit[0]) & (ky == orbit[1])])
-            assert got.size in (2, 4, 8)
-            np.testing.assert_allclose(got, want[want > 0], rtol=1e-12)
+            phi_o = phi[:, (kx == orbit[0]) & (ky == orbit[1])]
+            want = sla.eigh(phi_o.T @ stiff @ phi_o, phi_o.T @ mass_s @ phi_o, eigvals_only=True)
+            got = np.sort(pair.eigenvalues[(slot_kx == orbit[0]) & (slot_ky == orbit[1])])
+            assert got.size == want.size and got.size in (2, 4, 8)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("extra", [3, -1], ids=["too-long", "too-short"])
     def test_rejects_a_vector_of_the_wrong_length(self, extra):

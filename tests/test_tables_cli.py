@@ -711,6 +711,7 @@ class TestMemoryGuard:
         # At n = 128 one NS x NS array alone would be 32768 doubles per
         # triangle; the set-up stays below 64.
         lm = assemble(build_level(128))
+        spectral._macro_cell.cache_clear()  # bound a fresh process's first call
         tracemalloc.start()
         try:
             fourier_pair(lm)
@@ -754,6 +755,7 @@ class TestMemoryGuard:
         for n in (8, 12, 16, 24, 32, 64):
             cfg = tables.validate(tables.default_config("2", sizes=(n,)))
             need = dense_estimate(cfg)
+            spectral._macro_cell.cache_clear()  # bound a fresh process's first call
             tracemalloc.start()
             try:
                 tables.run_table2(cfg)
