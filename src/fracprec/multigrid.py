@@ -9,10 +9,9 @@ s-power ``modes diag(lambda**-s) modes.T`` of one ``spectral.SpectralPair``:
   dual representation);
 - on the coarsest level the pair is the full pencil (hdiv, mass_v), so its
   inverse s-power is the exact fractional solve;
-- on level k >= 1 the pair holds the eigenpairs of the pencil restricted to
-  the edges meeting each mesh vertex, every patch mode scattered onto the
-  level's edges as one column of a sparse matrix, so its inverse s-power is
-  the vertex-patch (additive Schwarz) smoother;
+- on level k >= 1 the pair holds the pencil's eigenpairs on the edges of each
+  vertex, one eigensolve per vertex class, as columns of a sparse matrix, so
+  its inverse s-power is the vertex-patch (additive Schwarz) smoother;
 - coefficient contributions are carried up through the embeddings and added.
 
 Nothing but the scaling ``lambda**-s`` depends on the exponent: the pairs,
@@ -32,12 +31,13 @@ applications are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import LevelMatrices, assemble_prolongation
-from .mesh import vertex_patches
+from .fem import LevelMatrices, assemble, assemble_prolongation
+from .mesh import build_level, vertex_patches
 from .spectral import SpectralPair, generalized_eig
 from .vectors import retag, untag
 
@@ -49,35 +49,50 @@ __all__ = [
 ]
 
 
+def _vertex_class(n: int) -> np.ndarray:
+    """Key of each vertex of ``build_level(n)``, row-major: its place on the
+    boundary in x and y, and whether its four cells' diagonals meet there."""
+    k = np.arange(n + 1)
+    side = np.minimum(k, 1) + (k == n)
+    return (6 * side + 2 * side[:, None] + (k + k[:, None]) % 2).ravel()
+
+
+@cache
+def _patch_classes() -> tuple:
+    """Size, eigenvalues and mass-orthonormal modes of the patch of each key
+    on ``build_level(4)`` (every ``_vertex_class`` of an even n), padded to 8."""
+    lm = assemble(build_level(4))
+    keys, first = np.unique(_vertex_class(4), return_index=True)
+    patches = vertex_patches(lm.mesh)
+    dofs = np.array([np.resize(patches[v], 8) for v in first])  # each cycled to 8 edges
+    A, M = (m.toarray()[dofs[:, :, None], dofs[:, None, :]] for m in (lm.hdiv, lm.mass_v))
+    sizes, w, q = np.zeros(18, dtype=int), np.zeros((18, 8)), np.zeros((18, 8, 8))
+    for i, (key, v) in enumerate(zip(keys, first)):
+        k = sizes[key] = patches[v].size
+        pair = generalized_eig(A[i, :k, :k], M[i, :k, :k])
+        w[key, :k], q[key, :k, :k] = pair.eigenvalues, pair.modes
+    return sizes, w, q
+
+
 def _patch_pair(lm: LevelMatrices, patches) -> SpectralPair:
     """The patch smoother of one level as a pair with sparse modes: column j
-    of patch p holds that patch's j-th mass-orthonormal mode on its edges."""
-    by_size = {}
-    for edge_ids in patches:
-        by_size.setdefault(len(edge_ids), []).append(edge_ids)
-    rows, cols, vals, lams = [], [], [], []
-    offset = 0
-    for size in sorted(by_size):
-        dofs = np.vstack(by_size[size])
-        # Gather the blocks [p, i, j] = (dofs[p, i], dofs[p, j]) from the
-        # sparse matrices: a dense copy of a level is NV^2 floats.
-        r, c = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-        A, M = (np.asarray(m[r.ravel(), c.ravel()]).reshape(r.shape)
-                for m in (lm.hdiv, lm.mass_v))
-        Linv = np.linalg.inv(np.linalg.cholesky(M))
-        w, Q = np.linalg.eigh(Linv @ A @ np.transpose(Linv, (0, 2, 1)))
-        modes = np.transpose(Linv, (0, 2, 1)) @ Q  # [p, i, j]: mode j of patch p at dofs[p, i]
-        rows.append(r.ravel())
-        cols.append(np.broadcast_to(np.arange(offset, offset + w.size).reshape(-1, 1, size),
-                                    r.shape).ravel())
-        offset += w.size
-        vals.append(modes.ravel())
-        lams.append(w.ravel())
-    eigenvalues = np.concatenate(lams)
-    modes = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(lm.mesh.num_edges, eigenvalues.size))
-    return SpectralPair(eigenvalues=eigenvalues, modes=modes, mass=None,
-                        space="V", level=lm.index)
+    of patch p holds the j-th mode of p's vertex class on p's edges.  Only
+    hdiv - mass_v depends on n, as 1/area = 2 n^2: w becomes 1 + (n/4)^2 (w - 1)."""
+    if lm.mesh.n % 2:
+        raise ValueError(f"patch levels are refinements, so n is even; got n={lm.mesh.n}")
+    (sizes, w, q), key = _patch_classes(), _vertex_class(lm.mesh.n)
+    size = sizes[key]
+    edges, first = np.concatenate(patches), np.cumsum(size) - size
+    rows, vals, lams = [], [], []  # mode by mode, each one's entries in edge order
+    for k in np.unique(size):
+        on = np.flatnonzero(size == k)  # ascending vertex
+        rows.append(np.repeat(edges[first[on, None] + np.arange(k)], k, axis=0).ravel())
+        vals.append(q[key[on], :k, :k].transpose(0, 2, 1).ravel())
+        lams.append(1 + (lm.mesh.n / 4) ** 2 * (w[key[on], :k].ravel() - 1))
+    eigenvalues, per_mode = np.concatenate(lams), np.sort(size).repeat(np.sort(size))
+    modes = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), np.r_[0, per_mode.cumsum()]),
+                          shape=(lm.mesh.num_edges, eigenvalues.size)).tocsr()
+    return SpectralPair(eigenvalues=eigenvalues, modes=modes, mass=None, space="V", level=lm.index)
 
 
 def precompute_patches(lms) -> list:
@@ -97,8 +112,8 @@ class MultilevelSetup:
 
 
 def multilevel_setup(lms) -> MultilevelSetup:
-    """Diagonalize the coarse pencil, eigendecompose every vertex patch and
-    assemble the embeddings, once for all exponents."""
+    """Diagonalize the coarse pencil, take every vertex patch's modes from its
+    class and assemble the embeddings, once for all exponents."""
     prolongations = tuple(assemble_prolongation(c.mesh, f.mesh) for c, f in zip(lms, lms[1:]))
     return MultilevelSetup(
         level_pairs=(generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0),

@@ -76,6 +76,41 @@ def multigrid_apply(setup, s: float, d: np.ndarray) -> np.ndarray:
     return acc
 
 
+# The vertex-patch smoother as ``multigrid`` built it before it read each
+# patch's modes off its vertex class: every patch's blocks gathered from the
+# level's sparse matrices and solved by one batched Cholesky, inverse and
+# ``eigh`` per patch size.
+
+def patch_pair(lm: LevelMatrices, patches) -> spectral.SpectralPair:
+    """The patch smoother of one level as a pair with sparse modes: column j
+    of patch p holds that patch's j-th mass-orthonormal mode on its edges;
+    columns by ascending patch size, then ascending vertex."""
+    by_size = {}
+    for edge_ids in patches:
+        by_size.setdefault(len(edge_ids), []).append(edge_ids)
+    rows, cols, vals, lams = [], [], [], []
+    offset = 0
+    for size in sorted(by_size):
+        dofs = np.vstack(by_size[size])
+        r, c = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        A, M = (np.asarray(m[r.ravel(), c.ravel()]).reshape(r.shape)
+                for m in (lm.hdiv, lm.mass_v))
+        Linv = np.linalg.inv(np.linalg.cholesky(M))
+        w, Q = np.linalg.eigh(Linv @ A @ np.transpose(Linv, (0, 2, 1)))
+        modes = np.transpose(Linv, (0, 2, 1)) @ Q  # [p, i, j]: mode j of patch p at dofs[p, i]
+        rows.append(r.ravel())
+        cols.append(np.broadcast_to(np.arange(offset, offset + w.size).reshape(-1, 1, size),
+                                    r.shape).ravel())
+        offset += w.size
+        vals.append(modes.ravel())
+        lams.append(w.ravel())
+    eigenvalues = np.concatenate(lams)
+    modes = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(lm.mesh.num_edges, eigenvalues.size))
+    return spectral.SpectralPair(eigenvalues=eigenvalues, modes=modes, mass=None,
+                                 space="V", level=lm.index)
+
+
 # The extremes of the scalar pencil as table 2 found them before it read the
 # exact spectrum: Lanczos (ARPACK) on two sparse factorizations.
 

@@ -1,16 +1,18 @@
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fracprec.fem import assemble_all
+from fracprec import multigrid
+from fracprec.fem import assemble, assemble_all
 from fracprec.mesh import build_hierarchy, build_level, vertex_patches
 from fracprec.multigrid import AdditiveMultigrid, multilevel_setup, precompute_patches
 from fracprec.spectral import generalized_eig, power_matrix, solve_power
 from fracprec.vectors import TaggedVector, TagError
 
-from oracles import densify
+from oracles import densify, patch_pair
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +26,12 @@ def three_level():
 
 
 def test_levels_that_do_not_refine_are_refused():
+    lms = assemble_all([build_level(2), build_level(3)])
     with pytest.raises(ValueError, match=r"n=3.*n=2"):
-        multilevel_setup(assemble_all([build_level(2), build_level(3)]))
+        multilevel_setup(lms)
+    # The vertex classes of odd n are not all in the class table.
+    with pytest.raises(ValueError, match=r"n is even; got n=3"):
+        precompute_patches(lms)
 
 
 class TestSingleLevel:
@@ -47,28 +53,67 @@ class TestSingleLevel:
         np.testing.assert_allclose(mg.apply(lms[0].mass_v @ c), c, atol=1e-11)
 
 
+@cache
+def hierarchy_setup(n0, num_levels):
+    lms = assemble_all(build_hierarchy(n0, num_levels))
+    return lms, multilevel_setup(lms)
+
+
+HIERARCHIES = [(1, 2), (1, 4), (3, 3), (4, 4), (2, 5), (5, 3)]
+
+
 class TestSmoother:
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
-    def test_matches_the_patch_eigen_oracle(self, two_level, s):
-        # The level-1 smoother is the sum over vertex patches of the local
-        # inverse s-power; rebuild it patch by patch with dense eigensolves.
-        # At s = 1 that is the plain inverse of the local hdiv block, at
-        # s = 0 that of the local mass block.
-        fine = two_level[1]
-        dim = fine.mesh.num_edges
-        A, M = fine.hdiv.toarray(), fine.mass_v.toarray()
-        oracle = np.zeros((dim, dim))
-        for ix in vertex_patches(fine.mesh):
-            w, V = sla.eigh(A[np.ix_(ix, ix)], M[np.ix_(ix, ix)])
-            oracle[np.ix_(ix, ix)] += (V * w ** (-s)) @ V.T
-        d = np.random.default_rng(2).uniform(-1, 1, dim)
-        pair = multilevel_setup(two_level).level_pairs[1]
-        np.testing.assert_allclose(solve_power(pair, s, d), oracle @ d, atol=1e-10)
+    @pytest.mark.parametrize("n0, num_levels, k", [
+        (n0, num_levels, k) for n0, num_levels in HIERARCHIES for k in range(1, num_levels)])
+    def test_matches_the_patch_eigen_oracle(self, n0, num_levels, k, s):
+        # Each level's smoother from the class table against the one solved
+        # patch by patch; the roundoff of either grows about like n^2.
+        lms, setup = hierarchy_setup(n0, num_levels)
+        oracle = patch_pair(lms[k], vertex_patches(lms[k].mesh))
+        d = np.random.default_rng(k).uniform(-1, 1, lms[k].mesh.num_edges)
+        want = solve_power(oracle, s, d)
+        got = solve_power(setup.level_pairs[k], s, d)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 16])
+    def test_patch_pencils_are_scaled_translates_of_their_class(self, n):
+        # The class table rests on this: every patch's mass block is its class
+        # representative's on build_level(4), and its hdiv - mass_v block is
+        # the representative's times (n / 4)^2.
+        def blocks(level):
+            lm = assemble(level)
+            A, M = lm.hdiv.toarray(), lm.mass_v.toarray()
+            return [(M[np.ix_(ix, ix)], (A - M)[np.ix_(ix, ix)]) for ix in vertex_patches(level)]
+
+        key, rep_key = multigrid._vertex_class(n), multigrid._vertex_class(4)
+        assert np.unique(key).size == (9 if n == 2 else 14)
+        rep = blocks(build_level(4))
+        for (M, D), k in zip(blocks(build_level(n)), key):
+            M4, D4 = rep[np.flatnonzero(rep_key == k)[0]]
+            assert np.abs(M - M4).max() <= 1e-13 * np.abs(M4).max()
+            assert np.abs(D - (n / 4) ** 2 * D4).max() <= 1e-13 * (n / 4) ** 2 * np.abs(D4).max()
+
+    def test_one_class_table_per_process(self, monkeypatch):
+        # The coarse pencil, then one solve per vertex class, once.
+        calls, inner = [], multigrid.generalized_eig
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(multigrid, "generalized_eig", counted)
+        multigrid._patch_classes.cache_clear()
+        multilevel_setup(assemble_all(build_hierarchy(4, 4)))
+        assert len(calls) == 1 + 14
+        multilevel_setup(assemble_all(build_hierarchy(2, 4)))
+        assert len(calls) == 1 + 14 + 1
 
     def test_patch_setup_never_densifies_the_level(self):
         # At n = 32 one dense copy of the 3136 x 3136 flux matrix is 75 MiB;
-        # gathering the patch blocks from the sparse matrices needs far less.
+        # scattering the class modes onto the patches needs far less.
         lms = assemble_all(build_hierarchy(4, 4))
+        multigrid._patch_classes.cache_clear()  # bound a fresh process's first call
         tracemalloc.start()
         try:
             precompute_patches(lms)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracprec import cli, spectral, tables
+from fracprec import cli, multigrid, spectral, tables
 from fracprec.auxiliary import exact_condition_number
 from fracprec.fem import assemble, assemble_all, laplacian_dual
 from fracprec.krylov import IndefinitenessError
@@ -667,9 +667,9 @@ class TestMemoryGuard:
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--sizes", "8"])
         assert err.value.code == 2
-        # 8 * (6*5^2 + 320*208) at n = 8, n0 = 1
+        # 8 * (6*5^2 + 288*208) at n = 8, n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
-            "error: the set-up at n=8 needs 533680 bytes, "
+            "error: the set-up at n=8 needs 480432 bytes, "
             "more than the 1000 bytes available")
 
     def test_table2_too_large_for_memory_is_usage_error(self, monkeypatch, capsys):
@@ -727,6 +727,7 @@ class TestMemoryGuard:
         for n in (8, 12, 16, 24, 32):
             cfg = tables.default_config(table, sizes=(n,), levels=3 if n == 12 else 4)
             need = dense_estimate(cfg)
+            multigrid._patch_classes.cache_clear()  # bound a fresh process's first call
             tracemalloc.start()
             try:
                 tables._HierarchySetup(n, tables.validate(cfg))
@@ -742,6 +743,7 @@ class TestMemoryGuard:
         peaks = []
         for sizes in ((16, 32), (32,)):
             cfg = tables.default_config("1", sizes=sizes, s_values=(0.5,))
+            multigrid._patch_classes.cache_clear()  # bound a fresh process's first call
             tracemalloc.start()
             try:
                 tables.run_table1(cfg)
