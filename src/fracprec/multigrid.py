@@ -34,11 +34,10 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import LevelMatrices, assemble, assemble_prolongation
 from .mesh import build_level, vertex_patches
-from .spectral import SpectralPair, generalized_eig
+from .spectral import SpectralPair, _block_modes, generalized_eig
 from .vectors import retag, untag
 
 __all__ = [
@@ -75,23 +74,21 @@ def _patch_classes() -> tuple:
 
 
 def _patch_pair(lm: LevelMatrices, patches) -> SpectralPair:
-    """The patch smoother of one level as a pair with sparse modes: column j
-    of patch p holds the j-th mode of p's vertex class on p's edges.  Only
-    hdiv - mass_v depends on n, as 1/area = 2 n^2: w becomes 1 + (n/4)^2 (w - 1)."""
+    """The patch smoother of one level as a pair with sparse modes from
+    ``_block_modes``: column j of patch p holds the j-th mode of p's vertex
+    class on p's edges.  Only hdiv - mass_v depends on n, as 1/area = 2 n^2:
+    w becomes 1 + (n/4)^2 (w - 1)."""
     if lm.mesh.n % 2:
         raise ValueError(f"patch levels are refinements, so n is even; got n={lm.mesh.n}")
     (sizes, w, q), key = _patch_classes(), _vertex_class(lm.mesh.n)
     size = sizes[key]
     edges, first = np.concatenate(patches), np.cumsum(size) - size
-    rows, vals, lams = [], [], []  # mode by mode, each one's entries in edge order
+    groups, lams = [], []
     for k in np.unique(size):
         on = np.flatnonzero(size == k)  # ascending vertex
-        rows.append(np.repeat(edges[first[on, None] + np.arange(k)], k, axis=0).ravel())
-        vals.append(q[key[on], :k, :k].transpose(0, 2, 1).ravel())
+        groups.append((edges[first[on, None] + np.arange(k)], q[key[on], :k, :k]))
         lams.append(1 + (lm.mesh.n / 4) ** 2 * (w[key[on], :k].ravel() - 1))
-    eigenvalues, per_mode = np.concatenate(lams), np.sort(size).repeat(np.sort(size))
-    modes = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), np.r_[0, per_mode.cumsum()]),
-                          shape=(lm.mesh.num_edges, eigenvalues.size)).tocsr()
+    modes, eigenvalues = _block_modes(groups, lm.mesh.num_edges), np.concatenate(lams)
     return SpectralPair(eigenvalues=eigenvalues, modes=modes, mass=None, space="V", level=lm.index)
 
 

@@ -7,7 +7,7 @@ by one dense generalized symmetric eigensolve.  The scalar pencil
 of a whole structured mesh needs no dense eigensolve: ``fourier_pair``
 splits it by sine transforms into one real block of at most 8 x 8 per orbit
 of wavenumbers, and its modes are a square basis applied by two dense
-DST-II products and the batched blocks (:class:`FourierModes`).
+DST-II products and the blocks' eigenvectors (:class:`FourierModes`).
 Powers of the operator represented by the pencil are then diagonal in that
 basis.  A pair builds a fixed-exponent :class:`PowerMap` for either
 orientation used throughout:
@@ -20,14 +20,15 @@ orientation used throughout:
 
 They are inverses of each other at the same exponent.  Only the scaling
 depends on the exponent, and a map computes it once, when it is built; the
-transposed modes are built once per pair.  So a map applied inside a Krylov
-loop creates no sparse transpose and evaluates no power.  ``solve_power``
+transposed modes are a view taken once per pair.  So a map applied inside a
+Krylov loop creates no sparse transpose and evaluates no power.  ``solve_power``
 and ``apply_power`` build the map and apply it once.  Maps accept either a
 plain array or a :class:`~fracprec.vectors.TaggedVector`; tagged input is
 checked against the pair's space/level tags on every apply and returned
 re-tagged with the opposite representation.  The inverse power also takes a
 pair with no mass whose modes are sparse and outnumber the dimension: the
-vertex-patch smoother of one ``multigrid`` level.
+vertex-patch smoother of one ``multigrid`` level.  The block eigenvectors of
+the orbits and of the vertex patches are each one CSR matrix (``_block_modes``).
 
 The flux pencil ``(hdiv, mass_v)`` of a level needs no eigensolve of its
 own.  By the discrete Helmholtz split, rotated-gradient fields have
@@ -186,8 +187,8 @@ class SpectralPair:
     rows: the sparse patch modes of a multilevel smoother, whose pair has no
     mass (``None``) and is used only for the inverse power.
 
-    The transposed modes are built with the pair (CSR for sparse modes), so
-    no apply builds one.
+    The transposed modes are a view taken with the pair (CSC for CSR modes):
+    no apply builds one, and no mode set is stored twice.
     """
 
     eigenvalues: np.ndarray
@@ -198,8 +199,7 @@ class SpectralPair:
     _modes_t: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        modes_t = self.modes.T.tocsr() if sp.issparse(self.modes) else self.modes.T
-        object.__setattr__(self, "_modes_t", modes_t)
+        object.__setattr__(self, "_modes_t", self.modes.T)
 
     @property
     def dim(self) -> int:
@@ -293,52 +293,55 @@ class FourierModes:
 
     ``.T @ x`` takes the orthonormal DST-II of x over the cells of each row
     and over the triangles of each column (``sy @ x @ sx.T``, x as 2n rows
-    of n cells), gathers the sine coefficients orbit by orbit (``order``)
-    and applies each orbit's transposed block; ``@ c`` applies the blocks,
-    scatters and takes the transposed sine transforms.  The blocks carry
-    the inverse square root of the triangle area, so ``modes @ (modes.T @
-    x)`` is ``x / area``, as for the mass-orthonormal modes of the pencil.
-    Both products take only vectors of the basis's length: any other shape
-    is a ``ValueError``.
+    of n cells) and applies the transposed ``blocks``; ``@ c`` applies
+    ``blocks`` and the transposed sine transforms.  ``blocks`` holds the
+    orbit eigenvectors over the square root of the triangle area, on the rows
+    of their flat sine indices, so ``modes @ (modes.T @ x)`` is ``x / area``,
+    as for the mass-orthonormal modes of the pencil; ``.T`` transposes it as
+    a view.  Both products take only vectors of the basis's length: any
+    other shape is a ``ValueError``.
     """
 
     sx: np.ndarray  # (n, n) orthonormal DST-II over the cells of a row
     sy: np.ndarray  # (2n, 2n) orthonormal DST-II over the triangles of a column
-    order: np.ndarray  # (NS,) flat sine index (my - 1) n + mx - 1 of each coefficient slot
-    blocks: tuple  # per orbit size: (orbits, size, size) eigenvectors over sqrt(area)
+    blocks: object  # (NS, NS) CSR: the orbit eigenvectors over sqrt(area); CSC once transposed
     transposed: bool = False
 
     @property
     def shape(self) -> tuple:
-        return (self.order.size, self.order.size)
+        return self.blocks.shape
 
     @property
     def T(self) -> FourierModes:
-        return replace(self, transposed=not self.transposed)
+        return replace(self, blocks=self.blocks.T, transposed=not self.transposed)
 
     def __matmul__(self, x):
-        if x.shape != (self.order.size,):
+        if x.shape != (self.shape[1],):
             raise ValueError(f"basis of shape {self.shape} cannot take shape {x.shape}")
-        n, out = self.sx.shape[0], np.empty(x.size)
+        n = self.sx.shape[0]
         # Triangle 2 (j n + i) + c is row t = 2 j + c, column i of the sine grid.
         if self.transposed:
             grid = self.sy @ x.reshape(n, n, 2).transpose(0, 2, 1).reshape(2 * n, n) @ self.sx.T
-            sine, start = grid.ravel()[self.order], 0
-            for q in self.blocks:  # q.T @ c as (c.T @ q).T: one copy of each block
-                stop = start + q.shape[0] * q.shape[1]
-                np.matmul(sine[start:stop].reshape(-1, 1, q.shape[1]), q,
-                          out=out[start:stop].reshape(-1, 1, q.shape[1]))
-                start = stop
-            return out
-        sine, start = np.empty(x.size), 0
-        for q in self.blocks:
-            stop = start + q.shape[0] * q.shape[1]
-            np.matmul(q, x[start:stop].reshape(-1, q.shape[1], 1),
-                      out=sine[start:stop].reshape(-1, q.shape[1], 1))
-            start = stop
-        out[self.order] = sine
-        grid = self.sy.T @ out.reshape(2 * n, n) @ self.sx
+            return self.blocks @ grid.ravel()
+        grid = self.sy.T @ (self.blocks @ x).reshape(2 * n, n) @ self.sx
         return grid.reshape(n, 2, n).transpose(0, 2, 1).ravel()
+
+
+def _block_modes(blocks, dim: int):
+    """The CSR (dim, modes) matrix in which, for each group ``(dofs, q)`` in the
+    list ``blocks`` (dofs (b, k), q (b, k, k)), column j of block i holds
+    ``q[i, :, j]`` on the rows ``dofs[i]``; columns go block by block, then by
+    j, and exact zeros are not stored.  Filled in place with scipy's 32-bit
+    index, so that the CSR is the one copy."""
+    indptr = np.r_[0, np.concatenate([np.full(d.size, d.shape[1]) for d, _ in blocks]).cumsum()]
+    rows, vals, start = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), 0
+    for dofs, q in blocks:
+        rows[start:start + q.size].reshape(q.shape)[...] = dofs[:, None, :]
+        vals[start:start + q.size].reshape(q.shape)[...] = q.transpose(0, 2, 1)
+        start += q.size
+    modes = sp.csc_matrix((vals, rows, indptr), shape=(dim, indptr.size - 1)).tocsr()
+    modes.eliminate_zeros()
+    return modes
 
 
 @cache
@@ -402,9 +405,9 @@ def _sine_orbits(n: int, length: int) -> list:
 def _orbit_blocks(n: int):
     """The square's scalar pencil in the sine basis, unscaled by the area: for
     each row ky = 0, ..., n // 2 and orbit size, the real blocks of the orbits
-    (kx, ky) as (orbits, size, size) and the flat sine index (my - 1) n + mx - 1
-    of each block row.  Each block is the symbol at (kx, ky) in the members'
-    components on the triangles 4b + 2a + c: y's at 2b + c times x's at a."""
+    (kx, ky) as (orbits, size, size) and the flat sine indices (my - 1) n + mx - 1
+    of their rows as (orbits, size).  Each block is the symbol at (kx, ky) in
+    the members' components on the triangles 4b + 2a + c: y's at 2b + c times x's at a."""
     row = {ky: (my, cy) for ks, mys, cys in _sine_orbits(n, 2 * n)
            for ky, my, cy in zip(ks, mys, cys)}
     x_classes = _sine_orbits(n, n)
@@ -413,7 +416,7 @@ def _orbit_blocks(n: int):
         for kx, mx, cx in x_classes:
             v = np.einsum("jbc,xia->xbacji", cy.reshape(-1, 2, 2), cx).reshape(kx.size, 8, -1)
             yield ((v.conj().transpose(0, 2, 1) @ symbol[kx] @ v).real,
-                   (my[:, None] - 1) * n + mx[:, None] - 1)
+                   ((my[:, None] - 1) * n + mx[:, None] - 1).reshape(kx.size, -1))
 
 
 def fourier_pair(lm: LevelMatrices) -> SpectralPair:
@@ -444,16 +447,12 @@ def fourier_pair(lm: LevelMatrices) -> SpectralPair:
     """
     n = lm.mesh.n
     area = 0.5 / n**2
-    parts = {}  # orbit size -> (eigenvalues, eigenvectors, sine indices) per row and class
+    w, groups = [], []
     for block, index in _orbit_blocks(n):
-        w, q = np.linalg.eigh(block)
-        parts.setdefault(q.shape[-1], []).append((w, q, index))
-    w, blocks, order = [], [], []
-    for size in sorted(parts, reverse=True):
-        w += [p[0].ravel() for p in parts[size]]
-        blocks.append(np.concatenate([p[1] for p in parts[size]]) / np.sqrt(area))
-        order += [p[2].ravel() for p in parts[size]]
-    modes = FourierModes(_dst2(n), _dst2(2 * n), np.concatenate(order), tuple(blocks))
+        lam, q = np.linalg.eigh(block)
+        w.append(lam.ravel())
+        groups.append((index, q / np.sqrt(area)))
+    modes = FourierModes(_dst2(n), _dst2(2 * n), _block_modes(groups, 2 * n * n))
     return SpectralPair(eigenvalues=np.concatenate(w) / area, modes=modes, mass=lm.mass_s,
                         space="S", level=lm.index)
 

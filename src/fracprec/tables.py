@@ -181,14 +181,14 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         # plus what the set-up holds besides it (the levels' sparse matrices
         # and stored transposes, the patch modes and their temporaries, then
         # the sine basis of the fine scalar pencil).  In fresh processes
-        # tracemalloc measures at most 232 doubles per fine edge at n = 8,
-        # 142 to 167 at n = 12 to 64 and 95 at n = 128, counted as 288.  The
-        # peak falls in ``fourier_pair`` at n = 8, 66 above what the
+        # tracemalloc measures at most 209 doubles per fine edge at n = 8,
+        # 122 to 148 at n = 12 to 64 and 75 at n = 128, counted as 256.  The
+        # peak falls in ``fourier_pair`` at n = 8, 69 above what the
         # multilevel set-up keeps, and in the patch stage at n = 16 to 128.
         n = max(cfg.sizes)
         n0 = n // step
         nv, nv0 = 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0
-        require_memory(8 * (6 * nv0 ** 2 + 288 * nv), f"the set-up at n={n}")
+        require_memory(8 * (6 * nv0 ** 2 + 256 * nv), f"the set-up at n={n}")
     if cfg.table == "2":
         # ``scalar_spectrum`` at the largest size: 4 doubles per triangle, 2048 per
         # wavenumber of a row, and 8192; tracemalloc measures 0.43 to 0.90 of it

@@ -111,6 +111,22 @@ def patch_pair(lm: LevelMatrices, patches) -> spectral.SpectralPair:
                                  space="V", level=lm.index)
 
 
+def sine_orbit(n):
+    """Orbit (kx, ky) of each flat sine index (my - 1) n + mx - 1, mx = 1, ...,
+    n and my = 1, ..., 2n: each wavenumber folded into [0, n // 2]."""
+    my, mx = np.divmod(np.arange(2 * n * n), n)
+    return tuple(np.minimum((m + 1) % n, (n - m - 1) % n) for m in (mx, my))
+
+
+def mode_orbit(modes):
+    """Orbit (kx, ky) of each column of a ``FourierModes`` basis, read off
+    the sine indices of the rows it holds."""
+    coo = modes.blocks.tocoo()
+    orbit = np.full((2, modes.shape[1]), -1)
+    orbit[:, coo.col] = np.array(sine_orbit(modes.sx.shape[0]))[:, coo.row]
+    return tuple(orbit)
+
+
 # The extremes of the scalar pencil as table 2 found them before it read the
 # exact spectrum: Lanczos (ARPACK) on two sparse factorizations.
 

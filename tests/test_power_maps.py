@@ -104,3 +104,12 @@ def test_pcg_iterations_build_no_sparse_transpose(table, monkeypatch):
         iters.append(cell.iters)
     assert iters[0] == 3 < iters[1]
     assert counts[0] == counts[1]
+
+
+def test_sparse_modes_are_stored_once():
+    # The transposed modes a pair keeps are a view of its modes, for the
+    # patch modes and for the sine basis's orbit blocks alike.
+    hs = tables._HierarchySetup(8, tables.default_config("1", sizes=(8,)))
+    patch, scalar = hs.multilevel.level_pairs[-1], hs.scalar
+    assert np.shares_memory(patch._modes_t.data, patch.modes.data)
+    assert np.shares_memory(scalar._modes_t.blocks.data, scalar.modes.blocks.data)

@@ -4,8 +4,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from fracprec import spectral
-from fracprec.fem import assemble, laplacian_dual
-from fracprec.mesh import build_level
+from fracprec.fem import assemble, assemble_all, laplacian_dual
+from fracprec.mesh import build_hierarchy, build_level
+from fracprec.multigrid import multilevel_setup
 from fracprec.spectral import (
     FourierModes,
     PencilError,
@@ -20,7 +21,7 @@ from fracprec.spectral import (
 )
 from fracprec.vectors import TaggedVector, TagError
 
-from oracles import inverse_power_matrix, scalar_extremes
+from oracles import inverse_power_matrix, mode_orbit, scalar_extremes, sine_orbit
 
 
 def random_spd_pencil(rng, n):
@@ -257,13 +258,6 @@ class TestScalarSpectrum:
         np.testing.assert_allclose(scalar_spectrum(32)[[0, -1]], scalar_extremes(lm), rtol=1e-10)
 
 
-def sine_orbit(n):
-    """Orbit (kx, ky) of each flat sine index (my - 1) n + mx - 1, mx = 1, ...,
-    n and my = 1, ..., 2n: each wavenumber folded into [0, n // 2]."""
-    my, mx = np.divmod(np.arange(2 * n * n), n)
-    return tuple(np.minimum((m + 1) % n, (n - m - 1) % n) for m in (mx, my))
-
-
 def sine_basis(modes):
     """Dense (triangle, sine index) matrix of the sine products: triangle
     2 (j n + i) + c takes sy at row t = 2j + c times sx at column i."""
@@ -271,6 +265,34 @@ def sine_basis(modes):
     j, i, c = np.meshgrid(np.arange(n), np.arange(n), [0, 1], indexing="ij")
     t, i = (2 * j + c).ravel(), i.ravel()
     return np.einsum("yt,xt->tyx", modes.sy[:, t], modes.sx[:, i]).reshape(2 * n * n, -1)
+
+
+class TestBlockModes:
+    """``_block_modes``, the one scatter of both block mode sets."""
+
+    def test_matches_a_dense_scatter_of_ragged_groups(self):
+        rng = np.random.default_rng(3)
+        dim, groups = 9, []
+        for b, k in ((2, 3), (3, 1), (1, 4)):
+            dofs = np.array([rng.permutation(dim)[:k] for _ in range(b)])
+            groups.append((dofs, rng.uniform(-1, 1, (b, k, k))))
+        groups[0][1][1, 2, 0] = 0.0  # an exact zero is not stored
+        dense, col = np.zeros((dim, 2 * 3 + 3 * 1 + 1 * 4)), 0
+        for dofs, q in groups:
+            for rows, block in zip(dofs, q):  # column j of a block holds block[:, j]
+                dense[np.ix_(rows, col + np.arange(rows.size))] = block
+                col += rows.size
+        modes = spectral._block_modes(groups, dim)
+        assert modes.format == "csr" and modes.has_sorted_indices
+        assert modes.nnz == 2 * 9 + 3 * 1 + 1 * 16 - 1 and np.all(modes.data != 0)
+        np.testing.assert_array_equal(modes.toarray(), dense)
+
+    def test_no_mode_set_stores_an_exact_zero(self):
+        # Both mode sets hold roundoff zeros of their eigensolves.
+        fine = fourier_pair(assemble(build_level(32))).modes.blocks
+        patch = multilevel_setup(assemble_all(build_hierarchy(4, 4))).level_pairs[3].modes
+        for modes in (fine, patch):
+            assert modes.nnz > 0 and np.all(modes.data != 0)
 
 
 class TestFourierPair:
@@ -306,13 +328,24 @@ class TestFourierPair:
 
     @pytest.mark.parametrize("n", [1, 3, 4, 6])
     def test_modes_are_a_square_basis(self, n):
-        # One coefficient per triangle, every sine index once, and the
-        # synthesis undoes the analysis up to the mass.
+        # One coefficient per triangle, one square block per orbit of 2, 4 or
+        # 8 sine indices, and the synthesis undoes the analysis up to the mass.
         lm = assemble(build_level(n))
         pair = fourier_pair(lm)
         modes, ns = pair.modes, lm.mesh.num_triangles
         assert modes.shape == modes.T.shape == (ns, ns) == (ns, pair.eigenvalues.size)
-        np.testing.assert_array_equal(np.sort(modes.order), np.arange(ns))
+        row_orbit = np.ravel_multi_index(sine_orbit(n), (n, n))
+        col_orbit = np.ravel_multi_index(mode_orbit(modes), (n, n))
+        coo = modes.blocks.tocoo()
+        np.testing.assert_array_equal(row_orbit[coo.row], col_orbit[coo.col])
+        size = np.bincount(row_orbit)
+        np.testing.assert_array_equal(np.bincount(col_orbit, minlength=size.size), size)
+        assert set(size[size > 0]) <= {2, 4, 8}
+        # Each row and column holds at most its orbit's size of entries, and at
+        # least one (exact zeros are not stored).
+        for nnz, orbit in ((np.diff(modes.blocks.indptr), row_orbit),
+                           (np.diff(modes.blocks.tocsc().indptr), col_orbit)):
+            assert nnz.min() >= 1 and (nnz <= size[orbit]).all()
         assert pair.eigenvalues.min() > 19  # no torus constant to mask
         x = np.random.default_rng(n).uniform(-1, 1, ns)
         want = x / lm.mass_s.diagonal()
@@ -340,7 +373,7 @@ class TestFourierPair:
         stiff = grad.T @ np.linalg.solve(lm.mass_v.toarray(), grad)
         phi = sine_basis(pair.modes)
         kx, ky = sine_orbit(n)
-        slot_kx, slot_ky = kx[pair.modes.order], ky[pair.modes.order]
+        slot_kx, slot_ky = mode_orbit(pair.modes)
         for orbit in sorted(set(zip(kx, ky))):
             phi_o = phi[:, (kx == orbit[0]) & (ky == orbit[1])]
             want = sla.eigh(phi_o.T @ stiff @ phi_o, phi_o.T @ mass_s @ phi_o, eigvals_only=True)

@@ -16,6 +16,8 @@ from fracprec.krylov import IndefinitenessError
 from fracprec.mesh import build_hierarchy, build_level
 from fracprec.spectral import FourierModes, fourier_pair, generalized_eig
 
+from oracles import mode_orbit
+
 
 class TestSizeResolution:
     def test_small_values_are_subdivisions(self):
@@ -667,9 +669,9 @@ class TestMemoryGuard:
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--sizes", "8"])
         assert err.value.code == 2
-        # 8 * (6*5^2 + 288*208) at n = 8, n0 = 1
+        # 8 * (6*5^2 + 256*208) at n = 8, n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
-            "error: the set-up at n=8 needs 480432 bytes, "
+            "error: the set-up at n=8 needs 427184 bytes, "
             "more than the 1000 bytes available")
 
     def test_table2_too_large_for_memory_is_usage_error(self, monkeypatch, capsys):
@@ -705,11 +707,13 @@ class TestMemoryGuard:
         modes = setup.scalar.modes
         assert isinstance(modes, FourierModes) and modes.shape == (512, 512)
         assert (modes.sx.shape, modes.sy.shape) == ((16, 16), (32, 32))
-        assert [q.shape for q in modes.blocks] == [(49, 8, 8), (28, 4, 4), (4, 2, 2)]
+        orbit = np.ravel_multi_index(mode_orbit(modes), (16, 16))
+        size, count = np.unique(np.bincount(orbit)[orbit], return_counts=True)
+        assert dict(zip(size.tolist(), count.tolist())) == {8: 392, 4: 112, 2: 8}
 
     def test_fourier_pair_allocates_no_dense_pencil(self):
         # At n = 128 one NS x NS array alone would be 32768 doubles per
-        # triangle; the set-up stays below 64.
+        # triangle; the set-up stays below 64 (it measures 39).
         lm = assemble(build_level(128))
         spectral._macro_cell.cache_clear()  # bound a fresh process's first call
         tracemalloc.start()
