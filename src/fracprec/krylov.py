@@ -10,6 +10,14 @@ one, falls below the tolerance:
 
 The CG scalars feed the usual Lanczos tridiagonal matrix, whose extreme
 eigenvalues estimate the condition number of the preconditioned operator.
+
+The iterate, the residual and the search direction are copies made when the
+solve starts and are updated in place through their values, so an iteration
+builds no tagged vector but the outputs of the operator and the
+preconditioner, and the caller's ``x0`` and ``rhs`` are never written to.
+The tags are still checked on every iteration: by the two maps on their
+inputs and by each pairing, which ties every update to the tags of ``x0``
+and ``rhs``.
 """
 
 from __future__ import annotations
@@ -60,13 +68,14 @@ def pcg(op, precond, rhs: TaggedVector, x0: TaggedVector, tol: float, maxit: int
     ``op`` maps x-like vectors to rhs-like vectors, ``precond`` the other way
     round; ``rhs`` and ``x0`` must live in the same space and level with
     opposite representations (the tag checks inside :func:`pair` enforce all
-    of this on every iteration).
+    of this on every iteration).  The returned ``x`` shares no memory with
+    ``x0``.
     """
     rhs.require(space=x0.space, level=x0.level)
     if rhs.rep == x0.rep:
         raise ValueError("rhs and initial guess must use opposite representations")
 
-    x = x0
+    x = x0.with_values(x0.values.copy())
     r = rhs - op(x)
     z = precond(r)
     rz0 = pair(r, z)
@@ -79,7 +88,8 @@ def pcg(op, precond, rhs: TaggedVector, x0: TaggedVector, tol: float, maxit: int
     alphas: list = []
     betas: list = []
     rz = rz0
-    p = z
+    p = z.with_values(z.values.copy())  # z may share the values of r
+    xv, rv, pv = x.values, r.values, p.values  # updated in place
     converged = False
     iterations = 0
     for _ in range(maxit):
@@ -88,8 +98,8 @@ def pcg(op, precond, rhs: TaggedVector, x0: TaggedVector, tol: float, maxit: int
         if pAp <= 0:
             raise IndefinitenessError(f"operator form nonpositive: {pAp:.3e}")
         alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        xv += alpha * pv
+        rv -= alpha * Ap.values
         z = precond(r)
         rz_next = pair(r, z)
         if rz_next < 0:
@@ -105,7 +115,8 @@ def pcg(op, precond, rhs: TaggedVector, x0: TaggedVector, tol: float, maxit: int
             break
         beta = rz_next / rz
         betas.append(beta)
-        p = z + beta * p
+        pv *= beta
+        pv += z.values
         rz = rz_next
 
     return x, SolveReport(

@@ -2,35 +2,40 @@
 
 The preconditioner acts on a dual vector of the finest level and returns a
 coefficient vector.  Every level contributes the same operation, the inverse
-s-power ``modes diag(lambda**-s) modes.T`` of one ``spectral.SpectralPair``:
+s-power ``modes diag(lambda**-s) modes.T`` of its modes:
 
-- restriction of dual data is the transposed coefficient embedding, applied
-  level by level (projections onto coarser spaces need no mass solve in the
-  dual representation);
-- on the coarsest level the pair is the full pencil (hdiv, mass_v), so its
-  inverse s-power is the exact fractional solve;
-- on level k >= 1 the pair holds the pencil's eigenpairs on the edges of each
-  vertex, one eigensolve per vertex class, as columns of a sparse matrix, so
-  its inverse s-power is the vertex-patch (additive Schwarz) smoother;
-- coefficient contributions are carried up through the embeddings and added.
+- on the coarsest level the modes are the full pencil (hdiv, mass_v), so
+  their inverse s-power is the exact fractional solve;
+- on level k >= 1 they are the pencil's eigenpairs on the edges of each
+  vertex, one eigensolve per vertex class, so their inverse s-power is the
+  vertex-patch (additive Schwarz) smoother;
+- dual data moves down by the transposed coefficient embedding P' of each
+  level (projections onto coarser spaces need no mass solve in the dual
+  representation), and coefficients move up by P and are added.
 
-Nothing but the scaling ``lambda**-s`` depends on the exponent: the pairs,
-the embeddings and their transposes (the dual restrictions, stored in CSR
-form) are built once from the assembled levels (``multilevel_setup(lms)``,
-the list ``fem.assemble_all`` returns, coarsest first; each level carries
-its mesh).  ``AdditiveMultigrid(setup, s)`` takes the preconditioner of any
-exponent from that one setup and computes the scaling once, as one
-``spectral.PowerMap`` per level, so an apply runs only the sparse and dense
-products.
+Level k >= 1 is stored as one sparse frame ``U = [P | Q]``: the columns of
+the embedding of level k - 1, then the patch modes Q, as one CSR matrix from
+``spectral._block_modes``, its transpose a CSC view.  So an apply takes one
+sparse product per level on the way down, ``U.T @ d``, whose first entries
+are the coarser dual ``P' d`` and the rest the patch coefficients ``Q' d``,
+and one on the way up, ``U @ [acc; lambda**-s Q' d]``, which adds ``P acc``
+and the smoother in one sum; the coarse solve is two dense products.
 
-All sums run in a fixed order (levels ascending; within a level the patch
-modes by ascending patch size, then ascending vertex), so repeated
-applications are bit-identical.
+Nothing but the scaling ``lambda**-s`` depends on the exponent: the coarse
+pair and the frames are built once from the assembled levels
+(``multilevel_setup(lms)``, the list ``fem.assemble_all`` returns, coarsest
+first; each level carries its mesh).  ``AdditiveMultigrid(setup, s)`` takes
+the preconditioner of any exponent from that one setup and computes the
+scaling once, so an apply runs only the sparse and dense products.
+
+All sums run in a fixed order (levels ascending; within a frame's row the
+embedding's columns, then the patch modes by ascending patch size, then
+ascending vertex), so repeated applications are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -73,57 +78,67 @@ def _patch_classes() -> tuple:
     return sizes, w, q
 
 
-def _patch_pair(lm: LevelMatrices, patches) -> SpectralPair:
-    """The patch smoother of one level as a pair with sparse modes from
-    ``_block_modes``: column j of patch p holds the j-th mode of p's vertex
-    class on p's edges.  Only hdiv - mass_v depends on n, as 1/area = 2 n^2:
-    w becomes 1 + (n/4)^2 (w - 1)."""
-    if lm.mesh.n % 2:
-        raise ValueError(f"patch levels are refinements, so n is even; got n={lm.mesh.n}")
+def _patch_frame(lm: LevelMatrices, patches, prolongation) -> tuple:
+    """The frame of level ``lm`` and the eigenvalues of its patch modes: the
+    CSR ``[P | Q]`` from ``_block_modes``, whose first columns are the
+    embedding ``prolongation`` of the coarser level's fluxes and whose column
+    j of patch p in Q holds the j-th mode of p's vertex class on p's edges.
+    Only hdiv - mass_v depends on n, as 1/area = 2 n^2: w becomes
+    1 + (n/4)^2 (w - 1)."""
     (sizes, w, q), key = _patch_classes(), _vertex_class(lm.mesh.n)
     size = sizes[key]
     edges, first = np.concatenate(patches), np.cumsum(size) - size
     groups, lams = [], []
     for k in np.unique(size):
         on = np.flatnonzero(size == k)  # ascending vertex
-        groups.append((edges[first[on, None] + np.arange(k)], q[key[on], :k, :k]))
+        groups.append((edges[first[on, None] + np.arange(k)], q[:, :k, :k], key[on]))
         lams.append(1 + (lm.mesh.n / 4) ** 2 * (w[key[on], :k].ravel() - 1))
-    modes, eigenvalues = _block_modes(groups, lm.mesh.num_edges), np.concatenate(lams)
-    return SpectralPair(eigenvalues=eigenvalues, modes=modes, mass=None, space="V", level=lm.index)
+    return _block_modes(groups, lm.mesh.num_edges, lead=prolongation), np.concatenate(lams)
 
 
 def precompute_patches(lms) -> list:
-    """The patch pair of every level but the coarsest."""
-    return [_patch_pair(lm, vertex_patches(lm.mesh)) for lm in lms[1:]]
+    """``(frame, patch eigenvalues)`` of every level but the coarsest.  The
+    embedding refuses a level that does not refine the one before, so every
+    patch level has an even n, whose vertex classes are all in the table."""
+    return [_patch_frame(f, vertex_patches(f.mesh), assemble_prolongation(c.mesh, f.mesh))
+            for c, f in zip(lms, lms[1:])]
 
 
 @dataclass(frozen=True)
 class MultilevelSetup:
     """The exponent-independent part of the additive multilevel solver on one
-    list of assembled levels; ``multilevel_setup`` builds it."""
+    list of assembled levels; ``multilevel_setup`` builds it.  Level k >= 1
+    is ``frames[k - 1]`` with ``patch_eigenvalues[k - 1]``; the transposed
+    frames are views taken with the setup."""
 
-    level_pairs: tuple     # flux pencil of level 0, then the patch pair of each finer level
-    prolongations: tuple   # flux embeddings, level k -> k+1
-    restrictions: tuple    # their transposes in CSR form: dual restrictions, level k+1 -> k
+    coarse: SpectralPair       # flux pencil of level 0
+    frames: tuple              # CSR [P | Q] of each finer level: embedding, then patch modes
+    patch_eigenvalues: tuple   # eigenvalue of each of Q's columns, per finer level
     finest: LevelMatrices
+    frames_t: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "frames_t", tuple(U.T for U in self.frames))
 
 
 def multilevel_setup(lms) -> MultilevelSetup:
-    """Diagonalize the coarse pencil, take every vertex patch's modes from its
-    class and assemble the embeddings, once for all exponents."""
-    prolongations = tuple(assemble_prolongation(c.mesh, f.mesh) for c, f in zip(lms, lms[1:]))
+    """Diagonalize the coarse pencil and frame every finer level's embedding
+    with the modes its vertex patches take from their classes, once for all
+    exponents."""
+    # The coarse eigensolve, the largest stage at scale, runs before any frame exists.
+    coarse = generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0)
+    patches = precompute_patches(lms)
     return MultilevelSetup(
-        level_pairs=(generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0),
-                     *precompute_patches(lms)),
-        prolongations=prolongations,
-        restrictions=tuple(P.T.tocsr() for P in prolongations),
+        coarse=coarse,
+        frames=tuple(U for U, _ in patches),
+        patch_eigenvalues=tuple(w for _, w in patches),
         finest=lms[-1],
     )
 
 
 class AdditiveMultigrid:
-    """Sum over levels of the inverse s-power of each level's pair: the exact
-    coarse fractional solve plus the per-level patch smoothers."""
+    """Sum over levels of the inverse s-power of each level's modes: the
+    exact coarse fractional solve plus the per-level patch smoothers."""
 
     def __init__(self, setup: MultilevelSetup, s: float):
         if not 0.0 <= s <= 1.0:
@@ -132,7 +147,8 @@ class AdditiveMultigrid:
         self.s = s
         self.finest_index = setup.finest.index
         self.dim = setup.finest.mesh.num_edges
-        self.powers = tuple(pair.inverse_power(s) for pair in setup.level_pairs)
+        self.coarse_scale = setup.coarse.eigenvalues ** -s
+        self.scales = tuple(w ** -s for w in setup.patch_eigenvalues)
 
     def apply(self, d):
         """Dual vector in, coefficient vector out."""
@@ -140,11 +156,18 @@ class AdditiveMultigrid:
         if vals.shape != (self.dim,):
             raise ValueError(f"expected dual vector of length {self.dim}, got {vals.shape}")
 
-        duals = [vals]
-        for R in reversed(self.setup.restrictions):
-            duals.append(R @ duals[-1])
-        duals.reverse()
-        acc = self.powers[0](duals[0])
-        for P, power, dual in zip(self.setup.prolongations, self.powers[1:], duals[1:]):
-            acc = P @ acc + power(dual)
+        # Down: U.T @ dual is the coarser dual, then the patch coefficients,
+        # which are scaled in place.
+        frame_duals = []
+        for Ut, scale in zip(reversed(self.setup.frames_t), reversed(self.scales)):
+            t = Ut @ vals
+            vals = t[:-scale.size]
+            t[-scale.size:] *= scale
+            frame_duals.append(t)
+        acc = self.setup.coarse.sandwich(self.coarse_scale, vals)
+        # Up: the coarse coefficients take their place before the patch
+        # coefficients, and U @ t is one sum per level.
+        for U, t in zip(self.setup.frames, reversed(frame_duals)):
+            t[:acc.size] = acc
+            acc = U @ t
         return retag(d, "coefficient", acc)

@@ -25,10 +25,10 @@ Krylov loop creates no sparse transpose and evaluates no power.  ``solve_power``
 and ``apply_power`` build the map and apply it once.  Maps accept either a
 plain array or a :class:`~fracprec.vectors.TaggedVector`; tagged input is
 checked against the pair's space/level tags on every apply and returned
-re-tagged with the opposite representation.  The inverse power also takes a
-pair with no mass whose modes are sparse and outnumber the dimension: the
-vertex-patch smoother of one ``multigrid`` level.  The block eigenvectors of
-the orbits and of the vertex patches are each one CSR matrix (``_block_modes``).
+re-tagged with the opposite representation.  The block eigenvectors of the
+orbits are one CSR matrix from ``_block_modes``, which also builds each
+``multigrid`` level's frame: its embedding's columns, then its vertex
+patches' modes.
 
 The flux pencil ``(hdiv, mass_v)`` of a level needs no eigensolve of its
 own.  By the discrete Helmholtz split, rotated-gradient fields have
@@ -183,9 +183,7 @@ class SpectralPair:
 
     ``generalized_eig`` returns the full, square decomposition of a pencil
     with its mass and dense modes, and ``fourier_pair`` the square
-    :class:`FourierModes` basis.  The modes may also have more columns than
-    rows: the sparse patch modes of a multilevel smoother, whose pair has no
-    mass (``None``) and is used only for the inverse power.
+    :class:`FourierModes` basis.
 
     The transposed modes are a view taken with the pair (CSC for CSR modes):
     no apply builds one, and no mode set is stored twice.
@@ -193,7 +191,7 @@ class SpectralPair:
 
     eigenvalues: np.ndarray
     modes: object  # dense, sparse or FourierModes, dim x number of eigenvalues
-    mass: object  # sparse or dense symmetric positive definite matrix, or None
+    mass: object  # sparse or dense symmetric positive definite matrix (None: inverse power only)
     space: str | None = None
     level: int | None = None
     _modes_t: object = field(init=False, repr=False, compare=False)
@@ -327,21 +325,32 @@ class FourierModes:
         return grid.reshape(n, 2, n).transpose(0, 2, 1).ravel()
 
 
-def _block_modes(blocks, dim: int):
-    """The CSR (dim, modes) matrix in which, for each group ``(dofs, q)`` in the
-    list ``blocks`` (dofs (b, k), q (b, k, k)), column j of block i holds
-    ``q[i, :, j]`` on the rows ``dofs[i]``; columns go block by block, then by
-    j, and exact zeros are not stored.  Filled in place with scipy's 32-bit
-    index, so that the CSR is the one copy."""
-    indptr = np.r_[0, np.concatenate([np.full(d.size, d.shape[1]) for d, _ in blocks]).cumsum()]
-    rows, vals, start = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), 0
-    for dofs, q in blocks:
-        rows[start:start + q.size].reshape(q.shape)[...] = dofs[:, None, :]
-        vals[start:start + q.size].reshape(q.shape)[...] = q.transpose(0, 2, 1)
-        start += q.size
-    modes = sp.csc_matrix((vals, rows, indptr), shape=(dim, indptr.size - 1)).tocsr()
+def _block_modes(blocks, dim: int, lead=None):
+    """The CSR (dim, modes) matrix in which, for each group ``(dofs, q, which)``
+    in the list ``blocks`` (dofs (b, k), q (c, k, k), which (b,)), column j
+    of block i holds ``q[which[i], :, j]`` on the rows ``dofs[i]``; columns
+    go block by block, then by j, after the columns of the sparse matrix
+    ``lead`` if one is given, and exact zeros are not stored.  Scattered in
+    place with scipy's 32-bit index into CSC arrays, which are dropped once
+    the CSR is built: the CSR is the one copy, and its arrays hold exactly
+    its entries."""
+    head = sp.csc_matrix((dim, 0)) if lead is None else lead.tocsc()
+    indptr = np.r_[head.indptr, head.nnz + np.concatenate(
+        [np.full(d.size, d.shape[1]) for d, _, _ in blocks]).cumsum()]
+    rows, vals, start = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), head.nnz
+    rows[:start], vals[:start] = head.indices, head.data
+    del head  # copied: no third copy of the lead's entries at the conversion
+    for dofs, q, which in blocks:
+        size = dofs.size * dofs.shape[1]
+        rows[start:start + size].reshape(*dofs.shape, -1)[...] = dofs[:, None, :]
+        # Block i transposed, gathered into place: mode "clip" writes to out
+        # unbuffered, so no (b, k, k) temporary is made.
+        np.take(q.transpose(0, 2, 1), which, axis=0, mode="clip",
+                out=vals[start:start + size].reshape(*dofs.shape, -1))
+        start += size
+    modes = sp.csc_matrix((vals, rows, indptr), shape=(dim, indptr.size - 1))
     modes.eliminate_zeros()
-    return modes
+    return modes.tocsr()
 
 
 @cache
@@ -451,7 +460,7 @@ def fourier_pair(lm: LevelMatrices) -> SpectralPair:
     for block, index in _orbit_blocks(n):
         lam, q = np.linalg.eigh(block)
         w.append(lam.ravel())
-        groups.append((index, q / np.sqrt(area)))
+        groups.append((index, q / np.sqrt(area), np.arange(len(q))))
     modes = FourierModes(_dst2(n), _dst2(2 * n), _block_modes(groups, 2 * n * n))
     return SpectralPair(eigenvalues=np.concatenate(w) / area, modes=modes, mass=lm.mass_s,
                         space="S", level=lm.index)

@@ -21,11 +21,12 @@ constant (``auxiliary.exact_condition_number``); it reads them off the
 same orbit blocks' eigenvalues (``spectral.scalar_spectrum``) and builds
 no mesh.  The only flux pencil ever diagonalized is the coarsest
 mesh's, for the multilevel coarse solve.  Grids 1 and 3 build one
-``multigrid.MultilevelSetup`` per size, with that coarse pencil and the
-patch eigensolves, take every exponent's preconditioner from it and drop it
-before the next size's is built.  Each
-cell builds its operator and preconditioner once, as fixed-exponent maps
-(``spectral.PowerMap``), before its PCG starts.
+``multigrid.MultilevelSetup`` per size, with that coarse pencil and one
+sparse frame per finer level (its embedding and its vertex patches' modes),
+take every exponent's preconditioner from it and drop it before the next
+size's is built.  Each cell builds its operator once, as a fixed-exponent
+map (``spectral.PowerMap``), and its preconditioner once, with each level's
+scaling computed (``multigrid.AdditiveMultigrid``), before its PCG starts.
 
 Each run computes on one thread of numpy's and scipy's bundled OpenBLAS
 (``spectral._one_blas_thread``, set once per run and restored on return,
@@ -179,12 +180,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         # Bytes at the largest size, checked last: the coarse flux pencil's
         # eigensolve as ``generalized_eig`` counts it, six NV0 x NV0 arrays,
         # plus what the set-up holds besides it (the levels' sparse matrices
-        # and stored transposes, the patch modes and their temporaries, then
-        # the sine basis of the fine scalar pencil).  In fresh processes
-        # tracemalloc measures at most 209 doubles per fine edge at n = 8,
-        # 122 to 148 at n = 12 to 64 and 75 at n = 128, counted as 256.  The
+        # and stored transposes, the frames and their temporaries, then the
+        # sine basis of the fine scalar pencil).  In fresh processes
+        # tracemalloc measures at most 198 doubles per fine edge at n = 8,
+        # 114 to 139 at n = 12 to 64 and 66 at n = 128, counted as 256.  The
         # peak falls in ``fourier_pair`` at n = 8, 69 above what the
-        # multilevel set-up keeps, and in the patch stage at n = 16 to 128.
+        # multilevel set-up keeps, and in the frame stage at n = 16 to 128.
         n = max(cfg.sizes)
         n0 = n // step
         nv, nv0 = 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0

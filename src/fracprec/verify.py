@@ -211,20 +211,21 @@ class MeshOperators:
     matrix for any exponent, and the embedding (prolongation) matrices
     between consecutive levels; the flux-eigenbasis products of the smoother
     checks are built on first use (``eigenbasis``).  ``lms`` are the
-    assembled levels, coarsest first; the coarse pencil, the patch pairs of
-    the smoothers and the embeddings come from their
-    ``multigrid.MultilevelSetup``.
+    assembled levels, coarsest first; the coarse pencil, and the embeddings
+    and patch modes of the smoothers, copied out of the frames, come from
+    their ``multigrid.MultilevelSetup``.
     """
 
     @_one_blas_thread()
     def __init__(self):
         self.lms = assemble_all(build_hierarchy(1, 4))
         self.setup = multilevel_setup(self.lms)
-        self.pairs = [self.setup.level_pairs[0]] + [
+        self.pairs = [self.setup.coarse] + [
             generalized_eig(lm.hdiv, lm.mass_v, space="V", level=k)
             for k, lm in enumerate(self.lms[1:], start=1)
         ]
-        self.embeddings = [P.toarray() for P in self.setup.prolongations]
+        self.embeddings = [U[:, :lm.mesh.num_edges].toarray()
+                           for U, lm in zip(self.setup.frames, self.lms)]
 
     @property
     def num_levels(self) -> int:
@@ -243,7 +244,8 @@ class MeshOperators:
         products = {}
         for k in range(1, self.num_levels):
             mass_modes = self.pairs[k].mass @ self.pairs[k].modes
-            products[k] = ((self.setup.level_pairs[k].modes.T @ mass_modes).T,
+            patch_modes = self.setup.frames[k - 1][:, self.lms[k - 1].mesh.num_edges:]
+            products[k] = ((patch_modes.T @ mass_modes).T,
                            sla.null_space(self.embeddings[k - 1].T @ mass_modes))
         return products
 
@@ -255,7 +257,7 @@ class MeshOperators:
         ``(R_s, inv F_s)``."""
         G, _ = self.eigenbasis[k]
         scaled = G * (self.pairs[k].eigenvalues ** (0.5 * s))[:, None]
-        return (scaled * self.setup.level_pairs[k].eigenvalues ** -s) @ scaled.T
+        return (scaled * self.setup.patch_eigenvalues[k - 1] ** -s) @ scaled.T
 
 
 def _fractional_projection(Fc: np.ndarray, Ff: np.ndarray, P: np.ndarray) -> np.ndarray:

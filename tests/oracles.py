@@ -62,16 +62,28 @@ def helmholtz_power(scalar, lm, s: float, c: np.ndarray) -> np.ndarray:
     return lm.mass_v @ c + lm.grad @ modes_product(scalar.modes, inner)
 
 
+def frame_parts(setup, k: int) -> tuple:
+    """The embedding P and the patch pair of level k >= 1 of a
+    ``multigrid.MultilevelSetup``, copied out of its frame ``[P | Q]``: the
+    pair has the modes Q, their eigenvalues and no mass."""
+    U, w = setup.frames[k - 1], setup.patch_eigenvalues[k - 1]
+    nc = U.shape[1] - w.size
+    pair = spectral.SpectralPair(eigenvalues=w, modes=U[:, nc:], mass=None,
+                                 space="V", level=setup.coarse.level + k)
+    return U[:, :nc], pair
+
+
 def multigrid_apply(setup, s: float, d: np.ndarray) -> np.ndarray:
     """The additive multilevel preconditioner as a loop over the levels'
-    inverse s-powers, restricting with ``P.T``."""
-    pairs, pros = setup.level_pairs, setup.prolongations
+    inverse s-powers, restricting with ``P.T`` and adding ``P @ acc`` and
+    the level's smoother as two sums."""
+    parts = [frame_parts(setup, k) for k in range(1, len(setup.frames) + 1)]
     duals = [d]
-    for P in reversed(pros):
+    for P, _ in reversed(parts):
         duals.append(P.T @ duals[-1])
     duals.reverse()
-    acc = solve_power(pairs[0], s, duals[0])
-    for P, pair, dual in zip(pros, pairs[1:], duals[1:]):
+    acc = solve_power(setup.coarse, s, duals[0])
+    for (P, pair), dual in zip(parts, duals[1:]):
         acc = P @ acc + solve_power(pair, s, dual)
     return acc
 
@@ -185,7 +197,7 @@ def vertex_patches(level) -> list:
 
 def _smoother_matrix(ops, k: int, s: float) -> np.ndarray:
     """Dense dual-to-coefficient matrix of the level-k patch smoother."""
-    R = inverse_power_matrix(ops.setup.level_pairs[k], s)
+    R = inverse_power_matrix(frame_parts(ops.setup, k)[1], s)
     return 0.5 * (R + R.T)
 
 

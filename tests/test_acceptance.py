@@ -66,10 +66,13 @@ SCALAR_GRID_REFERENCE = {  # columns N = 128, 512, 2048, 8192
     0.0: ((22, 5.8), (27, 6.2), (28, 7.4), (30, 8.3)),
 }
 
-# sha256 of the default grids' markdown at seed 7: the runners must keep
-# writing these bytes.
+# sha256 of the default grids' markdown and csv at seed 7: the runners must
+# keep writing these bytes.  The csv carries more digits of each condition
+# estimate, so it shows a change in the order of the preconditioner's sums.
 FLUX_GRID_SHA256 = "b5b0253d5a77989c7d319657abd5b3902c40c180b32d4cb6e1b12e2bee8967ab"
 SCALAR_GRID_SHA256 = "1f654ebe72033ee9e79796b04d04a0c8d2973ad0f910055e26bf9cebc107bd7e"
+FLUX_GRID_CSV_SHA256 = "899f5f65713b806a5b9c5e0d0402a3cca0c3fad3e78854fbb738fe0dab3c5f83"
+SCALAR_GRID_CSV_SHA256 = "7ad9a7cca66ac60d87f2df66f570ec432d651c8bcb5d36d7eeb7de8cca2f459f"
 # ... and of the default property suite's text and csv, as `fracprec props`
 # writes them; the checks run on one BLAS thread, so these hold at any
 # OPENBLAS_NUM_THREADS.
@@ -128,6 +131,10 @@ def test_criterion_2_flux_grid_reproduction(flux_grid):
 def test_default_grids_are_byte_identical(flux_grid, scalar_grid):
     for grid, want in ((flux_grid, FLUX_GRID_SHA256), (scalar_grid, SCALAR_GRID_SHA256)):
         assert hashlib.sha256(grid.to_markdown().encode()).hexdigest() == want
+    for grid, want in ((flux_grid, FLUX_GRID_CSV_SHA256), (scalar_grid, SCALAR_GRID_CSV_SHA256)):
+        buf = io.StringIO()
+        grid.to_csv(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want
 
 
 def test_criterion_2_optional_large_column():

@@ -105,6 +105,47 @@ class TestPcg:
         assert report.iterations == 0 and report.converged
         np.testing.assert_allclose(x.values, x_true)
 
+    def test_caller_vectors_are_not_written(self):
+        # x, r and p are updated in place: on copies, never on x0 or rhs.
+        rng = np.random.default_rng(17)
+        A, _ = random_spd(rng, 20)
+        op, rhs, x0, x_true = tagged_system(rng, A)
+        x0_before, rhs_before = x0.values.copy(), rhs.values.copy()
+        x, report = pcg(op, identity_precond, rhs, x0, tol=1e-10, maxit=100)
+        assert report.converged and report.iterations > 1
+        np.testing.assert_allclose(x.values, x_true, atol=1e-8)
+        assert np.array_equal(x0.values, x0_before) and np.array_equal(rhs.values, rhs_before)
+        assert not np.shares_memory(x.values, x0.values)
+        # Also when the first residual is zero and no iteration runs.
+        A = np.diag([1.0, 2.0, 4.0])
+        guess = TaggedVector("V", 0, "coefficient", np.ones(3))
+        rhs = TaggedVector("V", 0, "dual", A @ guess.values)
+        x, report = pcg(matrix_op(A, "dual"), identity_precond, rhs, guess, tol=1e-10)
+        assert report.iterations == 0 and np.array_equal(x.values, guess.values)
+        assert not np.shares_memory(x.values, guess.values)
+
+    def test_an_iteration_builds_only_the_maps_outputs(self, monkeypatch):
+        # Per iteration, the operator's and the preconditioner's output are
+        # the only tagged vectors built; tags are still checked by both maps
+        # and by every pairing.
+        rng = np.random.default_rng(18)
+        A, _ = random_spd(rng, 30)
+        op, rhs, x0, _ = tagged_system(rng, A)
+        built, init = [], TaggedVector.__post_init__
+
+        def counted(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(TaggedVector, "__post_init__", counted)
+        counts = []
+        for maxit in (3, 4):
+            built.clear()
+            _, report = pcg(op, identity_precond, rhs, x0, tol=1e-14, maxit=maxit)
+            assert report.iterations == maxit
+            counts.append(len(built))
+        assert counts[1] - counts[0] == 2
+
     def test_rejects_same_rep_rhs_and_guess(self):
         rhs = TaggedVector("V", 0, "dual", np.ones(3))
         x0 = TaggedVector("V", 0, "dual", np.ones(3))

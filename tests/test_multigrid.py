@@ -6,13 +6,13 @@ import pytest
 import scipy.linalg as sla
 
 from fracprec import multigrid
-from fracprec.fem import assemble, assemble_all
+from fracprec.fem import assemble, assemble_all, assemble_prolongation
 from fracprec.mesh import build_hierarchy, build_level, vertex_patches
 from fracprec.multigrid import AdditiveMultigrid, multilevel_setup, precompute_patches
 from fracprec.spectral import generalized_eig, power_matrix, solve_power
 from fracprec.vectors import TaggedVector, TagError
 
-from oracles import densify, patch_pair
+from oracles import densify, frame_parts, patch_pair
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +26,12 @@ def three_level():
 
 
 def test_levels_that_do_not_refine_are_refused():
+    # Each patch level is framed by its embedding, so it is a refinement and
+    # its n is even: the vertex classes of odd n are not all in the table.
     lms = assemble_all([build_level(2), build_level(3)])
-    with pytest.raises(ValueError, match=r"n=3.*n=2"):
-        multilevel_setup(lms)
-    # The vertex classes of odd n are not all in the class table.
-    with pytest.raises(ValueError, match=r"n is even; got n=3"):
-        precompute_patches(lms)
+    for build in (multilevel_setup, precompute_patches):
+        with pytest.raises(ValueError, match=r"n=3.*n=2"):
+            build(lms)
 
 
 class TestSingleLevel:
@@ -73,7 +73,7 @@ class TestSmoother:
         oracle = patch_pair(lms[k], vertex_patches(lms[k].mesh))
         d = np.random.default_rng(k).uniform(-1, 1, lms[k].mesh.num_edges)
         want = solve_power(oracle, s, d)
-        got = solve_power(setup.level_pairs[k], s, d)
+        got = solve_power(frame_parts(setup, k)[1], s, d)
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 16])
@@ -124,8 +124,23 @@ class TestSmoother:
 
     def test_patch_pencil_floor(self, two_level):
         # Local pencils inherit the unit floor of the global one.
-        for pair in multilevel_setup(two_level).level_pairs[1:]:
-            assert pair.eigenvalues.min() >= 1 - 1e-10
+        for w in multilevel_setup(two_level).patch_eigenvalues:
+            assert w.min() >= 1 - 1e-10
+
+    @pytest.mark.parametrize("n0, num_levels", HIERARCHIES)
+    def test_frames_lead_with_the_embeddings(self, n0, num_levels):
+        # Frame k holds the embedding of level k - 1 bitwise, then as many
+        # patch modes as it has patch eigenvalues, and is applied transposed
+        # through a view of its one copy.
+        lms, setup = hierarchy_setup(n0, num_levels)
+        assert len(setup.frames) == len(setup.patch_eigenvalues) == num_levels - 1
+        for U, Ut, w, coarse, fine in zip(setup.frames, setup.frames_t,
+                                          setup.patch_eigenvalues, lms, lms[1:]):
+            P = assemble_prolongation(coarse.mesh, fine.mesh)
+            assert U.format == "csr" and U.has_sorted_indices
+            assert U.shape == (fine.mesh.num_edges, coarse.mesh.num_edges + w.size)
+            assert (U[:, :P.shape[1]] != P).nnz == 0
+            assert Ut.format == "csc" and np.shares_memory(Ut.data, U.data)
 
 
 class TestPreconditioner:
@@ -159,6 +174,18 @@ class TestPreconditioner:
         for s in (0.3, 1.0):
             AdditiveMultigrid(setup, s).apply(d)
         np.testing.assert_allclose(AdditiveMultigrid(setup, 0.5).apply(d), fresh, atol=0)
+
+    def test_consecutive_applies_are_independent(self, three_level):
+        # An apply returns a fresh array: the next apply does not overwrite it.
+        lms = three_level
+        mg = AdditiveMultigrid(multilevel_setup(lms), 0.3)
+        d1, d2 = np.random.default_rng(6).uniform(-1, 1, (2, lms[-1].mesh.num_edges))
+        first = mg.apply(d1)
+        kept = first.copy()
+        second = mg.apply(d2)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
+        assert np.array_equal(mg.apply(d1), kept)
 
     def test_deterministic_apply(self, three_level):
         lms = three_level

@@ -1,5 +1,6 @@
 """The fixed-exponent maps of tables 1 and 3 against the per-call formulas
-they replace (``oracles``), bit for bit, and what a PCG iteration pays."""
+they replace (``oracles``), bit for bit but for the order of the
+preconditioner's up-sweep sums, and what a PCG iteration pays."""
 
 from dataclasses import replace
 
@@ -46,19 +47,26 @@ def test_operator_map_is_the_per_call_formula(setup):
 
 
 def test_preconditioner_is_the_level_loop(setup):
+    # Down, each frame's transposed product is bitwise the restriction and
+    # the patch coefficients taken apart; up, U @ [acc; y] adds P @ acc and
+    # Q @ y in one sum where the loop adds two, so they part by roundoff.
     table, hs = setup
-    fine = hs.multilevel.finest
+    fine, ml = hs.multilevel.finest, hs.multilevel
     rng = np.random.default_rng(1)
+    for k, Ut in enumerate(ml.frames_t, start=1):
+        P, patch = oracles.frame_parts(ml, k)
+        x = rng.uniform(-1, 1, Ut.shape[1])
+        assert np.array_equal(Ut @ x, np.r_[P.T.tocsr() @ x, patch.modes.T @ x])
     d = rng.uniform(-1, 1, fine.mesh.num_edges)
     u = rng.uniform(-1, 1, fine.mesh.num_triangles)
     for s in TABLE_S[table]:
         if table == "1":
-            got = AdditiveMultigrid(hs.multilevel, s).apply(d)
-            assert np.array_equal(got, oracles.multigrid_apply(hs.multilevel, s, d))
+            got = AdditiveMultigrid(ml, s).apply(d)
+            want = oracles.multigrid_apply(ml, s, d)
         else:
-            got = build_multigrid(s, hs.multilevel).apply(u)
-            flux = oracles.multigrid_apply(hs.multilevel, 1.0 + s, fine.grad @ u)
-            assert np.array_equal(got, fine.grad.T @ flux)
+            got = build_multigrid(s, ml).apply(u)
+            want = fine.grad.T @ oracles.multigrid_apply(ml, 1.0 + s, fine.grad @ u)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_maps_check_the_tags(setup):
@@ -107,9 +115,35 @@ def test_pcg_iterations_build_no_sparse_transpose(table, monkeypatch):
 
 
 def test_sparse_modes_are_stored_once():
-    # The transposed modes a pair keeps are a view of its modes, for the
-    # patch modes and for the sine basis's orbit blocks alike.
+    # The transposed modes a pair keeps are a view of its modes, and so are
+    # the transposed frames of the multilevel set-up, which keeps no other
+    # sparse matrix: no embedding and no restriction of its own.
     hs = tables._HierarchySetup(8, tables.default_config("1", sizes=(8,)))
-    patch, scalar = hs.multilevel.level_pairs[-1], hs.scalar
-    assert np.shares_memory(patch._modes_t.data, patch.modes.data)
+    ml, scalar = hs.multilevel, hs.scalar
     assert np.shares_memory(scalar._modes_t.blocks.data, scalar.modes.blocks.data)
+    assert len(ml.frames) == len(ml.frames_t) == 3
+    for U, Ut in zip(ml.frames, ml.frames_t):
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(Ut, name), getattr(U, name))
+    kept = [m for value in vars(ml).values()
+            for m in (value if isinstance(value, tuple) else (value,)) if sp.issparse(m)]
+    assert [id(m) for m in kept] == [id(m) for m in (*ml.frames, *ml.frames_t)]
+
+
+@pytest.mark.parametrize("table, products", [("1", 6), ("3", 8)])
+def test_one_sparse_product_per_level_and_direction(table, products, monkeypatch):
+    # At 4 levels: one transposed frame product per level down and one frame
+    # product up; the sandwich adds grad and grad.T.  The coarse solve is dense.
+    hs = tables._HierarchySetup(8, tables.default_config(table, sizes=(8,)))
+    ml, calls = hs.multilevel, []
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        def counted(self, other, _matmul=cls.__matmul__):
+            calls.append(type(self).__name__)
+            return _matmul(self, other)
+        monkeypatch.setattr(cls, "__matmul__", counted)
+    if table == "1":
+        precond, x = AdditiveMultigrid(ml, 0.5).apply, np.ones(ml.finest.mesh.num_edges)
+    else:
+        precond, x = build_multigrid(-0.5, ml).apply, np.ones(ml.finest.mesh.num_triangles)
+    precond(x)
+    assert len(ml.frames) == 3 and len(calls) == products

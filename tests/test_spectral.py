@@ -275,24 +275,44 @@ class TestBlockModes:
         dim, groups = 9, []
         for b, k in ((2, 3), (3, 1), (1, 4)):
             dofs = np.array([rng.permutation(dim)[:k] for _ in range(b)])
-            groups.append((dofs, rng.uniform(-1, 1, (b, k, k))))
+            groups.append((dofs, rng.uniform(-1, 1, (b, k, k)), np.arange(b)))
         groups[0][1][1, 2, 0] = 0.0  # an exact zero is not stored
-        dense, col = np.zeros((dim, 2 * 3 + 3 * 1 + 1 * 4)), 0
-        for dofs, q in groups:
-            for rows, block in zip(dofs, q):  # column j of a block holds block[:, j]
+        # A table of 2 blocks for 3 more, gathered by index.
+        groups.append((np.array([rng.permutation(dim)[:2] for _ in range(3)]),
+                       rng.uniform(-1, 1, (2, 2, 2)), np.array([1, 0, 1])))
+        dense, col = np.zeros((dim, 2 * 3 + 3 * 1 + 1 * 4 + 3 * 2)), 0
+        for dofs, q, which in groups:
+            for rows, block in zip(dofs, q[which]):
+                # column j of a block holds block[:, j]
                 dense[np.ix_(rows, col + np.arange(rows.size))] = block
                 col += rows.size
         modes = spectral._block_modes(groups, dim)
         assert modes.format == "csr" and modes.has_sorted_indices
-        assert modes.nnz == 2 * 9 + 3 * 1 + 1 * 16 - 1 and np.all(modes.data != 0)
+        assert modes.nnz == 2 * 9 + 3 * 1 + 1 * 16 - 1 + 3 * 4 and np.all(modes.data != 0)
         np.testing.assert_array_equal(modes.toarray(), dense)
 
     def test_no_mode_set_stores_an_exact_zero(self):
-        # Both mode sets hold roundoff zeros of their eigensolves.
+        # Both mode sets hold roundoff zeros of their eigensolves, which are
+        # dropped, and each stored array holds exactly the kept entries.
         fine = fourier_pair(assemble(build_level(32))).modes.blocks
-        patch = multilevel_setup(assemble_all(build_hierarchy(4, 4))).level_pairs[3].modes
-        for modes in (fine, patch):
+        frames = multilevel_setup(assemble_all(build_hierarchy(4, 4))).frames
+        for modes in (fine, *frames):
             assert modes.nnz > 0 and np.all(modes.data != 0)
+            for array, size in ((modes.data, modes.nnz), (modes.indices, modes.nnz),
+                                (modes.indptr, modes.shape[0] + 1)):
+                owner = array if array.base is None else array.base
+                assert array.size == size and owner.nbytes == array.nbytes
+
+    def test_lead_columns_come_first(self):
+        rng = np.random.default_rng(4)
+        lead = sp.random(7, 3, density=0.5, format="csr", random_state=rng)
+        groups = [(np.array([[0, 4], [6, 2]]), rng.uniform(-1, 1, (2, 2, 2)), np.arange(2))]
+        modes = spectral._block_modes(groups, 7, lead=lead)
+        assert modes.format == "csr" and modes.has_sorted_indices and modes.shape == (7, 7)
+        np.testing.assert_array_equal(modes[:, :3].toarray(), lead.toarray())
+        np.testing.assert_array_equal(modes[:, 3:].toarray(),
+                                      spectral._block_modes(groups, 7).toarray())
+        assert modes.data.size == modes.nnz == lead.nnz + 8
 
 
 class TestFourierPair:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from fracprec import spectral, verify
-from fracprec.fem import assemble, assemble_all, laplacian_dual
+from fracprec.fem import assemble, assemble_all, assemble_prolongation, laplacian_dual
 from fracprec.mesh import build_hierarchy, build_level
 from fracprec.multigrid import multilevel_setup
 from fracprec.spectral import generalized_eig
@@ -343,14 +343,15 @@ class TestSharedFixture:
         lms = assemble_all(build_hierarchy(1, 3))
         with spectral._one_blas_thread():
             setup = multilevel_setup(lms)
-            pairs = [setup.level_pairs[0]] + [
+            pairs = [setup.coarse] + [
                 generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index)
                 for lm in lms[1:]
             ]
         for k in range(3):
             self.assert_pairs_equal(ops.pairs[k], pairs[k])
         for k in range(2):
-            assert np.array_equal(ops.embeddings[k], setup.prolongations[k].toarray())
+            want = assemble_prolongation(lms[k].mesh, lms[k + 1].mesh).toarray()
+            assert np.array_equal(ops.embeddings[k], want)
 
 
 class TestOneBlasThread:
