@@ -23,9 +23,10 @@ Assembled objects (sparse CSR unless noted):
 the two independently assembled sign conventions together (tested).
 
 ``assemble_all`` assembles a list of levels, coarsest first, as
-``mesh.build_hierarchy`` returns it; each ``LevelMatrices`` carries its mesh,
-so the assembled list is the hierarchy from then on.  Beyond the level
-matrices the module builds the rotated-gradient pairing
+``mesh.build_hierarchy`` returns it; each ``LevelMatrices`` carries its mesh.
+The multilevel set-up takes the meshes themselves and assembles only the
+coarsest and the finest level (``multigrid.multilevel_setup``).  Beyond the
+level matrices the module builds the rotated-gradient pairing
 ``assemble_curl`` (NV, NC), ``<rot of the hat function, psi_e>``, where it is
 read; the sparse dual scalar operator ``laplacian_dual``, a cell-centred
 stencil of at most five entries per row, which no other module reads (only

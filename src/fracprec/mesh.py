@@ -11,7 +11,7 @@ corner of the square meets a diagonal, so no vertex star degenerates to a
 single triangle.  With one diagonal direction throughout, two corners would
 have one-triangle stars, and the vertex-patch smoothers of ``multigrid``
 would lose a noticeable constant in the mass-matrix limit.  Their patches
-come from ``vertex_patches``: one sorted array of edge ids per vertex.
+come from ``vertex_patches``: one flat sorted edge array with offsets.
 
 Vertices are numbered row-major (x fastest), triangles cell-major (bottom
 triangle first), and edges in three structured blocks: horizontal, vertical,
@@ -152,16 +152,17 @@ def build_hierarchy(n0: int, num_levels: int) -> list:
     return [build_level(n0 * 2**k) for k in range(num_levels)]
 
 
-def vertex_patches(level: MeshLevel) -> list:
-    """Edge stars, one per mesh vertex in ascending vertex order.
+def vertex_patches(level: MeshLevel) -> tuple:
+    """Edge stars of the mesh vertices as one flat array: ``(edges, start)``.
 
-    A patch is the sorted array of ids of the edges having the vertex as an
-    endpoint.  With the alternating diagonals an interior vertex has 8 of
+    The patch of vertex v is ``edges[start[v]:start[v + 1]]``, the sorted ids
+    of the edges having v as an endpoint; ``start`` holds ``nv + 1`` offsets
+    (CSR style).  With the alternating diagonals an interior vertex has 8 of
     them when the diagonals of all four surrounding cells meet there and 4
     otherwise; corners and boundary vertices have fewer.  Every edge of the
     mesh belongs to exactly two patches — one per endpoint.
     """
     ends = level.edges.ravel()
     # A stable sort keeps each vertex's edge ids ascending.
-    edge_of = np.argsort(ends, kind="stable") // 2
-    return np.split(edge_of, np.cumsum(np.bincount(ends, minlength=level.num_vertices))[:-1])
+    return (np.argsort(ends, kind="stable") // 2,
+            np.r_[0, np.cumsum(np.bincount(ends, minlength=level.num_vertices))])

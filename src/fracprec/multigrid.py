@@ -22,9 +22,10 @@ and one on the way up, ``U @ [acc; lambda**-s Q' d]``, which adds ``P acc``
 and the smoother in one sum; the coarse solve is two dense products.
 
 Nothing but the scaling ``lambda**-s`` depends on the exponent: the coarse
-pair and the frames are built once from the assembled levels
-(``multilevel_setup(lms)``, the list ``fem.assemble_all`` returns, coarsest
-first; each level carries its mesh).  ``AdditiveMultigrid(setup, s)`` takes
+pair and the frames are built once from the meshes (``multilevel_setup``
+of the list ``mesh.build_hierarchy`` returns, coarsest first), which
+assembles only the coarsest level, for its pencil, and the finest, kept for
+the operators on top.  ``AdditiveMultigrid(setup, s)`` takes
 the preconditioner of any exponent from that one setup and computes the
 scaling once, so an apply runs only the sparse and dense products.
 
@@ -41,7 +42,7 @@ from functools import cache
 import numpy as np
 
 from .fem import LevelMatrices, assemble, assemble_prolongation
-from .mesh import build_level, vertex_patches
+from .mesh import MeshLevel, build_level, vertex_patches
 from .spectral import SpectralPair, _block_modes, generalized_eig
 from .vectors import retag, untag
 
@@ -63,76 +64,77 @@ def _vertex_class(n: int) -> np.ndarray:
 
 @cache
 def _patch_classes() -> tuple:
-    """Size, eigenvalues and mass-orthonormal modes of the patch of each key
-    on ``build_level(4)`` (every ``_vertex_class`` of an even n), padded to 8."""
+    """Eigenvalues and mass-orthonormal modes of the patch of each key on
+    ``build_level(4)`` (every ``_vertex_class`` of an even n), padded to 8."""
     lm = assemble(build_level(4))
     keys, first = np.unique(_vertex_class(4), return_index=True)
-    patches = vertex_patches(lm.mesh)
-    dofs = np.array([np.resize(patches[v], 8) for v in first])  # each cycled to 8 edges
+    edges, start = vertex_patches(lm.mesh)
+    dofs = np.array([np.resize(edges[start[v]:start[v + 1]], 8) for v in first])  # cycled to 8
     A, M = (m.toarray()[dofs[:, :, None], dofs[:, None, :]] for m in (lm.hdiv, lm.mass_v))
-    sizes, w, q = np.zeros(18, dtype=int), np.zeros((18, 8)), np.zeros((18, 8, 8))
+    w, q = np.zeros((18, 8)), np.zeros((18, 8, 8))
     for i, (key, v) in enumerate(zip(keys, first)):
-        k = sizes[key] = patches[v].size
+        k = start[v + 1] - start[v]
         pair = generalized_eig(A[i, :k, :k], M[i, :k, :k])
         w[key, :k], q[key, :k, :k] = pair.eigenvalues, pair.modes
-    return sizes, w, q
+    return w, q
 
 
-def _patch_frame(lm: LevelMatrices, patches, prolongation) -> tuple:
-    """The frame of level ``lm`` and the eigenvalues of its patch modes: the
+def _patch_frame(mesh: MeshLevel, prolongation) -> tuple:
+    """The frame of ``mesh`` and the eigenvalues of its patch modes: the
     CSR ``[P | Q]`` from ``_block_modes``, whose first columns are the
     embedding ``prolongation`` of the coarser level's fluxes and whose column
     j of patch p in Q holds the j-th mode of p's vertex class on p's edges.
     Only hdiv - mass_v depends on n, as 1/area = 2 n^2: w becomes
     1 + (n/4)^2 (w - 1)."""
-    (sizes, w, q), key = _patch_classes(), _vertex_class(lm.mesh.n)
-    size = sizes[key]
-    edges, first = np.concatenate(patches), np.cumsum(size) - size
+    (w, q), key = _patch_classes(), _vertex_class(mesh.n)
+    edges, start = vertex_patches(mesh)
+    size = np.diff(start)
     groups, lams = [], []
     for k in np.unique(size):
         on = np.flatnonzero(size == k)  # ascending vertex
-        groups.append((edges[first[on, None] + np.arange(k)], q[:, :k, :k], key[on]))
-        lams.append(1 + (lm.mesh.n / 4) ** 2 * (w[key[on], :k].ravel() - 1))
-    return _block_modes(groups, lm.mesh.num_edges, lead=prolongation), np.concatenate(lams)
+        groups.append((edges[start[on, None] + np.arange(k)], q[:, :k, :k], key[on]))
+        lams.append(1 + (mesh.n / 4) ** 2 * (w[key[on], :k].ravel() - 1))
+    return _block_modes(groups, mesh.num_edges, lead=prolongation), np.concatenate(lams)
 
 
-def precompute_patches(lms) -> list:
-    """``(frame, patch eigenvalues)`` of every level but the coarsest.  The
+def precompute_patches(levels) -> list:
+    """``(frame, patch eigenvalues)`` of every mesh but the coarsest.  The
     embedding refuses a level that does not refine the one before, so every
     patch level has an even n, whose vertex classes are all in the table."""
-    return [_patch_frame(f, vertex_patches(f.mesh), assemble_prolongation(c.mesh, f.mesh))
-            for c, f in zip(lms, lms[1:])]
+    return [_patch_frame(f, assemble_prolongation(c, f)) for c, f in zip(levels, levels[1:])]
 
 
 @dataclass(frozen=True)
 class MultilevelSetup:
     """The exponent-independent part of the additive multilevel solver on one
-    list of assembled levels; ``multilevel_setup`` builds it.  Level k >= 1
-    is ``frames[k - 1]`` with ``patch_eigenvalues[k - 1]``; the transposed
+    mesh hierarchy; ``multilevel_setup`` builds it.  Level k >= 1 is
+    ``frames[k - 1]`` with ``patch_eigenvalues[k - 1]``; the transposed
     frames are views taken with the setup."""
 
     coarse: SpectralPair       # flux pencil of level 0
     frames: tuple              # CSR [P | Q] of each finer level: embedding, then patch modes
     patch_eigenvalues: tuple   # eigenvalue of each of Q's columns, per finer level
-    finest: LevelMatrices
+    finest: LevelMatrices      # the finest level's matrices, with its mesh
     frames_t: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "frames_t", tuple(U.T for U in self.frames))
 
 
-def multilevel_setup(lms) -> MultilevelSetup:
+def multilevel_setup(levels) -> MultilevelSetup:
     """Diagonalize the coarse pencil and frame every finer level's embedding
     with the modes its vertex patches take from their classes, once for all
-    exponents."""
+    exponents.  ``levels`` are meshes, coarsest first; only the coarsest and
+    the finest are assembled, each once."""
+    lms = {k: assemble(levels[k], k) for k in {0, len(levels) - 1}}
     # The coarse eigensolve, the largest stage at scale, runs before any frame exists.
     coarse = generalized_eig(lms[0].hdiv, lms[0].mass_v, space="V", level=0)
-    patches = precompute_patches(lms)
+    patches = precompute_patches(levels)
     return MultilevelSetup(
         coarse=coarse,
         frames=tuple(U for U, _ in patches),
         patch_eigenvalues=tuple(w for _, w in patches),
-        finest=lms[-1],
+        finest=lms[len(levels) - 1],
     )
 
 

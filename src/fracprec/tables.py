@@ -24,8 +24,9 @@ mesh's, for the multilevel coarse solve.  Grids 1 and 3 build one
 ``multigrid.MultilevelSetup`` per size, with that coarse pencil and one
 sparse frame per finer level (its embedding and its vertex patches' modes),
 take every exponent's preconditioner from it and drop it before the next
-size's is built.  Each cell builds its operator once, as a fixed-exponent
-map (``spectral.PowerMap``), and its preconditioner once, with each level's
+size's is built; the set-up assembles only the coarsest and finest
+levels.  Each cell builds its operator once, as a fixed-exponent map
+(``spectral.PowerMap``), and its preconditioner once, with each level's
 scaling computed (``multigrid.AdditiveMultigrid``), before its PCG starts.
 
 Each run computes on one thread of numpy's and scipy's bundled OpenBLAS
@@ -55,7 +56,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .auxiliary import build_multigrid, exact_condition_number
-from .fem import assemble_all
 from .krylov import IndefinitenessError, pcg
 from .mesh import build_hierarchy
 from .multigrid import AdditiveMultigrid, multilevel_setup
@@ -179,17 +179,18 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                 )
         # Bytes at the largest size, checked last: the coarse flux pencil's
         # eigensolve as ``generalized_eig`` counts it, six NV0 x NV0 arrays,
-        # plus what the set-up holds besides it (the levels' sparse matrices
-        # and stored transposes, the frames and their temporaries, then the
+        # plus what the set-up holds besides it (the coarsest and finest
+        # levels' sparse matrices, the frames and their temporaries, then the
         # sine basis of the fine scalar pencil).  In fresh processes
-        # tracemalloc measures at most 198 doubles per fine edge at n = 8,
-        # 114 to 139 at n = 12 to 64 and 66 at n = 128, counted as 256.  The
-        # peak falls in ``fourier_pair`` at n = 8, 69 above what the
-        # multilevel set-up keeps, and in the frame stage at n = 16 to 128.
+        # tracemalloc measures at most 182 doubles per fine edge at n = 8,
+        # 96 to 124 at n = 12 to 64, 49 at n = 128 and 114 at n = 256 on 7
+        # levels, counted as 200.  The peak falls in ``fourier_pair`` at
+        # n = 8 and 12, 69 and 46 above what the multilevel set-up keeps,
+        # and in the frame stage from n = 16 on.
         n = max(cfg.sizes)
         n0 = n // step
         nv, nv0 = 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0
-        require_memory(8 * (6 * nv0 ** 2 + 256 * nv), f"the set-up at n={n}")
+        require_memory(8 * (6 * nv0 ** 2 + 200 * nv), f"the set-up at n={n}")
     if cfg.table == "2":
         # ``scalar_spectrum`` at the largest size: 4 doubles per triangle, 2048 per
         # wavenumber of a row, and 8192; tracemalloc measures 0.43 to 0.90 of it
@@ -293,10 +294,9 @@ class _HierarchySetup:
     (``spectral.fourier_pair``)."""
 
     def __init__(self, n: int, cfg: ExperimentConfig):
-        lms = assemble_all(build_hierarchy(n // 2 ** (cfg.levels - 1), cfg.levels))
         self.n = n
-        self.multilevel = multilevel_setup(lms)
-        self.scalar = fourier_pair(lms[-1])
+        self.multilevel = multilevel_setup(build_hierarchy(n // 2 ** (cfg.levels - 1), cfg.levels))
+        self.scalar = fourier_pair(self.multilevel.finest)
 
 
 def _run_krylov_cell(setup: _HierarchySetup, s: float, cfg: ExperimentConfig) -> CellResult:

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .fem import assemble_all, assemble_curl
+from .fem import assemble, assemble_curl
 from .mesh import build_hierarchy
 from .multigrid import multilevel_setup
 from .spectral import (_one_blas_thread, generalized_eig, inf_sup_constant, power_matrix,
@@ -210,26 +210,28 @@ class MeshOperators:
     Holds, per level: the flux pencil eigendecomposition, the dual-form
     matrix for any exponent, and the embedding (prolongation) matrices
     between consecutive levels; the flux-eigenbasis products of the smoother
-    checks are built on first use (``eigenbasis``).  ``lms`` are the
-    assembled levels, coarsest first; the coarse pencil, and the embeddings
-    and patch modes of the smoothers, copied out of the frames, come from
-    their ``multigrid.MultilevelSetup``.
+    checks are built on first use (``eigenbasis``).  The coarse pencil, the
+    finest level's matrices (``setup.finest``), and the embeddings and patch
+    modes of the smoothers, copied out of the frames, come from their
+    ``multigrid.MultilevelSetup``; only the levels in between are assembled
+    here.
     """
 
     @_one_blas_thread()
     def __init__(self):
-        self.lms = assemble_all(build_hierarchy(1, 4))
-        self.setup = multilevel_setup(self.lms)
+        levels = build_hierarchy(1, 4)
+        self.setup = multilevel_setup(levels)
+        lms = [assemble(mesh, k) for k, mesh in enumerate(levels[1:-1], start=1)]
         self.pairs = [self.setup.coarse] + [
-            generalized_eig(lm.hdiv, lm.mass_v, space="V", level=k)
-            for k, lm in enumerate(self.lms[1:], start=1)
+            generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index)
+            for lm in lms + [self.setup.finest]
         ]
-        self.embeddings = [U[:, :lm.mesh.num_edges].toarray()
-                           for U, lm in zip(self.setup.frames, self.lms)]
+        self.embeddings = [U[:, :mesh.num_edges].toarray()
+                           for U, mesh in zip(self.setup.frames, levels)]
 
     @property
     def num_levels(self) -> int:
-        return len(self.lms)
+        return len(self.pairs)
 
     def dual_form(self, k: int, s: float) -> np.ndarray:
         return power_matrix(self.pairs[k], s)
@@ -244,7 +246,7 @@ class MeshOperators:
         products = {}
         for k in range(1, self.num_levels):
             mass_modes = self.pairs[k].mass @ self.pairs[k].modes
-            patch_modes = self.setup.frames[k - 1][:, self.lms[k - 1].mesh.num_edges:]
+            patch_modes = self.setup.frames[k - 1][:, self.embeddings[k - 1].shape[1]:]
             products[k] = ((patch_modes.T @ mass_modes).T,
                            sla.null_space(self.embeddings[k - 1].T @ mass_modes))
         return products
@@ -332,7 +334,7 @@ def check_aux_bounds(ops: MeshOperators, t_grid=DEFAULT_GRID, tol=1e-9):
     the flux pair's M-orthonormal modes V, ``V V' = inv(M)``, so the scalar
     operator ``grad' inv(M) grad`` is ``E' E``, ``E = V' grad``."""
     _refuse_bad_input(t_grid, tol)
-    lm, flux_pair = ops.lms[-1], ops.pairs[-1]
+    lm, flux_pair = ops.setup.finest, ops.pairs[-1]
     E = flux_pair.modes.T @ lm.grad
     scalar_pair = generalized_eig(E.T @ E, lm.mass_s, space="S", level=lm.index)
     ctx = make_aux_spectrum_context(lm, flux_pair, scalar_pair)
@@ -354,7 +356,7 @@ def check_helmholtz_invariance(ops: MeshOperators, s_grid=DEFAULT_GRID, tol=1e-9
     gradient fields stay gradient fields, and on them the s-power acts with
     eigenvalues (1 + scalar eigenvalue)^s."""
     _refuse_bad_input(s_grid, tol)
-    lm, vpair = ops.lms[-1], ops.pairs[-1]
+    lm, vpair = ops.setup.finest, ops.pairs[-1]
     M = lm.mass_v.toarray()
     Minv_grad = np.linalg.solve(M, lm.grad.toarray())  # gradient fields, coefficients
     grad_mass = Minv_grad.T @ M @ Minv_grad

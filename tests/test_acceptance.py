@@ -226,7 +226,7 @@ def test_criterion_7_exactness_endpoints():
                            rhs, x0, tol=1e-10)
 
     # Exponent zero on one level: the multilevel solver is an exact mass solve.
-    mg = AdditiveMultigrid(multilevel_setup([lm]), 0.0)
+    mg = AdditiveMultigrid(multilevel_setup([lm.mesh]), 0.0)
     rhs = TaggedVector("V", 0, "dual", rng.uniform(-1, 1, lm.mesh.num_edges))
     x0 = TaggedVector("V", 0, "coefficient", rng.uniform(-1, 1, lm.mesh.num_edges))
     _, flux_report = pcg(lambda v: apply_power(flux_pair, 0.0, v), mg.apply,

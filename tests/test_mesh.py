@@ -174,9 +174,15 @@ def brute_force_star(level, v):
 
 
 class TestVertexPatches:
+    @staticmethod
+    def patches(lvl):
+        """The patch of each vertex, sliced out of the flat edge array."""
+        edges, start = vertex_patches(lvl)
+        return [edges[a:b] for a, b in zip(start, start[1:])]
+
     def test_matches_brute_force(self):
         lvl = build_level(2)
-        patches = vertex_patches(lvl)
+        patches = self.patches(lvl)
         assert len(patches) == lvl.num_vertices
         for v, edge_ids in enumerate(patches):
             assert edge_ids.tolist() == brute_force_star(lvl, v)
@@ -187,7 +193,8 @@ class TestVertexPatches:
         # diagonal and no boundary vertex is left with a single triangle.
         lvl = build_level(2)
         triangles = np.bincount(lvl.triangles.ravel())
-        sizes = {v: (triangles[v], len(p)) for v, p in enumerate(vertex_patches(lvl))}
+        _, start = vertex_patches(lvl)
+        sizes = {v: (triangles[v], k) for v, k in enumerate(np.diff(start))}
         center = 1 * 3 + 1
         assert sizes[center] == (8, 8)
         assert sizes[0] == (2, 3)          # corner (0, 0)
@@ -198,15 +205,18 @@ class TestVertexPatches:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 128])
     def test_matches_the_edge_loop(self, n):
+        # One flat array with CSR offsets: the offsets count each vertex's
+        # edges, and the slices are the oracle's per-vertex arrays.
         lvl = build_level(n)
-        got, want = vertex_patches(lvl), oracles.vertex_patches(lvl)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
+        (edges, start), want = vertex_patches(lvl), oracles.vertex_patches(lvl)
+        assert start.shape == (lvl.num_vertices + 1,) and start[0] == 0
+        assert start[-1] == edges.size == 2 * lvl.num_edges
+        np.testing.assert_array_equal(np.diff(start), np.bincount(lvl.edges.ravel()))
+        np.testing.assert_array_equal(np.diff(start), [b.size for b in want])
+        for a, b in zip(self.patches(lvl), want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_each_edge_in_exactly_two_patches(self):
         lvl = build_level(4)
-        count = np.zeros(lvl.num_edges, dtype=int)
-        for edge_ids in vertex_patches(lvl):
-            count[edge_ids] += 1
-        np.testing.assert_array_equal(count, 2)
+        edges, _ = vertex_patches(lvl)
+        np.testing.assert_array_equal(np.bincount(edges, minlength=lvl.num_edges), 2)

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from fracprec import spectral
-from fracprec.fem import assemble, assemble_all, laplacian_dual
+from fracprec.fem import assemble, laplacian_dual
 from fracprec.mesh import build_hierarchy, build_level
 from fracprec.multigrid import multilevel_setup
 from fracprec.spectral import (
@@ -295,7 +295,7 @@ class TestBlockModes:
         # Both mode sets hold roundoff zeros of their eigensolves, which are
         # dropped, and each stored array holds exactly the kept entries.
         fine = fourier_pair(assemble(build_level(32))).modes.blocks
-        frames = multilevel_setup(assemble_all(build_hierarchy(4, 4))).frames
+        frames = multilevel_setup(build_hierarchy(4, 4)).frames
         for modes in (fine, *frames):
             assert modes.nnz > 0 and np.all(modes.data != 0)
             for array, size in ((modes.data, modes.nnz), (modes.indices, modes.nnz),

@@ -41,7 +41,7 @@ def test_readme_library_example_runs():
     code = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
     scope = {}
     exec(code, scope)
-    fine = scope["lms"][-1].mesh
+    fine = scope["fine"].mesh
     d = np.random.default_rng(0).uniform(-1, 1, fine.num_edges)
     assert scope["mg"].apply(d).shape == (fine.num_edges,)
     u = np.random.default_rng(1).uniform(-1, 1, fine.num_triangles)

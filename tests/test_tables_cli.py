@@ -661,17 +661,18 @@ class TestMemoryGuard:
     large is allocated."""
 
     def test_run_too_large_for_memory_is_usage_error(self, monkeypatch, capsys):
-        def no_assembly(*args):
-            raise AssertionError("assembled before the memory check")
+        def no_setup(*args):
+            raise AssertionError("set up before the memory check")
 
         monkeypatch.setattr(spectral, "available_memory", lambda: 1000)
-        monkeypatch.setattr(tables, "assemble_all", no_assembly)
+        # The hierarchy is the first thing a size's set-up builds.
+        monkeypatch.setattr(tables, "build_hierarchy", no_setup)
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--sizes", "8"])
         assert err.value.code == 2
-        # 8 * (6*5^2 + 256*208) at n = 8, n0 = 1
+        # 8 * (6*5^2 + 200*208) at n = 8, n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
-            "error: the set-up at n=8 needs 427184 bytes, "
+            "error: the set-up at n=8 needs 334000 bytes, "
             "more than the 1000 bytes available")
 
     def test_table2_too_large_for_memory_is_usage_error(self, monkeypatch, capsys):
@@ -698,6 +699,26 @@ class TestMemoryGuard:
         monkeypatch.setattr(spectral, "available_memory", lambda: need - 1)
         with pytest.raises(spectral.PencilError, match=f"n=32 needs {need} bytes"):
             tables.validate(cfg)
+
+    @pytest.mark.parametrize("table", ["1", "3"])
+    @pytest.mark.parametrize("levels", [1, 4])
+    def test_setup_assembles_only_the_coarsest_and_finest_levels(self, table, levels,
+                                                                 monkeypatch):
+        # Counted where ``multigrid`` binds ``fem.assemble``; no middle level
+        # is assembled, and at one level the coarsest is the finest.
+        multigrid._patch_classes()  # the class table assembles its own level once per process
+        calls, inner = [], multigrid.assemble
+
+        def counted(level, index=0):
+            calls.append(index)
+            return inner(level, index)
+
+        monkeypatch.setattr(multigrid, "assemble", counted)
+        cfg = tables.validate(tables.default_config(table, sizes=(16,), levels=levels))
+        setup = tables._HierarchySetup(16, cfg)
+        assert sorted(calls) == sorted({0, levels - 1})
+        finest = setup.multilevel.finest
+        assert (finest.index, finest.mesh.n) == (levels - 1, 16)
 
     @pytest.mark.parametrize("table", ["1", "3"])
     def test_fine_scalar_modes_are_a_sine_basis(self, table):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fracprec import spectral, verify
+from fracprec import multigrid, spectral, verify
 from fracprec.fem import assemble, assemble_all, assemble_prolongation, laplacian_dual
 from fracprec.mesh import build_hierarchy, build_level
 from fracprec.multigrid import multilevel_setup
@@ -296,23 +296,31 @@ class TestSharedFixture:
     MATRICES = ("mass_s", "mass_v", "hdiv", "grad")
 
     def test_run_all_builds_the_mesh_operators_once(self, monkeypatch):
-        built, assembled = [], []
-        init, assemble = verify.MeshOperators.__init__, verify.assemble_all
+        # Each level is assembled once: the coarsest and finest by the
+        # multilevel set-up, the two between by the fixture.
+        built, assembled = [], {"verify": [], "multigrid": []}
+        init = verify.MeshOperators.__init__
 
         def counting_init(self):
             built.append(self)
             init(self)
 
-        def counting_assemble(levels):
-            lms = assemble(levels)
-            assembled.append([lm.mesh.n for lm in lms])
-            return lms
+        def counting(module):
+            inner = module.assemble
 
+            def assemble(level, index=0):
+                assembled[module.__name__.split(".")[-1]].append((index, level.n))
+                return inner(level, index)
+            return assemble
+
+        multigrid._patch_classes()  # the class table assembles its own level once per process
         monkeypatch.setattr(verify.MeshOperators, "__init__", counting_init)
-        monkeypatch.setattr(verify, "assemble_all", counting_assemble)
+        for module in (verify, multigrid):
+            monkeypatch.setattr(module, "assemble", counting(module))
         verify.run_all(trials=1, s_grid=(0.5,))
         assert len(built) == 1
-        assert assembled == [[1, 2, 4, 8]]
+        assert assembled["verify"] == [(1, 2), (2, 4)]
+        assert sorted(assembled["multigrid"]) == [(0, 1), (3, 8)]
 
     def test_eigenbasis_is_built_on_first_use(self):
         # The constructor is the whole set-up of a run; the flux-eigenbasis
@@ -334,7 +342,7 @@ class TestSharedFixture:
         # comparison can stay bitwise.
         fine = assemble_all(build_hierarchy(8, 1))[-1]
         for name in self.MATRICES:
-            assert np.array_equal(getattr(ops.lms[-1], name).toarray(),
+            assert np.array_equal(getattr(ops.setup.finest, name).toarray(),
                                   getattr(fine, name).toarray()), name
         with spectral._one_blas_thread():
             fine_pair = generalized_eig(fine.hdiv, fine.mass_v, space="V", level=0)
@@ -342,7 +350,7 @@ class TestSharedFixture:
         # Three coarsest levels: what the projection identity reads.
         lms = assemble_all(build_hierarchy(1, 3))
         with spectral._one_blas_thread():
-            setup = multilevel_setup(lms)
+            setup = multilevel_setup([lm.mesh for lm in lms])
             pairs = [setup.coarse] + [
                 generalized_eig(lm.hdiv, lm.mass_v, space="V", level=lm.index)
                 for lm in lms[1:]
