@@ -243,11 +243,8 @@ def densify(op) -> np.ndarray:
 def _symmetric(mat) -> bool:
     """max |X - X.T| <= 1e-10 * max(1, max |X|); sparse input is checked in
     sparse form, which is cheap next to a strided pass over a dense copy."""
-    if sp.issparse(mat):
-        mat = sp.csr_matrix(mat)
-        return abs(mat - mat.T).max() <= 1e-10 * max(1.0, abs(mat).max())
-    mat = np.asarray(mat, dtype=float)
-    return np.abs(mat - mat.T).max() <= 1e-10 * max(1.0, np.abs(mat).max())
+    mat = sp.csr_matrix(mat) if sp.issparse(mat) else np.asarray(mat, dtype=float)
+    return abs(mat - mat.T).max() <= 1e-10 * max(1.0, abs(mat).max())
 
 
 def generalized_eig(a_mat, m_mat, space: str | None = None,

@@ -182,15 +182,16 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         # plus what the set-up holds besides it (the coarsest and finest
         # levels' sparse matrices, the frames and their temporaries, then the
         # sine basis of the fine scalar pencil).  In fresh processes
-        # tracemalloc measures at most 182 doubles per fine edge at n = 8,
-        # 96 to 124 at n = 12 to 64, 49 at n = 128 and 114 at n = 256 on 7
-        # levels, counted as 200.  The peak falls in ``fourier_pair`` at
-        # n = 8 and 12, 69 and 46 above what the multilevel set-up keeps,
-        # and in the frame stage from n = 16 on.
+        # tracemalloc measures at most 163 doubles per fine edge at n = 8
+        # (4 levels), 107 at n = 12 (3 levels), 105, 100, 95 and 81 at
+        # n = 16, 24, 32 and 64, 33 at n = 128 and 98 at n = 256 on 7
+        # levels, counted as 180, about 10 % above the largest.  The peak
+        # falls in ``fourier_pair`` at n = 8 and 12, 69 and 46 above what the
+        # multilevel set-up keeps, and in the frame stage from n = 16 on.
         n = max(cfg.sizes)
         n0 = n // step
         nv, nv0 = 3 * n * n + 2 * n, 3 * n0 * n0 + 2 * n0
-        require_memory(8 * (6 * nv0 ** 2 + 200 * nv), f"the set-up at n={n}")
+        require_memory(8 * (6 * nv0 ** 2 + 180 * nv), f"the set-up at n={n}")
     if cfg.table == "2":
         # ``scalar_spectrum`` at the largest size: 4 doubles per triangle, 2048 per
         # wavenumber of a row, and 8192; tracemalloc measures 0.43 to 0.90 of it

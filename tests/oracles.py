@@ -179,6 +179,21 @@ def scalar_extremes(lm: LevelMatrices) -> tuple[float, float]:
     return 1.0 / largest(inverse), largest(forward)
 
 
+# The div-div form as ``fem.assemble`` built it before ``hdiv`` was derived
+# from the gradient: straight from the local divergences.
+
+def divdiv(level) -> sp.csr_matrix:
+    """``<div psi_e, div psi_f>``: on each triangle the local flux basis has
+    divergence 1/|T|, so the entry of edges a, b is ``s_a s_b / |T|``."""
+    nt, nv = level.num_triangles, level.num_edges
+    s = level.triangle_edge_signs.astype(float)
+    te = level.triangle_edges
+    dd = s[:, :, None] * s[:, None, :] / level.areas()[:, None, None]
+    rows = np.broadcast_to(te[:, :, None], (nt, 3, 3)).ravel()
+    cols = np.broadcast_to(te[:, None, :], (nt, 3, 3)).ravel()
+    return sp.coo_matrix((dd.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
 # The vertex patches as ``mesh.vertex_patches`` built them before it sorted
 # the edge ends: one Python list per vertex, filled edge by edge.
 

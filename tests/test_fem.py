@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from fracprec.fem import (assemble, assemble_all, assemble_curl, assemble_prolon
                           laplacian_dual)
 from fracprec.mesh import build_hierarchy, build_level
 from fracprec.vectors import TaggedVector, TagError
+
+import oracles
 
 
 def flux_mass_oracle(level):
@@ -54,13 +57,19 @@ class TestAssembly:
         lm = assemble(level)
         np.testing.assert_allclose(lm.mass_v.toarray(), flux_mass_oracle(level), atol=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     def test_divdiv_equals_grad_route(self, n):
-        # Two independent sign conventions must meet: <div.,div.> assembled
-        # from local divergences vs grad @ inv(mass_s) @ grad.T.
-        lm = assemble(build_level(n))
-        other = (lm.grad @ lm.grad.T).toarray() / lm.mass_s.diagonal()[0]
-        np.testing.assert_allclose((lm.hdiv - lm.mass_v).toarray(), other, atol=1e-12)
+        # Two independent sign conventions must meet: hdiv - mass_v ==
+        # grad @ inv(mass_s) @ grad.T holds exactly against <div.,div.>
+        # assembled from local divergences, down to the sorted CSR arrays.
+        level = build_level(n)
+        lm = assemble(level)
+        hdiv, expected = lm.hdiv, (lm.mass_v + oracles.divdiv(level)).tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(hdiv, name), getattr(expected, name)), name
+
+    def test_hdiv_is_derived_not_stored(self):
+        assert "hdiv" not in {f.name for f in dataclasses.fields(fem.LevelMatrices)}
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_curl_against_quadrature_oracle(self, n):

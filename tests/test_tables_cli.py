@@ -670,9 +670,9 @@ class TestMemoryGuard:
         with pytest.raises(SystemExit) as err:
             cli.main(["table1", "--sizes", "8"])
         assert err.value.code == 2
-        # 8 * (6*5^2 + 200*208) at n = 8, n0 = 1
+        # 8 * (6*5^2 + 180*208) at n = 8, n0 = 1
         assert capsys.readouterr().err.rstrip().endswith(
-            "error: the set-up at n=8 needs 334000 bytes, "
+            "error: the set-up at n=8 needs 300720 bytes, "
             "more than the 1000 bytes available")
 
     def test_table2_too_large_for_memory_is_usage_error(self, monkeypatch, capsys):
